@@ -11,17 +11,19 @@ substream layout and therefore the sample.
 
 Per-run bookkeeping kept exactly: failure count, failure deficit sum and
 extrema, and global min/max of g. Two bounded samples are retained for
-robust diagnostics: the first `failure_reservoir_cap` failure deficits
-(failures are exchangeable, so a prefix is an unbiased sample) and a
-uniform reservoir subsample of g driven by a dedicated substream inside
-the sequential merge, hence equally reproducible.
+robust diagnostics, both prefixes of the stream: the first
+`failure_reservoir_cap` failure deficits and the first
+`robust_subsample_cap` values of g. The g values are iid and failures
+are exchangeable, so a prefix is already a uniform sample; each chunk
+cuts its own share of the prefix, and the ordered merge concatenates
+the shares, so no extra random numbers are drawn.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -43,8 +45,9 @@ __all__ = [
 ]
 
 # Substream lanes, kept disjoint by the leading spawn-key coordinate.
+# Lane 1 is unused; renumbering the others would change the bootstrap
+# and calibration streams.
 _LANE_MAIN = 0
-_LANE_RESERVOIR = 1
 _LANE_BOOTSTRAP = 2
 _LANE_CALIBRATION = 3
 
@@ -187,30 +190,31 @@ def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.nd
 
 @dataclass
 class _ChunkPartial:
-    idx: int
     n: int
     mean: float
     m2: float
     min_g: float
     max_g: float
     deficits: np.ndarray
-    g: np.ndarray
+    head: np.ndarray  # this chunk's share of the robust subsample prefix
 
 
-def _summarize_chunk(model: LimitStateModel, master_seed: int, idx: int, size: int) -> _ChunkPartial:
-    g = _chunk_g(model, master_seed, _LANE_MAIN, idx, size)
+def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int, size: int) -> _ChunkPartial:
+    g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
     mean = float(g.mean())
     m2 = float(np.square(g - mean).sum())
     deficits = -g[g < 0.0]
+    # chunk idx starts at stream position idx * chunk_size; copy the head
+    # so the partial does not pin the whole chunk
+    head = g[: max(0, config.robust_subsample_cap - idx * config.chunk_size)].copy()
     return _ChunkPartial(
-        idx=idx,
         n=size,
         mean=mean,
         m2=m2,
         min_g=float(g.min()),
         max_g=float(g.max()),
         deficits=deficits,
-        g=g,
+        head=head,
     )
 
 
@@ -230,9 +234,7 @@ class _Accumulator:
         self.deficit_max = -math.inf
         self.deficit_store: list[np.ndarray] = []
         self.deficit_stored = 0
-        self.reservoir = np.empty(config.robust_subsample_cap)
-        self.reservoir_seen = 0
-        self.reservoir_rng = _lane_rng(config.master_seed, _LANE_RESERVOIR)
+        self.heads: list[np.ndarray] = []
 
     def fold(self, p: _ChunkPartial) -> None:
         n = self.n + p.n
@@ -256,28 +258,10 @@ class _Accumulator:
                 self.deficit_store.append(kept)
                 self.deficit_stored += kept.size
 
-        self._reservoir_fold(p.g)
-
-    def _reservoir_fold(self, values: np.ndarray) -> None:
-        # Vectorized Algorithm R; last-wins fancy assignment reproduces
-        # the element-by-element update exactly.
-        cap = self.config.robust_subsample_cap
-        pos = 0
-        if self.reservoir_seen < cap:
-            take = min(cap - self.reservoir_seen, values.size)
-            self.reservoir[self.reservoir_seen : self.reservoir_seen + take] = values[:take]
-            self.reservoir_seen += take
-            pos = take
-        rest = values[pos:]
-        if rest.size == 0:
-            return
-        t = self.reservoir_seen + np.arange(1, rest.size + 1, dtype=float)
-        accept = self.reservoir_rng.random(rest.size) < cap / t
-        hits = int(accept.sum())
-        if hits:
-            slots = self.reservoir_rng.integers(0, cap, size=hits)
-            self.reservoir[slots] = rest[accept]
-        self.reservoir_seen += rest.size
+        # chunks past the cap hold no share; skipping them keeps memory
+        # independent of the chunk count
+        if p.head.size:
+            self.heads.append(p.head)
 
     def finish(self) -> SimulationSummary:
         has_fail = self.failure_count > 0
@@ -295,7 +279,7 @@ class _Accumulator:
             deficit_min=self.deficit_min if has_fail else None,
             deficit_max=self.deficit_max if has_fail else None,
             failure_deficits=stored,
-            robust_subsample=self.reservoir[: min(self.reservoir_seen, self.config.robust_subsample_cap)].copy(),
+            robust_subsample=np.concatenate(self.heads),
             config=self.config,
         )
 
@@ -319,35 +303,25 @@ def simulate(
     """Run the chunked Monte Carlo estimate of the g distribution.
 
     `threads` is an upper bound on concurrent chunk evaluation, further
-    capped by the SEVREL_THREADS environment variable. The answer does
-    not depend on it: chunks are folded strictly in index order.
+    capped by the SEVREL_THREADS environment variable; the default is one
+    thread. Threading is a library setting only: the command line always
+    runs on one thread. The answer does not depend on it: chunks are
+    folded strictly in index order.
     """
     layout = _chunk_layout(config)
     acc = _Accumulator(config)
+
+    def summarize(chunk: tuple[int, int]) -> _ChunkPartial:
+        return _summarize_chunk(model, config, *chunk)
+
     threads = _thread_budget(threads)
-
     if threads == 1:
-        for idx, size in layout:
-            acc.fold(_summarize_chunk(model, config.master_seed, idx, size))
-        return acc.finish()
-
-    # Fold greedily as contiguous indices become available so memory stays
-    # bounded by thread-pool lag, not by the run length.
-    pending: dict[int, _ChunkPartial] = {}
-    next_idx = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(_summarize_chunk, model, config.master_seed, idx, size)
-            for idx, size in layout
-        }
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                p = fut.result()
-                pending[p.idx] = p
-            while next_idx in pending:
-                acc.fold(pending.pop(next_idx))
-                next_idx += 1
+        for p in map(summarize, layout):
+            acc.fold(p)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for p in pool.map(summarize, layout):
+                acc.fold(p)
     return acc.finish()
 
 

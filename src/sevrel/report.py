@@ -26,7 +26,7 @@ from .engine import (
 )
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -36,7 +36,6 @@ __all__ = [
     "render_json",
     "write_text",
     "histogram_csv",
-    "deficits_csv",
     "fcurve_csv",
 ]
 
@@ -206,12 +205,6 @@ def histogram_csv(edges: np.ndarray, counts: np.ndarray) -> str:
     lines = ["bin_left,bin_right,count"]
     for i in range(len(counts)):
         lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def deficits_csv(deficits: np.ndarray) -> str:
-    lines = ["deficit"]
-    lines.extend(_fmt(d) for d in deficits)
     return "\n".join(lines) + "\n"
 
 

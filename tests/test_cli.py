@@ -1,9 +1,14 @@
 """CLI tests through main(argv), asserting text, files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sevrel
 from sevrel.cli import main
 from sevrel.gaussian import DEFICIT_ENDPOINT, deficit
 
@@ -79,6 +84,22 @@ def test_solve_flags_are_exclusive(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("module", ["sevrel", "sevrel.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # run the package under test, wherever it was imported from
+    src = str(Path(sevrel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", "--f", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.28309865493\n"
+
+
 # --- classify -----------------------------------------------------------------
 
 
@@ -119,7 +140,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 1
+    assert doc["schemaVersion"] == 2
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sevrel import report, scenarios
 from sevrel.distributions import Normal
 from sevrel.engine import LimitStateModel, Term
 from sevrel.scenarios import (
@@ -171,7 +172,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 1
+    assert doc["schemaVersion"] == 2
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     assert doc["summary"]["failureCount"] == res.summary.failure_count
@@ -194,6 +195,35 @@ def test_export_histograms(tmp_path, scenario_cache):
     dlines = dpath.read_text().splitlines()
     assert dlines[0] == "bin_left,bin_right,count"
     assert sum(int(line.split(",")[2]) for line in dlines[1:]) == res.summary.failure_count
+
+
+def test_histograms_are_binned_once_on_first_access(tmp_path, monkeypatch):
+    eager = scenarios.collect_histograms
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eager(*args)
+
+    monkeypatch.setattr(scenarios, "collect_histograms", counting)
+    res = run(builtin("scenarioB"), sample_count=200_000)
+    assert calls == []
+    gh = res.g_histogram
+    assert len(calls) == 1
+    assert res.g_histogram is gh
+    assert res.deficit_histogram is not None
+    assert len(calls) == 1
+
+    # the lazy pass must bin the calibrated stream, not the unshifted one
+    shifted = builtin("scenarioB").model.with_shift(res.calibrated_shift)
+    g_hist, d_hist = eager(shifted, res.config, res.summary)
+    gpath = tmp_path / "g.csv"
+    dpath = tmp_path / "d.csv"
+    export_result(res, "histogram-csv", str(gpath))
+    export_result(res, "deficit-csv", str(dpath))
+    assert gpath.read_text() == report.histogram_csv(g_hist.edges, g_hist.counts)
+    assert dpath.read_text() == report.histogram_csv(d_hist.edges, d_hist.counts)
+    assert len(calls) == 1
 
 
 def test_export_deficit_csv_without_failures(tmp_path):
