@@ -5,9 +5,10 @@ Four subcommands: `solve` answers analytic deficit-map queries,
 config-driven study and writes the JSON report, `scenario` reruns a
 builtin study and grades its expectations.
 
-Exit codes are machine-consumable: 0 success/accept, 2 bad invocation
-or bad config, 3 frequency rejection, 4 extreme-severity redesign,
-5 failed scenario expectation, 1 filesystem trouble.
+Exit codes are machine-consumable: 0 success/accept, 2 bad invocation,
+bad config or a model whose g is not finite, 3 frequency rejection,
+4 extreme-severity redesign, 5 failed scenario expectation, 1 filesystem
+trouble.
 """
 
 from __future__ import annotations
@@ -140,7 +141,11 @@ def _cmd_simulate(args) -> int:
         _err(str(exc))
         return 2
 
-    summary = simulate(cfg.model, sim)
+    try:
+        summary = simulate(cfg.model, sim)
+    except ValueError as exc:  # g is not finite
+        _err(str(exc))
+        return 2
     moments = model_moments(cfg.model)
     report = build_report(summary, moments)
     max_level = cfg.max_acceptable_level if cfg.max_acceptable_level is not None else DEFAULT_MAX_LEVEL

@@ -17,8 +17,9 @@ The file has four sections. "model" and "simulation" are required,
     }
 
 Unknown keys anywhere are an error, reported with their path, so a
-typoed optional key cannot silently fall back to a default. Distribution
-kinds and their parameter keys:
+typoed optional key cannot silently fall back to a default. So is a
+non-finite number (NaN, Infinity, or a literal such as 1e400 that
+overflows to infinity). Distribution kinds and their parameter keys:
 
     normal     mean, stddev
     lognormal  logMean, logStd  (or: median, cov)
@@ -30,6 +31,7 @@ kinds and their parameter keys:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .distributions import (
@@ -92,6 +94,9 @@ def _number(obj: dict, key: str, path: str, default=None) -> float:
     # bool is an int subclass; a config saying "true" for a number is a mistake
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
+    # json.loads accepts NaN and Infinity, and turns 1e400 into inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -52,6 +52,13 @@ class MomentReport:
         return math.isfinite(self.variance)
 
 
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_probability(p):
     arr = np.asarray(p, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
@@ -72,6 +79,7 @@ class Normal:
     stddev: float
 
     def __post_init__(self):
+        _require_finite(self, "mean", "stddev")
         if not self.stddev > 0.0:
             raise ValueError(f"stddev must be positive, got {self.stddev!r}")
 
@@ -97,6 +105,7 @@ class Lognormal:
     log_std: float
 
     def __post_init__(self):
+        _require_finite(self, "log_mean", "log_std")
         if not self.log_std > 0.0:
             raise ValueError(f"log_std must be positive, got {self.log_std!r}")
 
@@ -139,6 +148,7 @@ class Gumbel:
     scale: float
 
     def __post_init__(self):
+        _require_finite(self, "location", "scale")
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale!r}")
 
@@ -173,6 +183,7 @@ class Pareto:
     alpha: float
 
     def __post_init__(self):
+        _require_finite(self, "x_min", "alpha")
         if not self.x_min > 0.0:
             raise ValueError(f"x_min must be positive, got {self.x_min!r}")
         if not self.alpha > 0.0:
@@ -217,8 +228,8 @@ class Mixture:
         if not comps:
             raise ValueError("mixture needs at least one component")
         for w, d in comps:
-            if not w > 0.0:
-                raise ValueError(f"mixture weights must be positive, got {w!r}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"mixture weights must be positive and finite, got {w!r}")
             if isinstance(d, Mixture):
                 raise ValueError("nested mixtures are not supported")
         total = math.fsum(w for w, _ in comps)

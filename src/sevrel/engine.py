@@ -16,7 +16,9 @@ robust diagnostics, both prefixes of the stream: the first
 `robust_subsample_cap` values of g. The g values are iid and failures
 are exchangeable, so a prefix is already a uniform sample; each chunk
 cuts its own share of the prefix, and the ordered merge concatenates
-the shares, so no extra random numbers are drawn.
+the shares, so no extra random numbers are drawn. A chunk whose g is
+not finite (NaN, or an overflow to inf) stops the run with an error
+that names the chunk.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class Term:
     coefficient: float
     distribution: Distribution
 
+    def __post_init__(self):
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"term {self.name!r}: coefficient must be finite, got {self.coefficient!r}")
+
 
 @dataclass(frozen=True)
 class LimitStateModel:
@@ -80,6 +86,8 @@ class LimitStateModel:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("limit state needs at least one term")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift!r}")
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
             raise ValueError(f"term names must be unique, got {names!r}")
@@ -178,6 +186,23 @@ def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size
     return g
 
 
+def _finite_extrema(g: np.ndarray, idx: int, config: SimulationConfig) -> tuple[float, float]:
+    """Min and max of chunk `idx`, or ValueError if g is not finite there.
+
+    NaN propagates through min and max, so the extrema catch every
+    non-finite value; unchecked, NaN would fail no `g < 0` test and
+    count as safe.
+    """
+    lo, hi = float(g.min()), float(g.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        start = idx * config.chunk_size
+        raise ValueError(
+            f"g is not finite in chunk {idx} (stream positions {start} to "
+            f"{start + g.size - 1}); a coefficient or parameter overflows"
+        )
+    return lo, hi
+
+
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
     """Regenerate the exact g stream of simulate(), chunk by chunk.
 
@@ -201,6 +226,7 @@ class _ChunkPartial:
 
 def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int, size: int) -> _ChunkPartial:
     g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
+    min_g, max_g = _finite_extrema(g, idx, config)
     mean = float(g.mean())
     m2 = float(np.square(g - mean).sum())
     deficits = -g[g < 0.0]
@@ -211,8 +237,8 @@ def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int,
         n=size,
         mean=mean,
         m2=m2,
-        min_g=float(g.min()),
-        max_g=float(g.max()),
+        min_g=min_g,
+        max_g=max_g,
         deficits=deficits,
         head=head,
     )
@@ -335,7 +361,9 @@ def calibrate_shift(
     Draws one calibration sample of g with shift forced to zero on a
     dedicated substream lane, then returns c = -(k-th smallest g) with
     k = ceil(target_pf * n). On the calibration sample itself the shifted
-    failure fraction then matches target_pf to within 1/n.
+    failure fraction then matches target_pf to within 1/n. The sample is
+    read chunk by chunk and only the k smallest values seen so far are
+    kept, so memory is O(k + chunk_size), not O(n).
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -348,14 +376,18 @@ def calibrate_shift(
             "the order statistic would be too noisy to calibrate against"
         )
     base = model.with_shift(0.0)
-    parts = [
-        _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
-        for idx, size in _chunk_layout(config)
-    ]
-    g = np.concatenate(parts)
     k = math.ceil(expected_failures - 1e-9)
-    kth = float(np.partition(g, k - 1)[k - 1])
-    return -kth
+    kept = np.empty(0)
+    for idx, size in _chunk_layout(config):
+        g = _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
+        _finite_extrema(g, idx, config)
+        if kept.size == k:
+            # a value at or above the current k-th smallest cannot move it
+            g = g[g < kept.max()]
+        kept = np.concatenate((kept, g))
+        if kept.size > k:
+            kept = np.partition(kept, k - 1)[:k]
+    return -float(kept.max())
 
 
 def robust_scales(summary: SimulationSummary) -> RobustScales:

@@ -26,7 +26,7 @@ from .engine import (
 )
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -140,7 +140,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 2
+    assert doc["schemaVersion"] == 3
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -285,6 +285,33 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_g(tmp_path, capsys):
+    # a finite coefficient whose product with the samples overflows to inf;
+    # g is never below 0, so this used to read as "no failures"
+    model = {
+        "terms": [
+            {
+                "name": "margin",
+                "coefficient": 1e308,
+                "distribution": {"kind": "normal", "mean": 10.0, "stddev": 1.0},
+            }
+        ]
+    }
+    cfg = make_config(tmp_path, model=model)
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: g is not finite in chunk 0" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rejects_nan_in_config(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    text = Path(cfg).read_text().replace('"mean": 2.0', '"mean": NaN')
+    Path(cfg).write_text(text)
+    assert main(["simulate", cfg]) == 2
+    assert "distribution.mean: expected a finite number, got nan" in capsys.readouterr().err
 
 
 def test_simulate_unwritable_output(tmp_path, capsys):

@@ -196,6 +196,32 @@ def test_bool_is_not_a_number():
         parse(data)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        ('"mean": 10.0', r"config\.model\.terms\[0\]\.distribution\.mean"),
+        ('"coefficient": -1.0', r"config\.model\.terms\[1\]\.coefficient"),
+        ('"shift": -1.5', r"config\.model\.shift"),
+        ('"betaTarget": 3.0', r"config\.assessment\.betaTarget"),
+    ],
+    ids=["mean", "coefficient", "shift", "betaTarget"],
+)
+def test_non_finite_numbers_are_rejected_with_their_path(literal, where, path):
+    # json.loads reads NaN and Infinity literals, and 1e400 as inf
+    text = json.dumps(base_config())
+    assert where in text
+    key = where.split(":")[0]
+    with pytest.raises(ConfigError, match=path + ": expected a finite number"):
+        parse_config(text.replace(where, f"{key}: {literal}"))
+
+
+def test_huge_finite_numbers_still_parse():
+    data = base_config()
+    data["model"]["terms"][0]["coefficient"] = 1e308
+    assert parse(data).model.terms[0].coefficient == 1e308
+
+
 def test_sample_count_must_be_integer():
     data = base_config()
     data["simulation"]["sampleCount"] = 1.5

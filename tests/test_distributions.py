@@ -1,5 +1,6 @@
 """Distribution families: moments, quantiles, sampling fidelity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,26 @@ def test_mixture_validation():
     inner = Mixture(((1.0, Normal(0, 1)),))
     with pytest.raises(ValueError):
         Mixture(((1.0, inner),))  # nesting is not supported
+
+
+_VALID_PARAMETERS = {Normal: (0.0, 1.0), Lognormal: (0.0, 0.5), Gumbel: (0.0, 1.0), Pareto: (1.0, 3.0)}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("family", list(_VALID_PARAMETERS), ids=lambda family: family.__name__)
+def test_non_finite_parameters_are_rejected(family, position, bad):
+    args = list(_VALID_PARAMETERS[family])
+    args[position] = bad
+    name = dataclasses.fields(family)[position].name
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        family(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mixture_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Mixture(((bad, Normal(0, 1)), (0.5, Normal(1, 1))))
 
 
 def test_mixture_cdf_is_weighted_sum():

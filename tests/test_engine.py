@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sevrel.distributions import Normal
+from sevrel.distributions import Mixture, Normal
 from sevrel.engine import (
     LimitStateModel,
     SimulationConfig,
@@ -16,7 +16,7 @@ from sevrel.engine import (
     robust_scales,
     simulate,
 )
-from sevrel.engine import _thread_budget
+from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _thread_budget
 
 
 def margin_model():
@@ -50,6 +50,17 @@ def test_model_rejects_duplicate_names():
 def test_model_rejects_empty_terms():
     with pytest.raises(ValueError):
         LimitStateModel(terms=())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_rejects_non_finite_coefficient_and_shift(bad):
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        Term("x", bad, Normal(0.0, 1.0))
+    t = Term("x", 1.0, Normal(0.0, 1.0))
+    with pytest.raises(ValueError, match="shift must be finite"):
+        LimitStateModel(terms=(t,), shift=bad)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        LimitStateModel(terms=(t,)).with_shift(bad)
 
 
 def test_evaluate_and_missing_name():
@@ -265,6 +276,31 @@ def test_calibrate_shift_ignores_existing_shift():
     assert a == b
 
 
+def calibration_reference(model, target_pf, config):
+    # the whole calibration sample in memory at once, then one partition
+    base = model.with_shift(0.0)
+    g = np.concatenate(
+        [_chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size) for idx, size in _chunk_layout(config)]
+    )
+    k = math.ceil(target_pf * config.sample_count - 1e-9)
+    return -float(np.partition(g, k - 1)[k - 1])
+
+
+@pytest.mark.parametrize(
+    "target_pf, n",
+    [
+        (0.05, 100_000),  # k = 5 000 below the chunk size, ragged last chunk
+        (0.5, 100_000),  # k = 50 000 above the chunk size, ragged last chunk
+        (0.3, 90_000),  # k = 27 000, chunks of equal size
+        (0.0001, 100_000),  # k = 10, most chunks filter to nothing
+    ],
+)
+def test_calibrate_shift_streams_to_the_same_bits(target_pf, n):
+    cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=30_000)
+    m = failure_heavy_model()
+    assert calibrate_shift(m, target_pf, cfg) == calibration_reference(m, target_pf, cfg)
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
 def test_calibrate_rejects_target_outside_unit_interval(bad):
     cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=50_000)
@@ -276,6 +312,44 @@ def test_calibrate_refuses_starved_targets():
     cfg = SimulationConfig(sample_count=200_000, master_seed=0, chunk_size=100_000)
     with pytest.raises(ValueError, match="below 10"):
         calibrate_shift(margin_model(), 1e-5, cfg)
+
+
+# --- non-finite g ---------------------------------------------------------
+
+
+def overflowing_model():
+    # 1e308 * N(10, 1) overflows to inf on every draw
+    return LimitStateModel(terms=(Term("x", 1e308, Normal(10.0, 1.0)),))
+
+
+def nan_model():
+    # inf - inf on every draw
+    return LimitStateModel(
+        terms=(Term("a", 1e308, Normal(10.0, 1.0)), Term("b", -1e308, Normal(10.0, 1.0)))
+    )
+
+
+@pytest.mark.parametrize("model", [overflowing_model(), nan_model()], ids=["inf", "nan"])
+def test_simulate_and_calibrate_fail_on_non_finite_g(model):
+    cfg = SimulationConfig(sample_count=3_000, master_seed=0, chunk_size=1_000)
+    with pytest.raises(ValueError, match=r"not finite in chunk 0 \(stream positions 0 to 999\)"):
+        simulate(model, cfg)
+    with pytest.raises(ValueError, match="not finite in chunk 0"):
+        calibrate_shift(model, 0.1, cfg)
+
+
+def test_non_finite_g_names_the_first_chunk_that_has_it():
+    # a rare branch whose draws overflow about half the time
+    rare = Mixture(((0.9999, Normal(0.0, 1.0)), (0.0001, Normal(1.7e308, 1e308))))
+    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
+    cfg = SimulationConfig(sample_count=100_000, master_seed=3, chunk_size=1_000)
+    bad = [i for i, g in enumerate(g_chunks(model, cfg)) if not np.isfinite(g).all()]
+    assert bad and bad[0] > 0
+    first = bad[0]
+    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            simulate(model, cfg, threads=threads)
 
 
 # --- thread budget --------------------------------------------------------

@@ -172,7 +172,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 2
+    assert doc["schemaVersion"] == 3
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     assert doc["summary"]["failureCount"] == res.summary.failure_count
