@@ -18,8 +18,9 @@ The file has four sections. "model" and "simulation" are required,
 
 Unknown keys anywhere are an error, reported with their path, so a
 typoed optional key cannot silently fall back to a default. So is a
-non-finite number (NaN, Infinity, or a literal such as 1e400 that
-overflows to infinity). Distribution kinds and their parameter keys:
+non-finite number (NaN, Infinity, or a literal such as 1e400 or a
+400-digit integer that overflows a float). Distribution kinds and their
+parameter keys:
 
     normal     mean, stddev
     lognormal  logMean, logStd  (or: median, cov)
@@ -94,10 +95,15 @@ def _number(obj: dict, key: str, path: str, default=None) -> float:
     # bool is an int subclass; a config saying "true" for a number is a mistake
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    # json.loads accepts NaN and Infinity, and turns 1e400 into inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    # json.loads accepts NaN and Infinity, turns 1e400 into inf, and reads
+    # a 400-digit integer as an int that no float can hold
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {number!r}")
+    return number
 
 
 def _integer(obj: dict, key: str, path: str, default=None) -> int:

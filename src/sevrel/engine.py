@@ -47,21 +47,15 @@ __all__ = [
 ]
 
 # Substream lanes, kept disjoint by the leading spawn-key coordinate.
-# Lane 1 is unused; renumbering the others would change the bootstrap
-# and calibration streams.
+# Lanes 1 and 2 are unused; renumbering lane 3 would change the
+# calibration stream.
 _LANE_MAIN = 0
-_LANE_BOOTSTRAP = 2
 _LANE_CALIBRATION = 3
 
 
 def _lane_rng(master_seed: int, lane: int, index: int = 0) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, index))
     return np.random.default_rng(seq)
-
-
-def bootstrap_rng(master_seed: int) -> np.random.Generator:
-    """Dedicated substream for resampling diagnostics tied to a run."""
-    return _lane_rng(master_seed, _LANE_BOOTSTRAP)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gaussian
 from .distributions import MomentReport
-from .engine import SimulationSummary, bootstrap_rng
+from .engine import SimulationSummary
 
 __all__ = [
     "ExtremeFlag",
@@ -41,7 +41,6 @@ __all__ = [
     "LEVEL_THRESHOLDS",
     "DEFAULT_MAX_LEVEL",
     "DEFAULT_MAX_LEVEL_CRITICAL",
-    "NORMAL_CI_MIN_DEFICITS",
     "reliability_index",
     "expected_failure_deficit",
     "variance_unstable",
@@ -247,39 +246,15 @@ class SeverityReport:
     notes: tuple[str, ...] = ()
 
 
-#: Stored failure deficits from which the E_f* interval is the normal
-#: (CLT) interval for their mean instead of the percentile bootstrap.
-#: The normal endpoints ignore skewness, which moves the true endpoints
-#: by about 0.47*gamma/sqrt(k) standard errors (gamma: deficit
-#: skewness); a 200-resample bootstrap endpoint has its own Monte Carlo
-#: error of about 0.19 SE. At k = 20 000 the two are equal for gamma
-#: near 56, so above this count the normal interval is at least as
-#: accurate for any gamma up to that. The count also keeps the matched
-#: pair scenarioA/scenarioB (~10k stored deficits each) on one method.
-NORMAL_CI_MIN_DEFICITS = 20_000
-
 _Z_975 = -gaussian.norm_quantile(0.025)
 
 
-def _ef_star_ci(
-    deficits: np.ndarray,
-    sigma: float,
-    master_seed: int,
-    resamples: int,
-) -> tuple[float, float] | None:
-    if deficits.size < 2 or resamples < 1:
+def _ef_star_ci(deficits: np.ndarray, sigma: float) -> tuple[float, float] | None:
+    if deficits.size < 2:
         return None
-    if deficits.size >= NORMAL_CI_MIN_DEFICITS:
-        m = float(deficits.mean())
-        half = _Z_975 * float(np.std(deficits, ddof=1)) / math.sqrt(deficits.size)
-        return ((m - half) / sigma, (m + half) / sigma)
-    rng = bootstrap_rng(master_seed)
-    means = np.empty(resamples)
-    for i in range(resamples):
-        idx = rng.integers(0, deficits.size, deficits.size)
-        means[i] = deficits[idx].mean()
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return (float(lo) / sigma, float(hi) / sigma)
+    m = float(deficits.mean())
+    half = _Z_975 * float(np.std(deficits, ddof=1)) / math.sqrt(deficits.size)
+    return ((m - half) / sigma, (m + half) / sigma)
 
 
 def build_report(
@@ -289,14 +264,12 @@ def build_report(
 ) -> SeverityReport:
     """Assemble the full severity report for one run.
 
-    The normalized-deficit confidence interval is a 95% interval for
-    the mean of the stored failure deficits, over sigma_g. From
-    NORMAL_CI_MIN_DEFICITS stored deficits on it is the normal interval
-    m +/- z * s / sqrt(k); below that it is a percentile bootstrap of
-    `bootstrap_resamples` resamples, driven by a substream of the run's
-    master seed so reports are reproducible byte for byte. There is no
-    interval with fewer than two stored deficits or fewer than one
-    resample.
+    The normalized-deficit confidence interval is the 95% normal (CLT)
+    interval for the mean of the stored failure deficits,
+    m +/- z * s / sqrt(k), over sigma_g; there is none with fewer than
+    two stored deficits. `bootstrap_resamples` is unused: the interval
+    used to be a percentile bootstrap of that many resamples, and the
+    benchmark under perfbench/ still reads the parameter's default.
     """
     n = summary.n
     pf = summary.failure_count / n
@@ -363,9 +336,7 @@ def build_report(
         flag = None
         beta_s = si
     sigma = math.sqrt(summary.var_g)
-    ci = _ef_star_ci(
-        summary.failure_deficits, sigma, summary.config.master_seed, bootstrap_resamples
-    )
+    ci = _ef_star_ci(summary.failure_deficits, sigma)
     return SeverityReport(
         n=n,
         failure_count=summary.failure_count,

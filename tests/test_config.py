@@ -196,7 +196,10 @@ def test_bool_is_not_a_number():
         parse(data)
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="1e400-integer")],
+)
 @pytest.mark.parametrize(
     "where, path",
     [
@@ -208,7 +211,8 @@ def test_bool_is_not_a_number():
     ids=["mean", "coefficient", "shift", "betaTarget"],
 )
 def test_non_finite_numbers_are_rejected_with_their_path(literal, where, path):
-    # json.loads reads NaN and Infinity literals, and 1e400 as inf
+    # json.loads reads NaN and Infinity literals, 1e400 as inf, and a
+    # 400-digit integer as an int too large for a float
     text = json.dumps(base_config())
     assert where in text
     key = where.split(":")[0]

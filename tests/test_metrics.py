@@ -8,12 +8,11 @@ import pytest
 
 from sevrel import gaussian
 from sevrel.distributions import Mixture, MomentReport, Normal, Pareto
-from sevrel.engine import LimitStateModel, SimulationConfig, Term, bootstrap_rng, model_moments, simulate
+from sevrel.engine import LimitStateModel, SimulationConfig, Term, model_moments, simulate
 from sevrel.metrics import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_MAX_LEVEL_CRITICAL,
     LEVEL_THRESHOLDS,
-    NORMAL_CI_MIN_DEFICITS,
     ExtremeFlag,
     NoFailuresObserved,
     SeverityLevel,
@@ -247,13 +246,6 @@ def _normal_ci(deficits, sigma):
     return ((m - z * s / math.sqrt(k)) / sigma, (m + z * s / math.sqrt(k)) / sigma)
 
 
-def _bootstrap_reference(deficits, sigma, master_seed, resamples):
-    rng = bootstrap_rng(master_seed)
-    means = [deficits[rng.integers(0, deficits.size, deficits.size)].mean() for _ in range(resamples)]
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return (lo / sigma, hi / sigma)
-
-
 @pytest.fixture(scope="module")
 def dense_gaussian():
     # Normal(2, 1) margin at n = 1M: ~22.8k failures, all stored
@@ -262,25 +254,19 @@ def dense_gaussian():
     return summary, model_moments(model)
 
 
-def test_ef_star_ci_is_the_normal_interval_above_the_threshold(dense_gaussian):
+def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
     summary, moments = dense_gaussian
-    assert summary.failure_deficits.size >= NORMAL_CI_MIN_DEFICITS
     sigma = math.sqrt(summary.var_g)
     rep = build_report(summary, moments)
     assert rep.ef_star_ci == _normal_ci(summary.failure_deficits, sigma)
-    # the resample count plays no part on this path, except that < 1 withholds it
-    assert build_report(summary, moments, bootstrap_resamples=3).ef_star_ci == rep.ef_star_ci
-    assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci is None
-
-
-def test_ef_star_ci_switches_method_at_the_threshold(dense_gaussian):
-    summary, moments = dense_gaussian
-    sigma = math.sqrt(summary.var_g)
-    at = replace(summary, failure_deficits=summary.failure_deficits[:NORMAL_CI_MIN_DEFICITS])
-    assert build_report(at, moments).ef_star_ci == _normal_ci(at.failure_deficits, sigma)
-    below = replace(summary, failure_deficits=summary.failure_deficits[: NORMAL_CI_MIN_DEFICITS - 1])
-    expected = _bootstrap_reference(below.failure_deficits, sigma, summary.config.master_seed, 200)
-    assert build_report(below, moments).ef_star_ci == expected
+    # the same formula at every store size from two deficits up
+    for k in (2, 3, 2_339):
+        part = replace(summary, failure_deficits=summary.failure_deficits[:k])
+        assert build_report(part, moments).ef_star_ci == _normal_ci(part.failure_deficits, sigma)
+    one = replace(summary, failure_deficits=summary.failure_deficits[:1])
+    assert build_report(one, moments).ef_star_ci is None
+    # the resample count no longer plays any part
+    assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci == rep.ef_star_ci
 
 
 def test_ef_star_ci_half_width_matches_gaussian_theory(dense_gaussian):
@@ -292,17 +278,6 @@ def test_ef_star_ci_half_width_matches_gaussian_theory(dense_gaussian):
     expected = 1.96 * math.sqrt((1.0 - b * f - f * f) / (pf * summary.n))
     lo, hi = build_report(summary, moments).ef_star_ci
     assert abs((hi - lo) / 2.0 / expected - 1.0) < 0.05
-
-
-def test_ef_star_ci_below_the_threshold_keeps_the_bootstrap_bits():
-    model = LimitStateModel(terms=(Term("m", 1.0, Normal(2.0, 1.0)),))
-    summary = run(model, n=100_000)
-    assert summary.failure_deficits.size == 2339
-    rep = build_report(summary, model_moments(model))
-    # values of the 200-resample percentile bootstrap before the normal
-    # interval existed; any change to its draws changes these bits
-    assert rep.ef_star_ci == (0.3620958627100112, 0.3920338340108539)
-    assert build_report(summary, model_moments(model), bootstrap_resamples=0).ef_star_ci is None
 
 
 def test_report_zero_failures():
