@@ -143,10 +143,10 @@ def _cmd_simulate(args) -> int:
 
     try:
         summary = simulate(cfg.model, sim)
-    except ValueError as exc:  # g is not finite
+        moments = model_moments(cfg.model)
+    except ValueError as exc:  # the variance of g or g itself overflows
         _err(str(exc))
         return 2
-    moments = model_moments(cfg.model)
     report = build_report(summary, moments)
     max_level = cfg.max_acceptable_level if cfg.max_acceptable_level is not None else DEFAULT_MAX_LEVEL
     decision = None

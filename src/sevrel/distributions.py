@@ -16,6 +16,15 @@ Sampling conventions, fixed so that streams are reproducible:
   order: first the branch selector, then the value fed through the
   selected component's quantile. The consumption pattern never depends
   on which branch was chosen, so chunked runs merge reproducibly.
+  The heaviest-weight component's quantile is evaluated over the whole
+  value array in place; the draws of the other branches are computed
+  on their own positions first and written over it afterwards. Each
+  draw gets the same bits as if every branch had been evaluated on its
+  own positions only.
+
+Samplers and the private ``_inverse_cdf`` work in place on the arrays
+they draw, so a batch of n draws holds one or two arrays of n floats
+and no full-length temporaries.
 """
 
 from __future__ import annotations
@@ -60,10 +69,17 @@ def _require_finite(spec, *names: str) -> None:
 
 
 def _check_probability(p):
-    arr = np.asarray(p, dtype=float)
+    """A float copy of p, which the caller may overwrite; p must lie in (0, 1)."""
+    arr = np.array(p, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise ValueError("quantile requires probabilities strictly inside (0, 1)")
     return arr
+
+
+def _uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniforms on [tiny, 1), floored in place so logs and powers stay finite."""
+    u = rng.random(n)
+    return np.maximum(u, _TINY, out=u)
 
 
 def _match(p, values):
@@ -87,8 +103,14 @@ class Normal:
         return MomentReport(self.mean, self.stddev**2)
 
     def quantile(self, p):
-        q = _check_probability(p)
-        return _match(p, self.mean + self.stddev * ndtri(q))
+        return _match(p, self._inverse_cdf(_check_probability(p)))
+
+    def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
+        # overwrites q, which must lie in (0, 1)
+        ndtri(q, out=q)
+        q *= self.stddev
+        q += self.mean
+        return q
 
     def cdf(self, x):
         return _match(x, ndtr((np.asarray(x, dtype=float) - self.mean) / self.stddev))
@@ -114,8 +136,14 @@ class Lognormal:
         return MomentReport(math.exp(m + 0.5 * s2), math.expm1(s2) * math.exp(2.0 * m + s2))
 
     def quantile(self, p):
-        q = _check_probability(p)
-        return _match(p, np.exp(self.log_mean + self.log_std * ndtri(q)))
+        return _match(p, self._inverse_cdf(_check_probability(p)))
+
+    def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
+        # overwrites q, which must lie in (0, 1)
+        ndtri(q, out=q)
+        q *= self.log_std
+        q += self.log_mean
+        return np.exp(q, out=q)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -124,7 +152,8 @@ class Lognormal:
         return _match(x, np.where(arr > 0.0, ndtr(z), 0.0))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.exp(rng.normal(self.log_mean, self.log_std, n))
+        x = rng.normal(self.log_mean, self.log_std, n)
+        return np.exp(x, out=x)
 
 
 def lognormal_from_median_cov(median: float, cov: float) -> Lognormal:
@@ -159,16 +188,22 @@ class Gumbel:
         )
 
     def quantile(self, p):
-        q = _check_probability(p)
-        return _match(p, self.location - self.scale * np.log(-np.log(q)))
+        return _match(p, self._inverse_cdf(_check_probability(p)))
+
+    def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
+        # overwrites q, which must lie in (0, 1)
+        np.log(q, out=q)
+        np.negative(q, out=q)
+        np.log(q, out=q)
+        q *= self.scale
+        return np.subtract(self.location, q, out=q)
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.location) / self.scale
         return _match(x, np.exp(-np.exp(-z)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = np.maximum(rng.random(n), _TINY)
-        return self.location - self.scale * np.log(-np.log(u))
+        return self._inverse_cdf(_uniform(rng, n))
 
 
 @dataclass(frozen=True)
@@ -199,8 +234,14 @@ class Pareto:
         return MomentReport(mean, variance)
 
     def quantile(self, p):
-        q = _check_probability(p)
-        return _match(p, self.x_min * np.power(1.0 - q, -1.0 / self.alpha))
+        return _match(p, self._inverse_cdf(_check_probability(p)))
+
+    def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
+        # overwrites q, which must lie in (0, 1)
+        np.subtract(1.0, q, out=q)
+        np.power(q, -1.0 / self.alpha, out=q)
+        q *= self.x_min
+        return q
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -208,8 +249,10 @@ class Pareto:
         return _match(x, 1.0 - np.power(ratio, self.alpha))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = np.maximum(rng.random(n), _TINY)
-        return self.x_min * np.power(u, -1.0 / self.alpha)
+        u = _uniform(rng, n)
+        np.power(u, -1.0 / self.alpha, out=u)
+        u *= self.x_min
+        return u
 
 
 @dataclass(frozen=True)
@@ -263,14 +306,27 @@ class Mixture:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Two stream consumptions per batch, fixed order: branch then value.
         u_branch = rng.random(n)
-        u_value = np.maximum(rng.random(n), _TINY)
-        cuts = np.cumsum([w for w, _ in self.components])[:-1]
-        idx = np.searchsorted(cuts, u_branch, side="right")
-        out = np.empty(n)
+        u_value = _uniform(rng, n)
+        weights = [w for w, _ in self.components]
+        cuts = np.cumsum(weights)[:-1]
+        heavy = weights.index(max(weights))
+        # A draw is in branch k when cuts[k-1] <= u_branch < cuts[k], as
+        # searchsorted(side="right") counts; only the positions outside
+        # the heaviest branch's interval are listed.
+        outside = []
+        if heavy > 0:
+            outside.append(np.flatnonzero(u_branch < cuts[heavy - 1]))
+        if heavy < cuts.size:
+            outside.append(np.flatnonzero(u_branch >= cuts[heavy]))
+        pos = np.concatenate(outside) if outside else np.empty(0, dtype=np.intp)
+        branch = np.searchsorted(cuts, u_branch[pos], side="right")
+        values = np.empty(pos.size)
         for k, (_, d) in enumerate(self.components):
-            sel = idx == k
-            if sel.any():
-                out[sel] = d.quantile(u_value[sel])
+            sel = branch == k
+            if k != heavy and sel.any():
+                values[sel] = d._inverse_cdf(u_value[pos[sel]])
+        out = self.components[heavy][1]._inverse_cdf(u_value)
+        out[pos] = values
         return out
 
 

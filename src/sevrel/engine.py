@@ -100,13 +100,25 @@ class LimitStateModel:
 
 
 def model_moments(model: LimitStateModel) -> MomentReport:
-    """Analytic mean/variance of g from the term moments (independence)."""
+    """Analytic mean/variance of g from the term moments (independence).
+
+    A term whose own variance is infinite makes the variance of g
+    infinite. A finite term variance that overflows once scaled by the
+    squared coefficient, or in the running sum, raises ValueError naming
+    the term: an overflow is not an infinite variance.
+    """
     mean = model.shift
     variance = 0.0
     for t in model.terms:
         m = t.distribution.moments()
         mean += t.coefficient * m.mean
-        variance += t.coefficient * t.coefficient * m.variance
+        total = variance + t.coefficient * t.coefficient * m.variance
+        if math.isinf(total) and math.isfinite(variance) and m.variance_finite:
+            raise ValueError(
+                f"term {t.name!r}: the variance of g overflows (coefficient "
+                f"{t.coefficient!r}, variance {m.variance!r})"
+            )
+        variance = total
     return MomentReport(mean, variance)
 
 
@@ -176,7 +188,10 @@ def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size
     # Terms are sampled in declaration order; the per-chunk stream layout
     # is part of the reproducibility contract.
     for t in model.terms:
-        g += t.coefficient * t.distribution.sample(rng, size)
+        x = t.distribution.sample(rng, size)
+        x *= t.coefficient
+        g += x
+        del x  # free it before the next term draws
     return g
 
 
@@ -222,7 +237,8 @@ def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int,
     g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
     min_g, max_g = _finite_extrema(g, idx, config)
     mean = float(g.mean())
-    m2 = float(np.square(g - mean).sum())
+    centred = g - mean
+    m2 = float(np.square(centred, out=centred).sum())
     deficits = -g[g < 0.0]
     # chunk idx starts at stream position idx * chunk_size; copy the head
     # so the partial does not pin the whole chunk

@@ -306,6 +306,47 @@ def test_simulate_rejects_non_finite_g(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_simulate_rejects_variance_overflow(tmp_path, capsys):
+    # g stays finite (about 2e200), but the analytic variance 1e400 does
+    # not; this used to read as an infinite variance, level V, exit 0
+    model = {
+        "terms": [
+            {
+                "name": "margin",
+                "coefficient": 1e200,
+                "distribution": {"kind": "normal", "mean": 2.0, "stddev": 1.0},
+            }
+        ]
+    }
+    cfg = make_config(tmp_path, model=model)
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "error: term 'margin': the variance of g overflows" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_infinite_variance_keeps_its_flag(tmp_path, capsys):
+    # the example3-extreme model: its Pareto branch has a genuinely
+    # infinite variance, which is flagged, not rejected as an overflow
+    demand = {
+        "kind": "mixture",
+        "components": [
+            {"weight": 0.999, "distribution": {"kind": "normal", "mean": 5.0, "stddev": 2.0}},
+            {"weight": 0.001, "distribution": {"kind": "pareto", "xMin": 10.0, "alpha": 1.5}},
+        ],
+    }
+    model = {
+        "terms": [
+            {"name": "capacity", "coefficient": 1.0, "distribution": {"kind": "normal", "mean": 20.0, "stddev": 1.5}},
+            {"name": "demand", "coefficient": -1.0, "distribution": demand},
+        ]
+    }
+    assert main(["simulate", make_config(tmp_path, model=model)]) == 0
+    assert "flag: variance-infinite-or-unstable" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["metrics"]["extremeFlag"] == "variance-infinite-or-unstable"
+
+
 def test_simulate_rejects_nan_in_config(tmp_path, capsys):
     cfg = make_config(tmp_path)
     text = Path(cfg).read_text().replace('"mean": 2.0', '"mean": NaN')

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sevrel.distributions import Mixture, Normal
+from sevrel.distributions import Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
     SimulationConfig,
@@ -17,6 +17,7 @@ from sevrel.engine import (
     simulate,
 )
 from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _thread_budget
+from sevrel.scenarios import builtin
 
 
 def margin_model():
@@ -84,6 +85,29 @@ def test_model_moments_exact():
     shifted = model_moments(margin_model().with_shift(-1.0))
     assert shifted.mean == 4.0
     assert shifted.variance == rep.variance
+
+
+def test_model_moments_overflow_names_the_term():
+    # (1e200)**2 overflows although the term's own variance is 1
+    model = LimitStateModel(terms=(Term("load", 1e200, Normal(2.0, 1.0)),))
+    with pytest.raises(ValueError, match="term 'load': the variance of g overflows"):
+        model_moments(model)
+    # each term's variance is finite (1e308); their sum is not
+    pair = LimitStateModel(
+        terms=(Term("a", 1e154, Normal(0.0, 1.0)), Term("b", -1e154, Normal(0.0, 1.0)))
+    )
+    with pytest.raises(ValueError, match="term 'b'"):
+        model_moments(pair)
+
+
+def test_model_moments_infinite_term_variance_is_not_an_overflow():
+    heavy = builtin("example3-extreme").model
+    assert math.isinf(model_moments(heavy).variance)
+    # once a term is infinite, a later term cannot overflow the sum
+    model = LimitStateModel(
+        terms=(Term("p", 1.0, Pareto(1.0, 1.5)), Term("x", 1e200, Normal(0.0, 1.0)))
+    )
+    assert math.isinf(model_moments(model).variance)
 
 
 # --- config --------------------------------------------------------------
