@@ -142,8 +142,10 @@ def _cmd_simulate(args) -> int:
         return 2
 
     try:
-        summary = simulate(cfg.model, sim)
+        # an overflowing variance fails here, before any sampling
         moments = model_moments(cfg.model)
+        binned = bool(cfg.output.histogram_csv or cfg.output.deficit_csv)
+        summary = simulate(cfg.model, sim, histograms=binned)
     except ValueError as exc:  # the variance of g or g itself overflows
         _err(str(exc))
         return 2
@@ -168,12 +170,9 @@ def _cmd_simulate(args) -> int:
         if cfg.output.histogram_csv or cfg.output.deficit_csv:
             g_hist, d_hist = collect_histograms(cfg.model, sim, summary)
             if cfg.output.histogram_csv:
-                rep.write_text(cfg.output.histogram_csv, rep.histogram_csv(g_hist.edges, g_hist.counts))
+                rep.write_text(cfg.output.histogram_csv, rep.histogram_csv(g_hist))
             if cfg.output.deficit_csv:
-                if d_hist is None:
-                    rep.write_text(cfg.output.deficit_csv, "bin_left,bin_right,count\n")
-                else:
-                    rep.write_text(cfg.output.deficit_csv, rep.histogram_csv(d_hist.edges, d_hist.counts))
+                rep.write_text(cfg.output.deficit_csv, rep.histogram_csv(d_hist))
         if cfg.output.fcurve_csv:
             rep.write_text(cfg.output.fcurve_csv, rep.fcurve_csv())
     except OSError as exc:
@@ -197,7 +196,7 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    result = run(scenario, master_seed=args.seed, sample_count=args.n)
+    result = run(scenario, master_seed=args.seed, sample_count=args.n, histograms=args.export is not None)
 
     print(f"{scenario.scenario_id}: {scenario.title}")
     header = f"{'metric':<22}{'expected':>14}{'computed':>14}{'tolerance':>12}  status"

@@ -19,6 +19,11 @@ cuts its own share of the prefix, and the ordered merge concatenates
 the shares, so no extra random numbers are drawn. A chunk whose g is
 not finite (NaN, or an overflow to inf) stops the run with an error
 that names the chunk.
+
+On request, each chunk also bins its g and its failure deficits while
+it holds them, and the ordered merge adds the integer counts (see
+`histogram`), so the histograms of a run need no second pass over the
+stream and do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from . import histogram
 from .distributions import Distribution, MomentReport
 
 __all__ = [
@@ -42,6 +48,7 @@ __all__ = [
     "model_moments",
     "simulate",
     "g_chunks",
+    "bin_chunk",
     "calibrate_shift",
     "robust_scales",
 ]
@@ -157,6 +164,10 @@ class SimulationSummary:
     failure_deficits: np.ndarray
     robust_subsample: np.ndarray
     config: SimulationConfig
+    # binned during the run when simulate() was asked for histograms;
+    # deficit_histogram stays None without failures
+    g_histogram: histogram.Histogram | None = None
+    deficit_histogram: histogram.Histogram | None = None
 
     @property
     def pf(self) -> float:
@@ -215,8 +226,8 @@ def _finite_extrema(g: np.ndarray, idx: int, config: SimulationConfig) -> tuple[
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
     """Regenerate the exact g stream of simulate(), chunk by chunk.
 
-    Useful for second passes (histogram binning) that need the full
-    sample without retaining it in the summary.
+    For a second pass that needs the full sample without retaining it in
+    the summary, such as binning a run that did not bin during simulate().
     """
     for idx, size in _chunk_layout(config):
         yield _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
@@ -231,19 +242,32 @@ class _ChunkPartial:
     max_g: float
     deficits: np.ndarray
     head: np.ndarray  # this chunk's share of the robust subsample prefix
+    g_bins: histogram.Bins | None = None
+    deficit_bins: histogram.Bins | None = None
 
 
-def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int, size: int) -> _ChunkPartial:
+def bin_chunk(
+    g: np.ndarray, min_g: float, max_g: float, deficits: np.ndarray
+) -> tuple[histogram.Bins, histogram.Bins | None]:
+    """Histogram partials of one finite chunk of g and of its deficits."""
+    g_bins = histogram.linear(g, min_g, max_g)
+    return g_bins, histogram.log_linear(deficits) if deficits.size else None
+
+
+def _summarize_chunk(
+    model: LimitStateModel, config: SimulationConfig, idx: int, size: int, histograms: bool = False
+) -> _ChunkPartial:
     g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
     min_g, max_g = _finite_extrema(g, idx, config)
     mean = float(g.mean())
     centred = g - mean
     m2 = float(np.square(centred, out=centred).sum())
+    del centred  # free it before binning allocates
     deficits = -g[g < 0.0]
     # chunk idx starts at stream position idx * chunk_size; copy the head
     # so the partial does not pin the whole chunk
     head = g[: max(0, config.robust_subsample_cap - idx * config.chunk_size)].copy()
-    return _ChunkPartial(
+    partial = _ChunkPartial(
         n=size,
         mean=mean,
         m2=m2,
@@ -252,6 +276,9 @@ def _summarize_chunk(model: LimitStateModel, config: SimulationConfig, idx: int,
         deficits=deficits,
         head=head,
     )
+    if histograms:
+        partial.g_bins, partial.deficit_bins = bin_chunk(g, min_g, max_g, deficits)
+    return partial
 
 
 class _Accumulator:
@@ -271,6 +298,8 @@ class _Accumulator:
         self.deficit_store: list[np.ndarray] = []
         self.deficit_stored = 0
         self.heads: list[np.ndarray] = []
+        self.g_bins: histogram.Bins | None = None
+        self.deficit_bins: histogram.Bins | None = None
 
     def fold(self, p: _ChunkPartial) -> None:
         n = self.n + p.n
@@ -299,6 +328,9 @@ class _Accumulator:
         if p.head.size:
             self.heads.append(p.head)
 
+        self.g_bins = histogram.merge(self.g_bins, p.g_bins)
+        self.deficit_bins = histogram.merge(self.deficit_bins, p.deficit_bins)
+
     def finish(self) -> SimulationSummary:
         has_fail = self.failure_count > 0
         stored = (
@@ -317,6 +349,8 @@ class _Accumulator:
             failure_deficits=stored,
             robust_subsample=np.concatenate(self.heads),
             config=self.config,
+            g_histogram=self.g_bins.histogram() if self.g_bins else None,
+            deficit_histogram=self.deficit_bins.histogram() if self.deficit_bins else None,
         )
 
 
@@ -335,6 +369,7 @@ def simulate(
     model: LimitStateModel,
     config: SimulationConfig,
     threads: int | None = None,
+    histograms: bool = False,
 ) -> SimulationSummary:
     """Run the chunked Monte Carlo estimate of the g distribution.
 
@@ -343,12 +378,16 @@ def simulate(
     thread. Threading is a library setting only: the command line always
     runs on one thread. The answer does not depend on it: chunks are
     folded strictly in index order.
+
+    With `histograms`, each chunk is binned while it is held, and the
+    summary carries `g_histogram` and `deficit_histogram`. Binning reads
+    each chunk once more, which costs far less than regenerating it.
     """
     layout = _chunk_layout(config)
     acc = _Accumulator(config)
 
     def summarize(chunk: tuple[int, int]) -> _ChunkPartial:
-        return _summarize_chunk(model, config, *chunk)
+        return _summarize_chunk(model, config, *chunk, histograms)
 
     threads = _thread_budget(threads)
     if threads == 1:

@@ -14,8 +14,6 @@ import math
 import os
 from typing import Iterable
 
-import numpy as np
-
 from . import gaussian
 from .distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from .engine import (
@@ -24,9 +22,10 @@ from .engine import (
     SimulationSummary,
     robust_scales,
 )
+from .histogram import Histogram
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -201,10 +200,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def histogram_csv(edges: np.ndarray, counts: np.ndarray) -> str:
+def histogram_csv(histogram: Histogram | None) -> str:
+    """One row per bin; a missing histogram (no failures) is the header alone."""
     lines = ["bin_left,bin_right,count"]
-    for i in range(len(counts)):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])}")
+    if histogram is not None:
+        edges, counts = histogram.edges, histogram.counts
+        for i in range(len(counts)):
+            lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(counts[i])}")
     return "\n".join(lines) + "\n"
 
 

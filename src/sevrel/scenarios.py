@@ -6,8 +6,9 @@ closed-form values of the chosen parameterization, or calibration
 targets. Running a study executes the full pipeline (optional shift
 calibration, simulation, severity metrics, classification) and grades
 every expectation. The histograms of the limit-state samples and the
-failure deficits need a second pass over the stream, so a result bins
-them only when they are first read, as an export does.
+failure deficits are binned during the simulation when `run` is asked
+for them, as `sevrel scenario --export` does; otherwise a result bins
+them in a second pass over the stream when they are first read.
 
 The three "figure-grid" studies exist to emit histogram data for the
 classic three-row picture (Gaussian, mild non-Gaussian, heavy-tailed);
@@ -20,8 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import histogram
 from .distributions import (
     Gumbel,
     Lognormal,
@@ -35,12 +35,14 @@ from .engine import (
     SimulationConfig,
     SimulationSummary,
     Term,
+    bin_chunk,
     calibrate_shift,
     g_chunks,
     model_moments,
     simulate,
 )
 from .gaussian import deficit, invert_deficit, norm_cdf
+from .histogram import Histogram
 from .metrics import (
     MomentReport,
     SeverityLevel,
@@ -62,11 +64,6 @@ __all__ = [
     "collect_histograms",
     "export_result",
 ]
-
-HISTOGRAM_BINS = 200
-# switch the deficit histogram to logarithmic bins past this spread
-LOG_BIN_RATIO = 1e3
-
 
 @dataclass(frozen=True)
 class Expectation:
@@ -92,13 +89,6 @@ class ExpectationCheck:
     tolerance: float | None
     passed: bool
     provenance: str
-
-
-@dataclass(frozen=True)
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-    log_bins: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,7 +138,7 @@ class ScenarioResult:
 
     @property
     def g_histogram(self) -> Histogram:
-        """Histogram of g, binned on first access."""
+        """Histogram of g, binned on first access unless run() binned it."""
         return self._histograms[0]
 
     @property
@@ -197,37 +187,22 @@ def _grade(exp: Expectation, report: SeverityReport, moments: MomentReport) -> E
 def collect_histograms(
     model: LimitStateModel, config: SimulationConfig, summary: SimulationSummary
 ) -> tuple[Histogram, Histogram | None]:
-    """Bin g and the failure deficits in one extra pass over the stream."""
-    lo, hi = summary.min_g, summary.max_g
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    g_edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
-    g_counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
+    """Histograms of g and of the failure deficits (None without failures).
 
-    d_edges = None
-    d_log = False
-    d_counts = None
-    if summary.failure_count > 0:
-        dlo, dhi = summary.deficit_min, summary.deficit_max
-        if dlo == dhi:
-            d_edges = np.linspace(0.5 * dlo, 1.5 * dhi, HISTOGRAM_BINS + 1)
-        elif dhi / dlo > LOG_BIN_RATIO:
-            d_edges = np.geomspace(dlo, dhi, HISTOGRAM_BINS + 1)
-            d_log = True
-        else:
-            d_edges = np.linspace(dlo, dhi, HISTOGRAM_BINS + 1)
-        d_counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-
+    Returns those simulate() binned during the run, or else bins the
+    chunks of g_chunks() the same way in one extra pass over the stream.
+    The counts are the same either way.
+    """
+    if summary.g_histogram is not None:
+        return summary.g_histogram, summary.deficit_histogram
+    g_bins = deficit_bins = None
     for chunk in g_chunks(model, config):
-        g_counts += np.histogram(chunk, bins=g_edges)[0]
-        if d_edges is not None:
-            failed = chunk[chunk < 0.0]
-            if failed.size:
-                d_counts += np.histogram(-failed, bins=d_edges)[0]
-
-    g_hist = Histogram(edges=g_edges, counts=g_counts)
-    d_hist = Histogram(edges=d_edges, counts=d_counts, log_bins=d_log) if d_edges is not None else None
-    return g_hist, d_hist
+        chunk_g, chunk_deficits = bin_chunk(
+            chunk, float(chunk.min()), float(chunk.max()), -chunk[chunk < 0.0]
+        )
+        g_bins = histogram.merge(g_bins, chunk_g)
+        deficit_bins = histogram.merge(deficit_bins, chunk_deficits)
+    return g_bins.histogram(), deficit_bins.histogram() if deficit_bins else None
 
 
 def run(
@@ -235,14 +210,17 @@ def run(
     master_seed: int | None = None,
     sample_count: int | None = None,
     threads: int | None = None,
+    histograms: bool = False,
 ) -> ScenarioResult:
+    """Run the study and grade it; `histograms` bins g and the deficits
+    during the simulation, for a caller that will export them."""
     config = scenario.config(master_seed=master_seed, sample_count=sample_count)
     model = scenario.model
     shift = None
     if scenario.calibrate_pf is not None:
         shift = calibrate_shift(model, scenario.calibrate_pf, config)
         model = model.with_shift(shift)
-    summary = simulate(model, config, threads=threads)
+    summary = simulate(model, config, threads=threads, histograms=histograms)
     moments = model_moments(model)
     report = build_report(summary, moments)
     decision = None
@@ -280,15 +258,9 @@ def export_result(result: ScenarioResult, fmt: str, path: str) -> None:
         )
         rep.write_text(path, rep.render_json(doc))
     elif fmt == "histogram-csv":
-        rep.write_text(path, rep.histogram_csv(result.g_histogram.edges, result.g_histogram.counts))
+        rep.write_text(path, rep.histogram_csv(result.g_histogram))
     elif fmt == "deficit-csv":
-        if result.deficit_histogram is None:
-            rep.write_text(path, rep.histogram_csv(np.array([0.0, 1.0]), np.array([0])))
-        else:
-            rep.write_text(
-                path,
-                rep.histogram_csv(result.deficit_histogram.edges, result.deficit_histogram.counts),
-            )
+        rep.write_text(path, rep.histogram_csv(result.deficit_histogram))
     elif fmt == "fcurve-csv":
         rep.write_text(path, rep.fcurve_csv())
     else:

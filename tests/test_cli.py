@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sevrel
+from sevrel import cli
 from sevrel.cli import main
 from sevrel.gaussian import DEFICIT_ENDPOINT, deficit
 
@@ -140,7 +141,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 3
+    assert doc["schemaVersion"] == 4
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -289,13 +290,15 @@ def test_simulate_bad_config(tmp_path, capsys):
 
 def test_simulate_rejects_non_finite_g(tmp_path, capsys):
     # a finite coefficient whose product with the samples overflows to inf;
-    # g is never below 0, so this used to read as "no failures"
+    # g is never below 0, so this used to read as "no failures". The
+    # Pareto variance is infinite (alpha <= 2), so the analytic check
+    # passes and only the chunk check can catch it.
     model = {
         "terms": [
             {
                 "name": "margin",
-                "coefficient": 1e308,
-                "distribution": {"kind": "normal", "mean": 10.0, "stddev": 1.0},
+                "coefficient": 1e10,
+                "distribution": {"kind": "pareto", "xMin": 1e300, "alpha": 1.5},
             }
         ]
     }
@@ -306,23 +309,29 @@ def test_simulate_rejects_non_finite_g(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_simulate_rejects_variance_overflow(tmp_path, capsys):
-    # g stays finite (about 2e200), but the analytic variance 1e400 does
-    # not; this used to read as an infinite variance, level V, exit 0
-    model = {
-        "terms": [
-            {
-                "name": "margin",
-                "coefficient": 1e200,
-                "distribution": {"kind": "normal", "mean": 2.0, "stddev": 1.0},
-            }
-        ]
-    }
-    cfg = make_config(tmp_path, model=model)
-    assert main(["simulate", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "error: term 'margin': the variance of g overflows" in err
-    assert not (tmp_path / "report.json").exists()
+def test_simulate_rejects_variance_overflow(tmp_path, capsys, monkeypatch):
+    # with 1e200, g stays finite (about 2e200) but the analytic variance
+    # 1e400 does not; this used to read as an infinite variance, level V,
+    # exit 0. With 1e308 g itself overflows. Both fail before sampling.
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran although the variance overflows")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    for coefficient in (1e200, 1e308):
+        model = {
+            "terms": [
+                {
+                    "name": "margin",
+                    "coefficient": coefficient,
+                    "distribution": {"kind": "normal", "mean": 2.0, "stddev": 1.0},
+                }
+            ]
+        }
+        cfg = make_config(tmp_path, model=model)
+        assert main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: term 'margin': the variance of g overflows" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_simulate_infinite_variance_keeps_its_flag(tmp_path, capsys):

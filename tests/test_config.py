@@ -1,8 +1,13 @@
 """Config parsing tests: happy paths, defaults, and error paths."""
 
+import dataclasses
 import json
+import math
+import re
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from sevrel.config import AnalysisConfig, ConfigError, OutputPaths, load_config, parse_config
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto, lognormal_from_median_cov
@@ -309,3 +314,116 @@ def test_load_config_roundtrip(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.json"))
+
+
+# --- property: every document parses to a finite model or names a key path ---
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+# a parameter value: mostly usable, sometimes negative, non-finite, huge,
+# or not a number at all
+_values = _mostly(
+    st.floats(min_value=0.1, max_value=1e3),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.booleans(),
+        st.text(max_size=2),
+        st.none(),
+    ),
+)
+_PARAMETERS = {
+    "normal": ("mean", "stddev"),
+    "lognormal": ("logMean", "logStd"),
+    "gumbel": ("location", "scale"),
+    "pareto": ("xMin", "alpha"),
+}
+
+
+def _leaf(kind, keys):
+    parameters = {key: _values for key in keys}
+    return _mostly(
+        st.fixed_dictionaries({"kind": st.just(kind), **parameters}),
+        st.fixed_dictionaries({"kind": st.just(kind)}, optional={**parameters, "typo": _values}),
+    )
+
+
+_leaves = st.one_of(
+    *(_leaf(kind, keys) for kind, keys in _PARAMETERS.items()),
+    _leaf("lognormal", ("median", "cov")),
+)
+_bad_distributions = st.one_of(
+    st.fixed_dictionaries({"kind": st.one_of(st.just("weibull"), st.integers())}),
+    _values,
+)
+
+
+def _mixture(components):
+    # equal weights sum to 1; the bad branch draws one weight like any value
+    weight = _mostly(st.just(1.0 / len(components)), _values)
+    return weight.map(
+        lambda w: {
+            "kind": "mixture",
+            "components": [{"weight": w, "distribution": d} for d in components],
+        }
+    )
+
+
+_distributions = _mostly(
+    st.one_of(_leaves, st.lists(_leaves, min_size=1, max_size=3).flatmap(_mixture)),
+    _bad_distributions,
+)
+_terms = _mostly(
+    st.fixed_dictionaries(
+        {"name": st.sampled_from("abcd"), "coefficient": _values, "distribution": _distributions}
+    ),
+    st.fixed_dictionaries(
+        {"name": st.one_of(st.sampled_from("abcd"), st.integers())},
+        optional={"coefficient": _values, "distribution": _distributions, "typo": _values},
+    ),
+)
+_documents = st.fixed_dictionaries(
+    {
+        "model": st.fixed_dictionaries(
+            {"terms": _mostly(st.lists(_terms, min_size=1, max_size=3), st.just([]))}, optional={"shift": _values}
+        ),
+        "simulation": st.fixed_dictionaries(
+            {"sampleCount": _mostly(st.integers(min_value=1, max_value=10**6), _values)},
+            optional={"masterSeed": st.integers(min_value=-2), "chunkSize": _values},
+        ),
+    },
+    optional={
+        "assessment": st.fixed_dictionaries(
+            {}, optional={"betaTarget": _values, "maxAcceptableLevel": st.sampled_from(["III", "VI", 3])}
+        ),
+    },
+)
+# every message opens with the path of the key at fault, from the root
+_KEY_PATH = re.compile(r"^config(\.[A-Za-z]+|\[\d+\])*: ")
+
+
+def _finite_parameters(dist) -> bool:
+    if isinstance(dist, Mixture):
+        return all(math.isfinite(w) and _finite_parameters(d) for w, d in dist.components)
+    return all(math.isfinite(getattr(dist, f.name)) for f in dataclasses.fields(dist))
+
+
+@given(_documents)
+# shrinking these nested documents can take minutes; a failure prints the
+# unshrunk document, which names the key at fault anyway
+@settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_every_document_parses_to_a_finite_model_or_names_a_key_path(doc):
+    try:
+        cfg = parse(doc)
+    except ConfigError as exc:
+        assert _KEY_PATH.match(str(exc)), str(exc)
+        return
+    model = cfg.model
+    assert math.isfinite(model.shift)
+    for term in model.terms:
+        assert math.isfinite(term.coefficient)
+        assert _finite_parameters(term.distribution)

@@ -8,9 +8,8 @@ import pytest
 from sevrel import report, scenarios
 from sevrel.distributions import Normal
 from sevrel.engine import LimitStateModel, Term
+from sevrel.histogram import HISTOGRAM_BINS
 from sevrel.scenarios import (
-    HISTOGRAM_BINS,
-    LOG_BIN_RATIO,
     SCENARIO_IDS,
     Expectation,
     Scenario,
@@ -61,19 +60,25 @@ def test_small_run_structure(scenario_cache):
     assert res.config.master_seed == 0
 
     gh = res.g_histogram
-    assert gh.edges.size == HISTOGRAM_BINS + 1
-    assert gh.counts.size == HISTOGRAM_BINS
+    assert HISTOGRAM_BINS // 2 <= gh.counts.size <= HISTOGRAM_BINS
+    assert gh.edges.size == gh.counts.size + 1
     assert np.all(np.diff(gh.edges) > 0)
     assert int(gh.counts.sum()) == res.summary.n
     assert gh.edges[0] == res.summary.min_g
     assert gh.edges[-1] == res.summary.max_g
+    # inner edges are multiples of one power-of-two width
+    width = gh.edges[2] - gh.edges[1]
+    assert np.log2(width) == round(np.log2(width))
+    assert np.all(np.diff(gh.edges[1:-1]) == width)
 
     dh = res.deficit_histogram
     assert dh is not None
+    assert dh.counts.size <= HISTOGRAM_BINS
+    assert dh.edges.size == dh.counts.size + 1
     assert int(dh.counts.sum()) == res.summary.failure_count
     assert np.all(np.diff(dh.edges) > 0)
-    spread = res.summary.deficit_max / res.summary.deficit_min
-    assert dh.log_bins == (spread > LOG_BIN_RATIO)
+    assert dh.edges[0] == res.summary.deficit_min
+    assert dh.edges[-1] == res.summary.deficit_max
 
 
 def test_checks_mirror_expectations(scenario_cache):
@@ -172,7 +177,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 3
+    assert doc["schemaVersion"] == 4
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     assert doc["summary"]["failureCount"] == res.summary.failure_count
@@ -189,7 +194,7 @@ def test_export_histograms(tmp_path, scenario_cache):
 
     glines = gpath.read_text().splitlines()
     assert glines[0] == "bin_left,bin_right,count"
-    assert len(glines) == HISTOGRAM_BINS + 1
+    assert len(glines) == res.g_histogram.counts.size + 1
     assert sum(int(line.split(",")[2]) for line in glines[1:]) == res.summary.n
 
     dlines = dpath.read_text().splitlines()
@@ -221,8 +226,8 @@ def test_histograms_are_binned_once_on_first_access(tmp_path, monkeypatch):
     dpath = tmp_path / "d.csv"
     export_result(res, "histogram-csv", str(gpath))
     export_result(res, "deficit-csv", str(dpath))
-    assert gpath.read_text() == report.histogram_csv(g_hist.edges, g_hist.counts)
-    assert dpath.read_text() == report.histogram_csv(d_hist.edges, d_hist.counts)
+    assert gpath.read_text() == report.histogram_csv(g_hist)
+    assert dpath.read_text() == report.histogram_csv(d_hist)
     assert len(calls) == 1
 
 
@@ -230,10 +235,8 @@ def test_export_deficit_csv_without_failures(tmp_path):
     res = run(tiny_scenario(mean=30.0, n=1_000))
     path = tmp_path / "d.csv"
     export_result(res, "deficit-csv", str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "bin_left,bin_right,count"
-    assert len(lines) == 2
-    assert lines[1].endswith(",0")
+    # the same header-only file `sevrel simulate` writes
+    assert path.read_text() == "bin_left,bin_right,count\n"
 
 
 def test_export_fcurve(tmp_path, scenario_cache):
