@@ -196,7 +196,11 @@ def _cmd_scenario(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    result = run(scenario, master_seed=args.seed, sample_count=args.n, histograms=args.export is not None)
+    try:
+        result = run(scenario, master_seed=args.seed, sample_count=args.n, histograms=args.export is not None)
+    except ValueError as exc:  # a bad --seed or --n, or too few samples to calibrate
+        _err(str(exc))
+        return 2
 
     print(f"{scenario.scenario_id}: {scenario.title}")
     header = f"{'metric':<22}{'expected':>14}{'computed':>14}{'tolerance':>12}  status"

@@ -59,6 +59,11 @@ __all__ = [
 _LANE_MAIN = 0
 _LANE_CALIBRATION = 3
 
+# Half-width of calibrate_shift's pilot window, in standard deviations of
+# the pilot's rank count; a wider window costs memory, a narrower one a
+# second pass when it misses.
+_PILOT_Z = 10.0
+
 
 def _lane_rng(master_seed: int, lane: int, index: int = 0) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, index))
@@ -400,6 +405,39 @@ def simulate(
     return acc.finish()
 
 
+def _pilot_window(pilot: np.ndarray, p: float) -> tuple[float, float]:
+    """Bounds that hold the rank-p quantile of the whole sample but for a
+    miss ~_PILOT_Z standard deviations away.
+
+    They are the pilot's order statistics at ranks m*p -/+ (Z*sqrt(m*p*(1-p))
+    + 1), clipped to the pilot; a bound whose rank clips to the pilot's
+    first or last value is -inf or +inf. Partitions `pilot` in place.
+    """
+    m = pilot.size
+    centre = m * p
+    half = _PILOT_Z * math.sqrt(centre * (1.0 - p)) + 1.0
+    lo_rank = min(max(math.floor(centre - half), 0), m - 1)
+    # keeps lo <= hi when the half-width is negative, so the three sides
+    # g < lo, lo <= g <= hi and g > hi never overlap
+    hi_rank = min(max(math.ceil(centre + half), lo_rank), m - 1)
+    kth = [r for r, used in ((lo_rank, lo_rank > 0), (hi_rank, hi_rank < m - 1)) if used]
+    if kth:
+        pilot.partition(kth)
+    lo = float(pilot[lo_rank]) if lo_rank > 0 else -math.inf
+    hi = float(pilot[hi_rank]) if hi_rank < m - 1 else math.inf
+    return lo, hi
+
+
+def _below_and_window(g: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """How many values of g lie below lo, and the values in [lo, hi]."""
+    return int(np.count_nonzero(g < lo)), g[(lo <= g) & (g <= hi)]
+
+
+def _kth_smallest(values: np.ndarray, k: int) -> float:
+    values.partition(k - 1)
+    return float(values[k - 1])
+
+
 def calibrate_shift(
     model: LimitStateModel,
     target_pf: float,
@@ -410,9 +448,16 @@ def calibrate_shift(
     Draws one calibration sample of g with shift forced to zero on a
     dedicated substream lane, then returns c = -(k-th smallest g) with
     k = ceil(target_pf * n). On the calibration sample itself the shifted
-    failure fraction then matches target_pf to within 1/n. The sample is
-    read chunk by chunk and only the k smallest values seen so far are
-    kept, so memory is O(k + chunk_size), not O(n).
+    failure fraction then matches target_pf to within 1/n.
+
+    The sample is read chunk by chunk. Chunk 0 brackets the k-th smallest
+    value in a pilot window [lo, hi] (see `_pilot_window`); every chunk
+    then adds its count below lo and keeps its values inside the window,
+    and the answer is the (k - below)-th smallest of the window. Memory is
+    one chunk plus the window, about 2 * _PILOT_Z * sqrt(p * (1 - p) / m) * n
+    values for p = k / n and chunk size m. When the window misses, one
+    more pass keeps only the side the rank fell on. A single chunk is
+    partitioned whole. Every path gives the k-th smallest value exactly.
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -426,17 +471,39 @@ def calibrate_shift(
         )
     base = model.with_shift(0.0)
     k = math.ceil(expected_failures - 1e-9)
-    kept = np.empty(0)
-    for idx, size in _chunk_layout(config):
+
+    def draw(idx: int, size: int) -> np.ndarray:
         g = _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
         _finite_extrema(g, idx, config)
-        if kept.size == k:
-            # a value at or above the current k-th smallest cannot move it
-            g = g[g < kept.max()]
-        kept = np.concatenate((kept, g))
-        if kept.size > k:
-            kept = np.partition(kept, k - 1)[:k]
-    return -float(kept.max())
+        return g
+
+    layout = _chunk_layout(config)
+    pilot = draw(*layout[0])
+    if len(layout) == 1:
+        return -_kth_smallest(pilot, k)
+    lo, hi = _pilot_window(pilot, k / config.sample_count)
+
+    def below_and_window(idx: int, size: int) -> tuple[int, np.ndarray]:
+        return _below_and_window(draw(idx, size), lo, hi)
+
+    # per-chunk pairs merge in index order: counts add, windows concatenate
+    partials = [_below_and_window(pilot, lo, hi)]
+    del pilot
+    partials.extend(below_and_window(*chunk) for chunk in layout[1:])
+    below = sum(b for b, _ in partials)
+    window = np.concatenate([w for _, w in partials])
+    del partials
+    r = k - below
+    if 1 <= r <= window.size:
+        return -_kth_smallest(window, r)
+
+    # the window missed: one more pass keeps only the side the rank fell on
+    if r < 1:
+        rank, keep = k, (lambda g: g[g < lo])
+    else:
+        rank, keep = r - window.size, (lambda g: g[g > hi])
+    del window
+    return -_kth_smallest(np.concatenate([keep(draw(*chunk)) for chunk in layout]), rank)
 
 
 def robust_scales(summary: SimulationSummary) -> RobustScales:

@@ -381,6 +381,21 @@ def test_scenario_unknown_id(capsys):
     assert "example1-gaussian" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scenarioA", "--n", "100"], "below 10"),  # too few samples to calibrate
+        (["example1-gaussian", "--n", "0"], "sample_count must be at least 1"),
+        (["example1-gaussian", "--seed", "-1"], "master_seed must be non-negative"),
+    ],
+)
+def test_scenario_rejects_bad_overrides(argv, message, capsys):
+    assert main(["scenario", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_scenario_pass(capsys):
     assert main(["scenario", "example1-gaussian", "--n", "200000"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Engine tests: reproducibility, merge correctness, calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sevrel import engine
 from sevrel.distributions import Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
@@ -16,7 +18,7 @@ from sevrel.engine import (
     robust_scales,
     simulate,
 )
-from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _thread_budget
+from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _pilot_window, _thread_budget
 from sevrel.scenarios import builtin
 
 
@@ -323,6 +325,84 @@ def test_calibrate_shift_streams_to_the_same_bits(target_pf, n):
     cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=30_000)
     m = failure_heavy_model()
     assert calibrate_shift(m, target_pf, cfg) == calibration_reference(m, target_pf, cfg)
+
+
+def pilot_window(model, target_pf, config):
+    # the window calibrate_shift draws from chunk 0 of the calibration lane
+    size = min(config.chunk_size, config.sample_count)
+    pilot = _chunk_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)
+    k = math.ceil(target_pf * config.sample_count - 1e-9)
+    return _pilot_window(pilot, k / config.sample_count)
+
+
+@pytest.mark.parametrize(
+    "z, seed, side",
+    [
+        (-3.0, 1, "below"),  # lo == hi, several pilot SDs above the quantile
+        (0.0, 1, "below"),
+        (0.0, 3, "above"),
+    ],
+)
+def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, side):
+    monkeypatch.setattr(engine, "_PILOT_Z", z)
+    cfg = SimulationConfig(sample_count=100_003, master_seed=seed, chunk_size=30_000)
+    m = failure_heavy_model()
+    expected = calibration_reference(m, 0.25, cfg)
+    lo, hi = pilot_window(m, 0.25, cfg)
+    # the k-th smallest g is -expected; it must lie outside the window
+    assert (-expected < lo) if side == "below" else (-expected > hi)
+    # a negative half-width collapses the window rather than inverting it
+    assert lo < hi if z >= 0 else lo == hi
+    assert calibrate_shift(m, 0.25, cfg) == expected
+
+
+@pytest.mark.parametrize(
+    "model, target_pf, n, chunk, window",
+    [
+        # a single chunk is partitioned whole
+        (failure_heavy_model(), 0.25, 100_000, 100_000, None),
+        (failure_heavy_model(), 0.25, 100_000, 250_000, None),
+        # a ragged last chunk
+        (failure_heavy_model(), 0.25, 100_003, 30_000, "finite"),
+        # hi clips at the pilot's last value
+        (failure_heavy_model(), 0.999, 100_000, 30_000, "hi=+inf"),
+        # k = 10: lo clips at the pilot's first value
+        (failure_heavy_model(), 0.0001, 100_000, 30_000, "lo=-inf"),
+        # every g is 0.0
+        (LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)),)), 0.25, 100_000, 30_000, "lo==hi"),
+    ],
+    ids=["one-chunk", "chunk-above-n", "ragged", "hi-inf", "lo-inf", "all-equal"],
+)
+def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_pf, n, chunk, window):
+    cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=chunk)
+    expected = calibration_reference(model, target_pf, cfg)
+    if window is not None:
+        lo, hi = pilot_window(model, target_pf, cfg)
+        assert {
+            "finite": math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+            "hi=+inf": math.isfinite(lo) and hi == math.inf,
+            "lo=-inf": lo == -math.inf and math.isfinite(hi),
+            "lo==hi": lo == hi,
+        }[window]
+    draws = []
+    monkeypatch.setattr(engine, "_chunk_g", lambda *args: draws.append(args) or _chunk_g(*args))
+    assert calibrate_shift(model, target_pf, cfg) == expected
+    assert len(draws) == len(_chunk_layout(cfg))  # the window did not miss
+
+
+def test_calibrate_shift_memory_is_bounded_by_chunks():
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=100_000)
+    model = builtin("scenarioA").model
+    tracemalloc.start()
+    try:
+        calibrate_shift(model, 0.25, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A draw holds g and one term's draws (two chunks of float64), and the
+    # window here holds ~55k values; keeping the k = 500 000 smallest
+    # values took 9.9 MiB.
+    assert peak < 4 * cfg.chunk_size * 8
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
