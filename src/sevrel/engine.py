@@ -433,9 +433,15 @@ def _below_and_window(g: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndar
     return int(np.count_nonzero(g < lo)), g[(lo <= g) & (g <= hi)]
 
 
-def _kth_smallest(values: np.ndarray, k: int) -> float:
-    values.partition(k - 1)
-    return float(values[k - 1])
+def _smallest(values: np.ndarray, count: int) -> np.ndarray:
+    """The `count` smallest of `values`, the largest of them last.
+
+    Partitions `values` in place and returns a view of it.
+    """
+    if count <= 0:
+        return values[:0]
+    values.partition(count - 1)
+    return values[:count]
 
 
 def calibrate_shift(
@@ -453,11 +459,13 @@ def calibrate_shift(
     The sample is read chunk by chunk. Chunk 0 brackets the k-th smallest
     value in a pilot window [lo, hi] (see `_pilot_window`); every chunk
     then adds its count below lo and keeps its values inside the window,
-    and the answer is the (k - below)-th smallest of the window. Memory is
-    one chunk plus the window, about 2 * _PILOT_Z * sqrt(p * (1 - p) / m) * n
-    values for p = k / n and chunk size m. When the window misses, one
-    more pass keeps only the side the rank fell on. A single chunk is
-    partitioned whole. Every path gives the k-th smallest value exactly.
+    and the answer is the (k - below)-th smallest of the window. The
+    window is about 2 * _PILOT_Z * sqrt(p * (1 - p) / m) * n values for
+    p = k / n and chunk size m, and it is cut to its (k - below) smallest
+    values whenever it grows past them, so memory is one chunk plus
+    min(window, k) values. When the window misses, one more pass keeps
+    only the side the rank fell on. Every path gives the k-th smallest
+    value exactly.
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -479,31 +487,29 @@ def calibrate_shift(
 
     layout = _chunk_layout(config)
     pilot = draw(*layout[0])
-    if len(layout) == 1:
-        return -_kth_smallest(pilot, k)
     lo, hi = _pilot_window(pilot, k / config.sample_count)
-
-    def below_and_window(idx: int, size: int) -> tuple[int, np.ndarray]:
-        return _below_and_window(draw(idx, size), lo, hi)
-
-    # per-chunk pairs merge in index order: counts add, windows concatenate
-    partials = [_below_and_window(pilot, lo, hi)]
-    del pilot
-    partials.extend(below_and_window(*chunk) for chunk in layout[1:])
-    below = sum(b for b, _ in partials)
-    window = np.concatenate([w for _, w in partials])
-    del partials
-    r = k - below
-    if 1 <= r <= window.size:
-        return -_kth_smallest(window, r)
-
-    # the window missed: one more pass keeps only the side the rank fell on
-    if r < 1:
-        rank, keep = k, (lambda g: g[g < lo])
-    else:
-        rank, keep = r - window.size, (lambda g: g[g > hi])
-    del window
-    return -_kth_smallest(np.concatenate([keep(draw(*chunk)) for chunk in layout]), rank)
+    for _ in range(2):
+        # Per-chunk (below, window) pairs merge in index order: counts add
+        # and windows concatenate. No value past the (k - below)-th
+        # smallest of the window can be the answer, so those are dropped.
+        below, window = 0, np.empty(0)
+        for idx, size in layout:
+            g = draw(idx, size) if pilot is None else pilot
+            pilot = None
+            b, w = _below_and_window(g, lo, hi)
+            del g
+            below += b
+            window = np.concatenate((window, w))
+            del w
+            if window.size > k - below:
+                window = _smallest(window, k - below)
+        r = k - below
+        if 1 <= r <= window.size:
+            break
+        # The window missed: pass again, keeping only the side the rank
+        # fell on and its bound. That pass holds the rank and cannot miss.
+        lo, hi = (-math.inf, lo) if r < 1 else (hi, math.inf)
+    return -float(_smallest(window, r)[-1])
 
 
 def robust_scales(summary: SimulationSummary) -> RobustScales:

@@ -1,5 +1,7 @@
 """Engine tests: reproducibility, merge correctness, calibration."""
 
+import gc
+import itertools
 import math
 import tracemalloc
 
@@ -359,9 +361,9 @@ def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, s
 @pytest.mark.parametrize(
     "model, target_pf, n, chunk, window",
     [
-        # a single chunk is partitioned whole
-        (failure_heavy_model(), 0.25, 100_000, 100_000, None),
-        (failure_heavy_model(), 0.25, 100_000, 250_000, None),
+        # a single chunk is its own pilot
+        (failure_heavy_model(), 0.25, 100_000, 100_000, "finite"),
+        (failure_heavy_model(), 0.25, 100_000, 250_000, "finite"),
         # a ragged last chunk
         (failure_heavy_model(), 0.25, 100_003, 30_000, "finite"),
         # hi clips at the pilot's last value
@@ -376,33 +378,59 @@ def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, s
 def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_pf, n, chunk, window):
     cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=chunk)
     expected = calibration_reference(model, target_pf, cfg)
-    if window is not None:
-        lo, hi = pilot_window(model, target_pf, cfg)
-        assert {
-            "finite": math.isfinite(lo) and math.isfinite(hi) and lo < hi,
-            "hi=+inf": math.isfinite(lo) and hi == math.inf,
-            "lo=-inf": lo == -math.inf and math.isfinite(hi),
-            "lo==hi": lo == hi,
-        }[window]
+    lo, hi = pilot_window(model, target_pf, cfg)
+    assert {
+        "finite": math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+        "hi=+inf": math.isfinite(lo) and hi == math.inf,
+        "lo=-inf": lo == -math.inf and math.isfinite(hi),
+        "lo==hi": lo == hi,
+    }[window]
     draws = []
     monkeypatch.setattr(engine, "_chunk_g", lambda *args: draws.append(args) or _chunk_g(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
     assert len(draws) == len(_chunk_layout(cfg))  # the window did not miss
 
 
-def test_calibrate_shift_memory_is_bounded_by_chunks():
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=100_000)
+@pytest.mark.parametrize(
+    "target_pf, chunk, z, missed, bound",
+    [
+        # A draw holds g and one term's draws (two chunks of float64), and
+        # the window here holds ~55k values; keeping the k = 500 000
+        # smallest values took 9.9 MiB.
+        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks: 8 * 4 * chunk),
+        # At 1k chunks the window is ~12 k, so it is cut to the k smallest
+        # values. The (idx, size) layout of 2 000 chunks takes up to ~110
+        # bytes a chunk, less when tuples come from the interpreter's free
+        # list; gc.collect() empties that list, so it is counted in full.
+        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks: 8 * 2 * (k + chunk) + 128 * chunks),
+        # The second pass keeps the side of the window the rank fell on,
+        # cut to the k smallest values, not that whole side.
+        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks: 8 * 3 * (k + chunk)),
+    ],
+    ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
+)
+def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, missed, bound):
+    monkeypatch.setattr(engine, "_PILOT_Z", z)
+    draws = itertools.count()
+
+    def counted(*args):
+        next(draws)
+        return _chunk_g(*args)
+
+    monkeypatch.setattr(engine, "_chunk_g", counted)
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
     model = builtin("scenarioA").model
+    gc.collect()
     tracemalloc.start()
     try:
-        calibrate_shift(model, 0.25, cfg)
+        calibrate_shift(model, target_pf, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A draw holds g and one term's draws (two chunks of float64), and the
-    # window here holds ~55k values; keeping the k = 500 000 smallest
-    # values took 9.9 MiB.
-    assert peak < 4 * cfg.chunk_size * 8
+    chunks = len(_chunk_layout(cfg))
+    assert (next(draws) > chunks) == missed
+    k = math.ceil(target_pf * cfg.sample_count)
+    assert peak < bound(k, chunk, chunks)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
