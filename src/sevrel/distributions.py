@@ -287,11 +287,12 @@ class Mixture:
         mean = math.fsum(w * m for (w, _), m in zip(self.components, means))
         if any(not math.isfinite(v) for v in variances):
             return MomentReport(mean, math.inf)
-        second = math.fsum(
-            w * (v + m * m)
+        # centred law of total variance; E[X^2] - mean^2 cancels far from 0
+        variance = math.fsum(
+            w * (v + (m - mean) ** 2)
             for (w, _), m, v in zip(self.components, means, variances)
         )
-        return MomentReport(mean, second - mean * mean)
+        return MomentReport(mean, variance)
 
     def quantile(self, p):
         raise NotImplementedError("mixture quantiles are not supported; sample instead")

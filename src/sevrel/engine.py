@@ -9,16 +9,15 @@ bit-identical for a fixed (master seed, chunk size) no matter how many
 worker threads executed the chunks. Changing the chunk size changes the
 substream layout and therefore the sample.
 
-Per-run bookkeeping kept exactly: failure count, failure deficit sum and
-extrema, and global min/max of g. Two bounded samples are retained for
-robust diagnostics, both prefixes of the stream: the first
-`failure_reservoir_cap` failure deficits and the first
-`robust_subsample_cap` values of g. The g values are iid and failures
-are exchangeable, so a prefix is already a uniform sample; each chunk
-cuts its own share of the prefix, and the ordered merge concatenates
-the shares, so no extra random numbers are drawn. A chunk whose g is
-not finite (NaN, or an overflow to inf) stops the run with an error
-that names the chunk.
+Each run keeps the mean, centred sum of squares (M2) and extrema of g,
+and the count, sum, M2 and extrema of the failure deficits. Deficit
+moments merge by the same pairwise update as those of g, so they cover
+every failure and no deficit outlives its chunk. One bounded sample is
+retained for robust diagnostics: the first `robust_subsample_cap`
+values of g. They are iid, so the prefix is already a uniform sample;
+each chunk cuts its own share of it, and the ordered merge concatenates
+the shares. A chunk whose g is not finite (NaN, or an overflow to inf)
+stops the run with an error that names the chunk.
 
 On request, each chunk also bins its g and its failure deficits while
 it holds them, and the ordered merge adds the integer counts (see
@@ -139,7 +138,6 @@ class SimulationConfig:
     sample_count: int
     master_seed: int
     chunk_size: int
-    failure_reservoir_cap: int = 1_000_000
     robust_subsample_cap: int = 100_000
 
     def __post_init__(self):
@@ -147,8 +145,8 @@ class SimulationConfig:
             raise ValueError("chunk_size must be at least 1")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.failure_reservoir_cap < 1 or self.robust_subsample_cap < 1:
-            raise ValueError("reservoir caps must be at least 1")
+        if self.robust_subsample_cap < 1:
+            raise ValueError("robust_subsample_cap must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -164,15 +162,18 @@ class SimulationSummary:
     max_g: float
     failure_count: int
     deficit_sum: float
+    deficit_m2: float  # centred sum of squares of all failure deficits
     deficit_min: float | None
     deficit_max: float | None
-    failure_deficits: np.ndarray
     robust_subsample: np.ndarray
     config: SimulationConfig
     # binned during the run when simulate() was asked for histograms;
     # deficit_histogram stays None without failures
     g_histogram: histogram.Histogram | None = None
     deficit_histogram: histogram.Histogram | None = None
+    # always empty: perfbench/tracing.py reads its size, so it stays until the
+    # next benchmark change, which also drops build_report's bootstrap_resamples
+    failure_deficits: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def pf(self) -> float:
@@ -202,12 +203,13 @@ def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size
     rng = _lane_rng(master_seed, lane, idx)
     g = np.full(size, model.shift)
     # Terms are sampled in declaration order; the per-chunk stream layout
-    # is part of the reproducibility contract.
-    for t in model.terms:
-        x = t.distribution.sample(rng, size)
-        x *= t.coefficient
-        g += x
-        del x  # free it before the next term draws
+    # is part of the reproducibility contract. Overflow is left to _finite_extrema.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in model.terms:
+            x = t.distribution.sample(rng, size)
+            x *= t.coefficient
+            g += x
+            del x  # free it before the next term draws
     return g
 
 
@@ -245,7 +247,10 @@ class _ChunkPartial:
     m2: float
     min_g: float
     max_g: float
-    deficits: np.ndarray
+    failure_count: int
+    deficit_sum: float
+    deficit_m2: float
+    deficit_min: float
     head: np.ndarray  # this chunk's share of the robust subsample prefix
     g_bins: histogram.Bins | None = None
     deficit_bins: histogram.Bins | None = None
@@ -269,6 +274,7 @@ def _summarize_chunk(
     m2 = float(np.square(centred, out=centred).sum())
     del centred  # free it before binning allocates
     deficits = -g[g < 0.0]
+    k, d_sum = deficits.size, float(deficits.sum())
     # chunk idx starts at stream position idx * chunk_size; copy the head
     # so the partial does not pin the whole chunk
     head = g[: max(0, config.robust_subsample_cap - idx * config.chunk_size)].copy()
@@ -278,7 +284,10 @@ def _summarize_chunk(
         m2=m2,
         min_g=min_g,
         max_g=max_g,
-        deficits=deficits,
+        failure_count=k,
+        deficit_sum=d_sum,
+        deficit_m2=float(np.square(deficits - d_sum / k).sum()) if k else 0.0,
+        deficit_min=float(deficits.min()) if k else math.inf,
         head=head,
     )
     if histograms:
@@ -298,10 +307,8 @@ class _Accumulator:
         self.max_g = -math.inf
         self.failure_count = 0
         self.deficit_sum = 0.0
+        self.deficit_m2 = 0.0
         self.deficit_min = math.inf
-        self.deficit_max = -math.inf
-        self.deficit_store: list[np.ndarray] = []
-        self.deficit_stored = 0
         self.heads: list[np.ndarray] = []
         self.g_bins: histogram.Bins | None = None
         self.deficit_bins: histogram.Bins | None = None
@@ -316,17 +323,14 @@ class _Accumulator:
         self.min_g = min(self.min_g, p.min_g)
         self.max_g = max(self.max_g, p.max_g)
 
-        d = p.deficits
-        self.failure_count += d.size
-        if d.size:
-            self.deficit_sum += float(d.sum())
-            self.deficit_min = min(self.deficit_min, float(d.min()))
-            self.deficit_max = max(self.deficit_max, float(d.max()))
-            room = self.config.failure_reservoir_cap - self.deficit_stored
-            if room > 0:
-                kept = d[:room]
-                self.deficit_store.append(kept)
-                self.deficit_stored += kept.size
+        k = self.failure_count + p.failure_count
+        if p.failure_count:
+            mean = self.deficit_sum / self.failure_count if self.failure_count else 0.0
+            delta = p.deficit_sum / p.failure_count - mean
+            self.deficit_m2 += p.deficit_m2 + delta * delta * (self.failure_count * p.failure_count / k)
+            self.deficit_sum += p.deficit_sum
+        self.failure_count = k
+        self.deficit_min = min(self.deficit_min, p.deficit_min)
 
         # chunks past the cap hold no share; skipping them keeps memory
         # independent of the chunk count
@@ -338,9 +342,6 @@ class _Accumulator:
 
     def finish(self) -> SimulationSummary:
         has_fail = self.failure_count > 0
-        stored = (
-            np.concatenate(self.deficit_store) if self.deficit_store else np.empty(0)
-        )
         return SimulationSummary(
             n=self.n,
             mean_g=self.mean,
@@ -349,9 +350,9 @@ class _Accumulator:
             max_g=self.max_g,
             failure_count=self.failure_count,
             deficit_sum=self.deficit_sum,
+            deficit_m2=self.deficit_m2,
             deficit_min=self.deficit_min if has_fail else None,
-            deficit_max=self.deficit_max if has_fail else None,
-            failure_deficits=stored,
+            deficit_max=-self.min_g if has_fail else None,  # the deepest failure
             robust_subsample=np.concatenate(self.heads),
             config=self.config,
             g_histogram=self.g_bins.histogram() if self.g_bins else None,
@@ -515,8 +516,8 @@ def calibrate_shift(
 def robust_scales(summary: SimulationSummary) -> RobustScales:
     """MAD and IQR of the robust g subsample, plus the deficit spread.
 
-    conditional_std is the sample standard deviation of the stored
-    failure deficits, or None when fewer than two are stored.
+    conditional_std is the sample standard deviation of all failure
+    deficits, from their streamed moments, or None with fewer than two.
     """
     sub = summary.robust_subsample
     if sub.size < 2:
@@ -524,6 +525,6 @@ def robust_scales(summary: SimulationSummary) -> RobustScales:
     med = float(np.median(sub))
     mad = float(np.median(np.abs(sub - med)))
     q25, q75 = np.percentile(sub, [25.0, 75.0])
-    stored = summary.failure_deficits
-    conditional_std = float(np.std(stored, ddof=1)) if stored.size >= 2 else None
+    k = summary.failure_count
+    conditional_std = math.sqrt(summary.deficit_m2 / (k - 1)) if k >= 2 else None
     return RobustScales(mad=mad, iqr=float(q75 - q25), conditional_std=conditional_std)

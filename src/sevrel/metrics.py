@@ -249,11 +249,11 @@ class SeverityReport:
 _Z_975 = -gaussian.norm_quantile(0.025)
 
 
-def _ef_star_ci(deficits: np.ndarray, sigma: float) -> tuple[float, float] | None:
-    if deficits.size < 2:
+def _ef_star_ci(k: int, deficit_sum: float, deficit_m2: float, sigma: float) -> tuple[float, float] | None:
+    if k < 2:
         return None
-    m = float(deficits.mean())
-    half = _Z_975 * float(np.std(deficits, ddof=1)) / math.sqrt(deficits.size)
+    m = deficit_sum / k
+    half = _Z_975 * math.sqrt(deficit_m2 / (k - 1)) / math.sqrt(k)
     return ((m - half) / sigma, (m + half) / sigma)
 
 
@@ -265,11 +265,11 @@ def build_report(
     """Assemble the full severity report for one run.
 
     The normalized-deficit confidence interval is the 95% normal (CLT)
-    interval for the mean of the stored failure deficits,
-    m +/- z * s / sqrt(k), over sigma_g; there is none with fewer than
-    two stored deficits. `bootstrap_resamples` is unused: the interval
-    used to be a percentile bootstrap of that many resamples, and the
-    benchmark under perfbench/ still reads the parameter's default.
+    interval for the mean of all k failure deficits, m +/- z * s / sqrt(k),
+    over sigma_g, with m and s from the streamed sum and M2; there is none
+    with fewer than two failures. `bootstrap_resamples` is unused: the
+    interval used to be a percentile bootstrap of that many resamples, and
+    the benchmark under perfbench/ still reads the parameter's default.
     """
     n = summary.n
     pf = summary.failure_count / n
@@ -336,7 +336,7 @@ def build_report(
         flag = None
         beta_s = si
     sigma = math.sqrt(summary.var_g)
-    ci = _ef_star_ci(summary.failure_deficits, sigma)
+    ci = _ef_star_ci(summary.failure_count, summary.deficit_sum, summary.deficit_m2, sigma)
     return SeverityReport(
         n=n,
         failure_count=summary.failure_count,

@@ -25,7 +25,7 @@ from .engine import (
 from .histogram import Histogram
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -88,7 +88,6 @@ def _config_document(config: SimulationConfig) -> dict:
         "sampleCount": config.sample_count,
         "masterSeed": config.master_seed,
         "chunkSize": config.chunk_size,
-        "failureReservoirCap": config.failure_reservoir_cap,
         "robustSubsampleCap": config.robust_subsample_cap,
     }
 
@@ -104,7 +103,6 @@ def _summary_document(summary: SimulationSummary) -> dict:
         "deficitSum": _num(summary.deficit_sum),
         "deficitMin": _num(summary.deficit_min),
         "deficitMax": _num(summary.deficit_max),
-        "storedDeficits": int(summary.failure_deficits.size),
         "robustSubsampleSize": int(summary.robust_subsample.size),
     }
     if summary.robust_subsample.size >= 2:

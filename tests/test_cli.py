@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,7 +142,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 4
+    assert doc["schemaVersion"] == 5
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -286,6 +287,11 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # the deficit store and its cap are gone; an old config naming the
+    # cap is refused like any other unknown key
+    old = make_config(tmp_path, simulation={"sampleCount": 1000, "failureReservoirCap": 10})
+    assert main(["simulate", old]) == 2
+    assert f"error: {old}.simulation: unknown key 'failureReservoirCap'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_non_finite_g(tmp_path, capsys):
@@ -303,7 +309,10 @@ def test_simulate_rejects_non_finite_g(tmp_path, capsys):
         ]
     }
     cfg = make_config(tmp_path, model=model)
-    assert main(["simulate", cfg]) == 2
+    # the clean error comes without a raw numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", cfg]) == 2
     err = capsys.readouterr().err
     assert "error: g is not finite in chunk 0" in err
     assert not (tmp_path / "report.json").exists()

@@ -76,7 +76,6 @@ def test_minimal_config_defaults():
     assert cfg.model.shift == 0.0
     assert cfg.simulation.master_seed == 0
     assert cfg.simulation.chunk_size == 1_000_000
-    assert cfg.simulation.failure_reservoir_cap == 1_000_000
     assert cfg.simulation.robust_subsample_cap == 100_000
     assert cfg.beta_target is None
     assert cfg.max_acceptable_level is None

@@ -101,11 +101,19 @@ def test_pareto_support_and_roundtrip():
 
 
 def test_mixture_moments_finite():
-    mix = Mixture(((0.9, Normal(0.0, 1.0)), (0.1, Normal(10.0, 2.0))))
-    m = mix.moments()
-    assert m.mean == pytest.approx(1.0, rel=1e-14)
-    # law of total variance: 0.9*1 + 0.1*4 + (0.9*0 + 0.1*100 - 1)
-    assert m.variance == pytest.approx(0.9 * 1.0 + 0.1 * 4.0 + 0.9 * 0.0 + 0.1 * 100.0 - 1.0)
+    cases = [
+        # law of total variance: 0.9*1 + 0.1*4 + (0.9*0 + 0.1*100 - 1)
+        (((0.9, Normal(0.0, 1.0)), (0.1, Normal(10.0, 2.0))), 1.0, 0.9 + 0.4 + 10.0 - 1.0),
+        # far from zero, the raw second moment minus mean**2 gave 0.0 here
+        (((0.5, Normal(1e8, 1.0)), (0.5, Normal(1e8, 1.0))), 1e8, 1.0),
+        # ... and -4.0 here: 1 + 0.45 * 0.55 * 1**2
+        (((0.45, Normal(1e8 + 1.0, 1.0)), (0.55, Normal(1e8, 1.0))), 1e8 + 0.45, 1.2475),
+    ]
+    for components, mean, variance in cases:
+        m = Mixture(components).moments()
+        assert m.mean == pytest.approx(mean, rel=1e-14)
+        assert m.variance == pytest.approx(variance, rel=1e-12)
+        assert m.variance_finite
 
 
 def test_mixture_infinite_variance_propagates():

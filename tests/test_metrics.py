@@ -8,7 +8,15 @@ import pytest
 
 from sevrel import gaussian
 from sevrel.distributions import Mixture, MomentReport, Normal, Pareto
-from sevrel.engine import LimitStateModel, SimulationConfig, Term, model_moments, simulate
+from sevrel.engine import (
+    LimitStateModel,
+    SimulationConfig,
+    Term,
+    g_chunks,
+    model_moments,
+    robust_scales,
+    simulate,
+)
 from sevrel.metrics import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_MAX_LEVEL_CRITICAL,
@@ -37,6 +45,7 @@ def run(model, n=200_000, seed=0, chunk=100_000):
 
 
 def _summary(sub, failure_count, deficit_sum, cfg):
+    """A summary whose failure_count deficits all equal their mean."""
     from sevrel.engine import SimulationSummary
 
     return SimulationSummary(
@@ -47,9 +56,9 @@ def _summary(sub, failure_count, deficit_sum, cfg):
         max_g=float(sub.max()) if sub.size else 0.0,
         failure_count=failure_count,
         deficit_sum=deficit_sum,
+        deficit_m2=0.0,
         deficit_min=0.1 if failure_count else None,
         deficit_max=1.0 if failure_count else None,
-        failure_deficits=np.full(failure_count, deficit_sum / failure_count) if failure_count else np.empty(0),
         robust_subsample=sub,
         config=cfg,
     )
@@ -246,31 +255,68 @@ def _normal_ci(deficits, sigma):
     return ((m - z * s / math.sqrt(k)) / sigma, (m + z * s / math.sqrt(k)) / sigma)
 
 
+def _deficits(model, summary):
+    g = np.concatenate(list(g_chunks(model, summary.config)))
+    return -g[g < 0.0]
+
+
+def _with_deficits(summary, deficits):
+    """`summary` as if its failures had been exactly `deficits`."""
+    k = deficits.size
+    m2 = float(np.square(deficits - deficits.mean()).sum()) if k else 0.0
+    return replace(summary, failure_count=k, deficit_sum=float(deficits.sum()), deficit_m2=m2)
+
+
+def _assert_close(ci, expected, rel):
+    assert ci is not None
+    for got, want in zip(ci, expected):
+        assert got == pytest.approx(want, rel=rel)
+
+
 @pytest.fixture(scope="module")
 def dense_gaussian():
-    # Normal(2, 1) margin at n = 1M: ~22.8k failures, all stored
+    # Normal(2, 1) margin at n = 1M: ~22.8k failures
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(2.0, 1.0)),))
     summary = run(model, n=1_000_000, chunk=250_000)
-    return summary, model_moments(model)
+    return summary, model_moments(model), _deficits(model, summary)
 
 
 def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
-    summary, moments = dense_gaussian
+    summary, moments, deficits = dense_gaussian
     sigma = math.sqrt(summary.var_g)
     rep = build_report(summary, moments)
-    assert rep.ef_star_ci == _normal_ci(summary.failure_deficits, sigma)
-    # the same formula at every store size from two deficits up
+    _assert_close(rep.ef_star_ci, _normal_ci(deficits, sigma), rel=1e-12)
+    # the same formula at every failure count from two up
     for k in (2, 3, 2_339):
-        part = replace(summary, failure_deficits=summary.failure_deficits[:k])
-        assert build_report(part, moments).ef_star_ci == _normal_ci(part.failure_deficits, sigma)
-    one = replace(summary, failure_deficits=summary.failure_deficits[:1])
-    assert build_report(one, moments).ef_star_ci is None
+        part = _with_deficits(summary, deficits[:k])
+        _assert_close(build_report(part, moments).ef_star_ci, _normal_ci(deficits[:k], sigma), rel=1e-12)
+    for k in (0, 1):
+        assert build_report(_with_deficits(summary, deficits[:k]), moments).ef_star_ci is None
     # the resample count no longer plays any part
     assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci == rep.ef_star_ci
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ef_star_ci_covers_every_failure(threads):
+    # ~1.06M failures, more than the deficit store this interval was once
+    # drawn from could hold; the last chunk is ragged
+    model = LimitStateModel(terms=(Term("m", 1.0, Normal(0.0, 1.0)),))
+    cfg = SimulationConfig(sample_count=2_123_457, master_seed=5, chunk_size=300_000)
+    summary = simulate(model, cfg, threads=threads)
+    rep = build_report(summary, model_moments(model))
+    deficits = _deficits(model, summary)
+    k = deficits.size
+    assert summary.failure_count == k > 1_000_000
+    lo, hi = rep.ef_star_ci
+    assert (lo + hi) / 2.0 == pytest.approx(rep.ef_star, rel=1e-12)
+    sd = float(np.std(deficits, ddof=1))
+    expected = -gaussian.norm_quantile(0.025) * sd / math.sqrt(k) / math.sqrt(summary.var_g)
+    assert (hi - lo) / 2.0 == pytest.approx(expected, rel=1e-9)
+    assert robust_scales(summary).conditional_std == pytest.approx(sd, rel=1e-9)
+
+
 def test_ef_star_ci_half_width_matches_gaussian_theory(dense_gaussian):
-    summary, moments = dense_gaussian
+    summary, moments, _ = dense_gaussian
     b = 2.0
     f = gaussian.deficit(b)
     pf = gaussian.norm_cdf(-b)

@@ -144,4 +144,10 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     mean = float(g.mean())
     assert part.mean == mean
     assert part.m2 == float(np.square(g - mean).sum())
-    assert np.array_equal(part.deficits, -g[g < 0.0])
+    deficits = -g[g < 0.0]
+    k = deficits.size
+    assert part.failure_count == k
+    assert part.deficit_sum == float(deficits.sum())
+    if k:
+        assert part.deficit_m2 == float(np.square(deficits - float(deficits.sum()) / k).sum())
+        assert part.deficit_min == float(deficits.min())

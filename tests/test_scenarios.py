@@ -177,9 +177,12 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 4
+    assert doc["schemaVersion"] == 5
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
+    # no deficit store since schemaVersion 5
+    assert "failureReservoirCap" not in doc["simulation"]
+    assert "storedDeficits" not in doc["summary"]
     assert doc["summary"]["failureCount"] == res.summary.failure_count
     names = [t["name"] for t in doc["model"]["terms"]]
     assert names == ["capacity", "demand"]
