@@ -51,7 +51,6 @@ from .metrics import (
     classify,
     classify_index,
     expected_failure_deficit,
-    gaussian_benchmark_deficit,
     normalized_deficit,
     reliability_index,
     severity_index,
@@ -101,7 +100,6 @@ __all__ = [
     "expected_failure_deficit",
     "normalized_deficit",
     "severity_index",
-    "gaussian_benchmark_deficit",
     "classify",
     "classify_index",
     "build_report",

@@ -101,6 +101,8 @@ def _print_report_table(report: SeverityReport, decision: WorkflowDecision | Non
     rows: list[tuple[str, str]] = []
     if report.failure_count == 0:
         rows.append(("p_f", f"< {1.0 / report.n:.6g} (no failures at N={report.n})"))
+    elif report.failure_count == report.n:
+        rows.append(("p_f", f"> {1.0 - 1.0 / report.n:.6g} (every sample fails at N={report.n})"))
     else:
         rows.append(("p_f", f"{report.pf:.6g} +/- {report.pf_se:.6g}"))
     rows.append(("beta", _fmt_value(report.beta)))
@@ -152,7 +154,7 @@ def _cmd_simulate(args) -> int:
     report = build_report(summary, moments)
     max_level = cfg.max_acceptable_level if cfg.max_acceptable_level is not None else DEFAULT_MAX_LEVEL
     decision = None
-    if cfg.beta_target is not None and report.beta is not None:
+    if cfg.beta_target is not None and report.failure_count:
         decision = assess(report, cfg.beta_target, max_acceptable_level=max_level)
 
     doc = rep.simulation_document(
@@ -168,7 +170,7 @@ def _cmd_simulate(args) -> int:
     try:
         rep.write_text(cfg.output.report_json, rep.render_json(doc))
         if cfg.output.histogram_csv or cfg.output.deficit_csv:
-            g_hist, d_hist = collect_histograms(cfg.model, sim, summary)
+            g_hist, d_hist = collect_histograms(summary)
             if cfg.output.histogram_csv:
                 rep.write_text(cfg.output.histogram_csv, rep.histogram_csv(g_hist))
             if cfg.output.deficit_csv:

@@ -3,11 +3,10 @@
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
 Simulation is chunked: chunk i draws from an independent substream
-derived from (master_seed, i), partial statistics are merged in
-ascending chunk order with the pairwise update, and the result is
-bit-identical for a fixed (master seed, chunk size) no matter how many
-worker threads executed the chunks. Changing the chunk size changes the
-substream layout and therefore the sample.
+derived from (master_seed, i), and partial statistics are merged in
+ascending chunk order with the pairwise update, so the result is
+bit-identical for a fixed (master seed, chunk size). Changing the chunk
+size changes the substream layout and therefore the sample.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. Deficit
@@ -22,16 +21,14 @@ stops the run with an error that names the chunk.
 On request, each chunk also bins its g and its failure deficits while
 it holds them, and the ordered merge adds the integer counts (see
 `histogram`), so the histograms of a run need no second pass over the
-stream and do not depend on the thread count.
+stream.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +44,6 @@ __all__ = [
     "model_moments",
     "simulate",
     "g_chunks",
-    "bin_chunk",
     "calibrate_shift",
     "robust_scales",
 ]
@@ -96,15 +92,6 @@ class LimitStateModel:
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
             raise ValueError(f"term names must be unique, got {names!r}")
-
-    def evaluate(self, values: Mapping[str, float]) -> float:
-        """Evaluate g at one point; raises KeyError on a missing name."""
-        total = self.shift
-        for t in self.terms:
-            if t.name not in values:
-                raise KeyError(f"no value supplied for term {t.name!r}")
-            total += t.coefficient * values[t.name]
-        return total
 
     def with_shift(self, shift: float) -> "LimitStateModel":
         return replace(self, shift=float(shift))
@@ -231,11 +218,7 @@ def _finite_extrema(g: np.ndarray, idx: int, config: SimulationConfig) -> tuple[
 
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Regenerate the exact g stream of simulate(), chunk by chunk.
-
-    For a second pass that needs the full sample without retaining it in
-    the summary, such as binning a run that did not bin during simulate().
-    """
+    """Regenerate the exact g stream of simulate(), chunk by chunk."""
     for idx, size in _chunk_layout(config):
         yield _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
 
@@ -254,14 +237,6 @@ class _ChunkPartial:
     head: np.ndarray  # this chunk's share of the robust subsample prefix
     g_bins: histogram.Bins | None = None
     deficit_bins: histogram.Bins | None = None
-
-
-def bin_chunk(
-    g: np.ndarray, min_g: float, max_g: float, deficits: np.ndarray
-) -> tuple[histogram.Bins, histogram.Bins | None]:
-    """Histogram partials of one finite chunk of g and of its deficits."""
-    g_bins = histogram.linear(g, min_g, max_g)
-    return g_bins, histogram.log_linear(deficits) if deficits.size else None
 
 
 def _summarize_chunk(
@@ -291,7 +266,8 @@ def _summarize_chunk(
         head=head,
     )
     if histograms:
-        partial.g_bins, partial.deficit_bins = bin_chunk(g, min_g, max_g, deficits)
+        partial.g_bins = histogram.linear(g, min_g, max_g)
+        partial.deficit_bins = histogram.log_linear(deficits) if k else None
     return partial
 
 
@@ -360,49 +336,18 @@ class _Accumulator:
         )
 
 
-def _thread_budget(requested: int | None) -> int:
-    threads = 1 if requested is None else max(1, int(requested))
-    cap = os.environ.get("SEVREL_THREADS")
-    if cap is not None:
-        try:
-            threads = min(threads, max(1, int(cap)))
-        except ValueError:
-            pass
-    return threads
-
-
-def simulate(
-    model: LimitStateModel,
-    config: SimulationConfig,
-    threads: int | None = None,
-    histograms: bool = False,
-) -> SimulationSummary:
+def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool = False) -> SimulationSummary:
     """Run the chunked Monte Carlo estimate of the g distribution.
 
-    `threads` is an upper bound on concurrent chunk evaluation, further
-    capped by the SEVREL_THREADS environment variable; the default is one
-    thread. Threading is a library setting only: the command line always
-    runs on one thread. The answer does not depend on it: chunks are
-    folded strictly in index order.
+    Chunks are drawn and folded one at a time, in index order.
 
     With `histograms`, each chunk is binned while it is held, and the
     summary carries `g_histogram` and `deficit_histogram`. Binning reads
     each chunk once more, which costs far less than regenerating it.
     """
-    layout = _chunk_layout(config)
     acc = _Accumulator(config)
-
-    def summarize(chunk: tuple[int, int]) -> _ChunkPartial:
-        return _summarize_chunk(model, config, *chunk, histograms)
-
-    threads = _thread_budget(threads)
-    if threads == 1:
-        for p in map(summarize, layout):
-            acc.fold(p)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for p in pool.map(summarize, layout):
-                acc.fold(p)
+    for idx, size in _chunk_layout(config):
+        acc.fold(_summarize_chunk(model, config, idx, size, histograms))
     return acc.finish()
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "variance_unstable",
     "normalized_deficit",
     "severity_index",
-    "gaussian_benchmark_deficit",
     "classify",
     "classify_index",
     "build_report",
@@ -186,11 +185,6 @@ def severity_index(ef_star: float) -> float | ExtremeFlag:
     return gaussian.invert_deficit(ef_star)
 
 
-def gaussian_benchmark_deficit(beta: float) -> float:
-    """Normalized deficit a Gaussian margin at index beta would show."""
-    return gaussian.deficit(beta)
-
-
 def classify(value: float | ExtremeFlag) -> SeverityLevel:
     """Severity level for a normalized deficit (or an extreme flag).
 
@@ -270,6 +264,10 @@ def build_report(
     with fewer than two failures. `bootstrap_resamples` is unused: the
     interval used to be a percentile bootstrap of that many resamples, and
     the benchmark under perfbench/ still reads the parameter's default.
+
+    A run in which every sample fails only bounds p_f from below, by
+    1 - 1/N, so beta is None; the deficit metrics are still computed,
+    except from a single sample, which gives no sigma_g.
     """
     n = summary.n
     pf = summary.failure_count / n
@@ -297,11 +295,35 @@ def build_report(
             notes=(note,),
         )
 
-    beta = reliability_index(pf)
-    benchmark = gaussian.deficit(beta) if beta > 0.0 else None
+    notes: list[str] = []
+    if summary.failure_count == n:
+        beta = None
+        notes.append(f"every sample fails at N={n}; p_f > {1.0 - 1.0 / n:.6g} (1/N bound)")
+    else:
+        beta = reliability_index(pf)
+    benchmark = gaussian.deficit(beta) if beta is not None and beta > 0.0 else None
     ef = expected_failure_deficit(summary)
 
-    notes: list[str] = []
+    if n < 2:
+        # one failing sample: there is no sample variance of g to normalise by
+        notes.append("one sample gives no variance of g; sigma-normalized metrics withheld")
+        return SeverityReport(
+            n=n,
+            failure_count=summary.failure_count,
+            pf=pf,
+            pf_se=pf_se,
+            beta=beta,
+            beta_moment=beta_moment,
+            ef=ef,
+            ef_star=None,
+            ef_star_ci=None,
+            beta_s=None,
+            extreme_flag=None,
+            level=None,
+            gaussian_benchmark=benchmark,
+            notes=tuple(notes),
+        )
+
     nd = normalized_deficit(summary, moments)
     if isinstance(nd, ExtremeFlag):
         if not moments.variance_finite:
@@ -373,9 +395,12 @@ def assess(
     A design failing the frequency gate is rejected outright and its
     severity is not consulted. Extreme severity forces redesign. Anything
     else is accepted at its level, with an advisory when the level
-    exceeds the caller's ceiling.
+    exceeds the caller's ceiling. A run in which every sample fails has
+    beta below norm_quantile(1/N) < 0, so it fails any positive target.
     """
     if report.beta is None:
+        if report.failure_count == report.n and beta_target > 0.0:
+            return WorkflowDecision(False, None, Verdict.REJECT_FREQUENCY)
         raise ValueError(
             "frequency check needs a defined beta; a zero-failure run only "
             "bounds it from below"

@@ -9,10 +9,10 @@ across runs and platforms.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from typing import Iterable
 
 from . import gaussian
 from .distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
@@ -146,7 +146,6 @@ def simulation_document(
     max_acceptable_level=None,
     scenario_id: str | None = None,
     calibrated_shift: float | None = None,
-    extra_notes: Iterable[str] = (),
 ) -> dict:
     doc = {
         "schemaVersion": SCHEMA_VERSION,
@@ -160,7 +159,7 @@ def simulation_document(
         "summary": _summary_document(summary),
         "metrics": _metrics_document(report),
         "assessment": None,
-        "notes": list(report.notes) + list(extra_notes),
+        "notes": list(report.notes),
     }
     if scenario_id is not None:
         doc["scenario"] = {"id": scenario_id, "calibratedShift": _num(calibrated_shift)}
@@ -185,13 +184,22 @@ def render_json(doc: dict) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write atomically: full content to a sibling temp file, then rename."""
+    """Write atomically: full content to a sibling temp file, then rename.
+
+    If the write or the rename fails, the temp file is removed and the
+    target is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(x: float) -> str:

@@ -7,8 +7,8 @@ targets. Running a study executes the full pipeline (optional shift
 calibration, simulation, severity metrics, classification) and grades
 every expectation. The histograms of the limit-state samples and the
 failure deficits are binned during the simulation when `run` is asked
-for them, as `sevrel scenario --export` does; otherwise a result bins
-them in a second pass over the stream when they are first read.
+for them, as `sevrel scenario --export` does; a result that was not
+binned refuses to hand out or export histograms.
 
 The three "figure-grid" studies exist to emit histogram data for the
 classic three-row picture (Gaussian, mild non-Gaussian, heavy-tailed);
@@ -17,11 +17,9 @@ their expectations are by-construction values, not reported ones.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from . import histogram
 from .distributions import (
     Gumbel,
     Lognormal,
@@ -35,9 +33,7 @@ from .engine import (
     SimulationConfig,
     SimulationSummary,
     Term,
-    bin_chunk,
     calibrate_shift,
-    g_chunks,
     model_moments,
     simulate,
 )
@@ -130,21 +126,15 @@ class ScenarioResult:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @functools.cached_property
-    def _histograms(self) -> tuple[Histogram, Histogram | None]:
-        # model is the shifted model, so a calibrated study bins the
-        # stream it was simulated on
-        return collect_histograms(self.model, self.config, self.summary)
-
     @property
     def g_histogram(self) -> Histogram:
-        """Histogram of g, binned on first access unless run() binned it."""
-        return self._histograms[0]
+        """Histogram of g, as binned by run(histograms=True)."""
+        return collect_histograms(self.summary)[0]
 
     @property
     def deficit_histogram(self) -> Histogram | None:
         """Histogram of the failure deficits, or None without failures."""
-        return self._histograms[1]
+        return collect_histograms(self.summary)[1]
 
 
 def _expectation_value(name: str, report: SeverityReport, moments: MomentReport):
@@ -184,32 +174,25 @@ def _grade(exp: Expectation, report: SeverityReport, moments: MomentReport) -> E
     return ExpectationCheck(exp.metric, exp.expected, value, exp.tolerance, passed, exp.provenance)
 
 
-def collect_histograms(
-    model: LimitStateModel, config: SimulationConfig, summary: SimulationSummary
-) -> tuple[Histogram, Histogram | None]:
-    """Histograms of g and of the failure deficits (None without failures).
+def collect_histograms(summary: SimulationSummary) -> tuple[Histogram, Histogram | None]:
+    """Histograms of g and of the failure deficits (None without failures),
+    as simulate() binned them during the run.
 
-    Returns those simulate() binned during the run, or else bins the
-    chunks of g_chunks() the same way in one extra pass over the stream.
-    The counts are the same either way.
+    Raises ValueError for a summary that was not binned, one whose
+    g_histogram is None.
     """
-    if summary.g_histogram is not None:
-        return summary.g_histogram, summary.deficit_histogram
-    g_bins = deficit_bins = None
-    for chunk in g_chunks(model, config):
-        chunk_g, chunk_deficits = bin_chunk(
-            chunk, float(chunk.min()), float(chunk.max()), -chunk[chunk < 0.0]
+    if summary.g_histogram is None:
+        raise ValueError(
+            "this run was not binned; pass histograms=True to simulate() or run() "
+            "to read or export its histograms"
         )
-        g_bins = histogram.merge(g_bins, chunk_g)
-        deficit_bins = histogram.merge(deficit_bins, chunk_deficits)
-    return g_bins.histogram(), deficit_bins.histogram() if deficit_bins else None
+    return summary.g_histogram, summary.deficit_histogram
 
 
 def run(
     scenario: Scenario,
     master_seed: int | None = None,
     sample_count: int | None = None,
-    threads: int | None = None,
     histograms: bool = False,
 ) -> ScenarioResult:
     """Run the study and grade it; `histograms` bins g and the deficits
@@ -220,11 +203,11 @@ def run(
     if scenario.calibrate_pf is not None:
         shift = calibrate_shift(model, scenario.calibrate_pf, config)
         model = model.with_shift(shift)
-    summary = simulate(model, config, threads=threads, histograms=histograms)
+    summary = simulate(model, config, histograms=histograms)
     moments = model_moments(model)
     report = build_report(summary, moments)
     decision = None
-    if scenario.beta_target is not None and report.beta is not None:
+    if scenario.beta_target is not None and report.failure_count:
         decision = assess(report, scenario.beta_target)
     checks = tuple(_grade(e, report, moments) for e in scenario.expectations)
     return ScenarioResult(

@@ -11,6 +11,7 @@ import pytest
 
 import sevrel
 from sevrel import cli
+from sevrel import report as rep
 from sevrel.cli import main
 from sevrel.gaussian import DEFICIT_ENDPOINT, deficit
 
@@ -240,6 +241,39 @@ def test_simulate_zero_failures(tmp_path, capsys):
     assert any("1/N" in note for note in doc["notes"])
 
 
+def test_simulate_every_sample_fails(tmp_path, capsys):
+    model = {
+        "terms": [
+            {
+                "name": "margin",
+                "coefficient": 1.0,
+                "distribution": {"kind": "normal", "mean": -10.0, "stddev": 1.0},
+            }
+        ]
+    }
+    cfg = make_config(tmp_path, model=model, simulation={"sampleCount": 10000})
+    assert main(["simulate", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "> 0.9999 (every sample fails at N=10000)" in out
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["metrics"]["pf"] == 1.0 and doc["metrics"]["beta"] is None
+    assert doc["metrics"]["efStar"] is not None and doc["metrics"]["level"] == "V: Extreme"
+    assert "every sample fails at N=10000; p_f > 0.9999 (1/N bound)" in doc["notes"]
+    assert doc["assessment"] is None
+
+    # beta lies below norm_quantile(1/N) < 0, so any positive target rejects
+    cfg = make_config(
+        tmp_path, model=model, simulation={"sampleCount": 10000}, assessment={"betaTarget": 0.5}
+    )
+    assert main(["simulate", cfg]) == 3
+    out, err = capsys.readouterr()
+    assert err == "" and "RejectFrequency" in out
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["assessment"]["verdict"] == "RejectFrequency"
+    assert doc["assessment"]["frequencyPass"] is False
+
+
 def test_simulate_writes_csv_outputs(tmp_path):
     cfg = make_config(
         tmp_path,
@@ -379,6 +413,27 @@ def test_simulate_unwritable_output(tmp_path, capsys):
     cfg = make_config(tmp_path, output={"reportJson": str(blocker / "r.json")})
     assert main(["simulate", cfg]) == 1
     assert "cannot write" in capsys.readouterr().err
+    # a report path that names a directory fails at the rename
+    target = tmp_path / "isdir.json"
+    target.mkdir()
+    cfg = make_config(tmp_path, output={"reportJson": str(target)})
+    assert main(["simulate", cfg]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "isdir.json.tmp").exists()
+
+
+def test_write_text_cleans_up_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        rep.write_text(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 # --- scenario -------------------------------------------------------------------

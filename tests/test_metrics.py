@@ -31,7 +31,6 @@ from sevrel.metrics import (
     classify,
     classify_index,
     expected_failure_deficit,
-    gaussian_benchmark_deficit,
     normalized_deficit,
     reliability_index,
     severity_index,
@@ -102,11 +101,6 @@ def test_severity_index_roundtrip_and_flags():
     for bad in (0.0, -0.2):
         with pytest.raises(ValueError):
             severity_index(bad)
-
-
-def test_gaussian_benchmark_is_the_deficit_map():
-    for b in (0.7, 2.0, 3.5):
-        assert gaussian_benchmark_deficit(b) == gaussian.deficit(b)
 
 
 # --- classification -------------------------------------------------------
@@ -296,13 +290,12 @@ def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
     assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci == rep.ef_star_ci
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ef_star_ci_covers_every_failure(threads):
+def test_ef_star_ci_covers_every_failure():
     # ~1.06M failures, more than the deficit store this interval was once
     # drawn from could hold; the last chunk is ragged
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(0.0, 1.0)),))
     cfg = SimulationConfig(sample_count=2_123_457, master_seed=5, chunk_size=300_000)
-    summary = simulate(model, cfg, threads=threads)
+    summary = simulate(model, cfg)
     rep = build_report(summary, model_moments(model))
     deficits = _deficits(model, summary)
     k = deficits.size
@@ -338,6 +331,42 @@ def test_report_zero_failures():
     assert rep.beta_moment is not None and abs(rep.beta_moment - 30.0) < 2.0
     assert len(rep.notes) == 1
     assert "1/N" in rep.notes[0] and "N=1000" in rep.notes[0]
+
+
+def test_report_every_sample_fails():
+    model = LimitStateModel(terms=(Term("m", 1.0, Normal(-10.0, 1.0)),))
+    summary = run(model, n=10_000, chunk=4_000)
+    rep = build_report(summary, model_moments(model))
+    assert summary.failure_count == summary.n == 10_000
+    assert rep.pf == 1.0 and rep.pf_se == 0.0
+    assert rep.beta is None and rep.gaussian_benchmark is None
+    assert "p_f > 0.9999 (1/N bound)" in rep.notes[0] and "N=10000" in rep.notes[0]
+    # the deficit metrics still come from the streamed moments
+    assert rep.ef == summary.deficit_sum / summary.n
+    assert rep.ef_star == rep.ef / math.sqrt(summary.var_g)
+    assert rep.ef_star_ci is not None
+    assert rep.extreme_flag is ExtremeFlag.DEFICIT_BEYOND_ENDPOINT
+    assert rep.level is SeverityLevel.EXTREME
+    # beta < norm_quantile(1/N) < 0, so any positive target rejects it
+    decision = assess(rep, beta_target=0.1)
+    assert decision.verdict is Verdict.REJECT_FREQUENCY
+    assert decision.frequency_pass is False and decision.severity_level is None
+
+    # shallow deficits: beta_S and the level are defined without beta
+    sub = np.random.default_rng(4).normal(size=1_000)
+    cfg = SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000)
+    rep = build_report(_summary(sub, 1_000, 500.0, cfg), MomentReport(0.0, 1.0))
+    ef_star = 0.5 / float(sub.std(ddof=1))
+    assert rep.beta is None and rep.ef_star == pytest.approx(ef_star, rel=1e-12)
+    assert rep.beta_s == severity_index(ef_star)
+    assert rep.level is classify(ef_star) and rep.extreme_flag is None
+
+    # one failing sample: E_f, but no sigma_g to normalise it by
+    rep = build_report(run(model, n=1, chunk=1), model_moments(model))
+    assert rep.beta is None and rep.ef is not None
+    assert rep.ef_star is None and rep.beta_s is None and rep.level is None
+    assert assess(rep, beta_target=0.1).verdict is Verdict.REJECT_FREQUENCY
+    assert any("sigma-normalized metrics withheld" in note for note in rep.notes)
 
 
 def test_report_infinite_variance_flag():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sevrel import report, scenarios
+from sevrel import scenarios
 from sevrel.distributions import Normal
 from sevrel.engine import LimitStateModel, Term
 from sevrel.histogram import HISTOGRAM_BINS
@@ -55,7 +55,7 @@ def test_unknown_id_lists_known_ones():
 
 
 def test_small_run_structure(scenario_cache):
-    res = scenario_cache("example1-gaussian", sample_count=200_000)
+    res = scenario_cache("example1-gaussian", sample_count=200_000, histograms=True)
     assert res.summary.n == 200_000
     assert res.config.master_seed == 0
 
@@ -96,7 +96,7 @@ def test_checks_mirror_expectations(scenario_cache):
 
 
 def test_zero_failure_run_is_handled():
-    res = run(tiny_scenario(mean=30.0, n=1_000))
+    res = run(tiny_scenario(mean=30.0, n=1_000), histograms=True)
     assert res.summary.failure_count == 0
     assert res.report.beta is None
     assert res.deficit_histogram is None
@@ -189,7 +189,7 @@ def test_export_report_json(tmp_path, scenario_cache):
 
 
 def test_export_histograms(tmp_path, scenario_cache):
-    res = scenario_cache("example1-gaussian", sample_count=200_000)
+    res = scenario_cache("example1-gaussian", sample_count=200_000, histograms=True)
     gpath = tmp_path / "g.csv"
     dpath = tmp_path / "d.csv"
     export_result(res, "histogram-csv", str(gpath))
@@ -205,37 +205,29 @@ def test_export_histograms(tmp_path, scenario_cache):
     assert sum(int(line.split(",")[2]) for line in dlines[1:]) == res.summary.failure_count
 
 
-def test_histograms_are_binned_once_on_first_access(tmp_path, monkeypatch):
-    eager = scenarios.collect_histograms
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return eager(*args)
-
-    monkeypatch.setattr(scenarios, "collect_histograms", counting)
-    res = run(builtin("scenarioB"), sample_count=200_000)
-    assert calls == []
-    gh = res.g_histogram
-    assert len(calls) == 1
-    assert res.g_histogram is gh
-    assert res.deficit_histogram is not None
-    assert len(calls) == 1
-
-    # the lazy pass must bin the calibrated stream, not the unshifted one
-    shifted = builtin("scenarioB").model.with_shift(res.calibrated_shift)
-    g_hist, d_hist = eager(shifted, res.config, res.summary)
-    gpath = tmp_path / "g.csv"
-    dpath = tmp_path / "d.csv"
-    export_result(res, "histogram-csv", str(gpath))
-    export_result(res, "deficit-csv", str(dpath))
-    assert gpath.read_text() == report.histogram_csv(g_hist)
-    assert dpath.read_text() == report.histogram_csv(d_hist)
-    assert len(calls) == 1
+def test_unbinned_result_refuses_histograms(tmp_path):
+    res = run(tiny_scenario())
+    assert res.summary.failure_count > 0 and res.summary.g_histogram is None
+    reads = (
+        lambda: res.g_histogram,
+        lambda: res.deficit_histogram,
+        lambda: scenarios.collect_histograms(res.summary),
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match="histograms=True"):
+            read()
+    for fmt in ("histogram-csv", "deficit-csv"):
+        path = tmp_path / f"{fmt}.csv"
+        with pytest.raises(ValueError, match="histograms=True"):
+            export_result(res, fmt, str(path))
+        assert not path.exists()
+    # the other artifacts need no histograms
+    export_result(res, "report-json", str(tmp_path / "report.json"))
+    export_result(res, "fcurve-csv", str(tmp_path / "curve.csv"))
 
 
 def test_export_deficit_csv_without_failures(tmp_path):
-    res = run(tiny_scenario(mean=30.0, n=1_000))
+    res = run(tiny_scenario(mean=30.0, n=1_000), histograms=True)
     path = tmp_path / "d.csv"
     export_result(res, "deficit-csv", str(path))
     # the same header-only file `sevrel simulate` writes
