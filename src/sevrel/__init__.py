@@ -25,7 +25,6 @@ from .engine import (
     Term,
     calibrate_shift,
     model_moments,
-    robust_scales,
     simulate,
 )
 from .gaussian import (
@@ -88,7 +87,6 @@ __all__ = [
     "simulate",
     "calibrate_shift",
     "model_moments",
-    "robust_scales",
     # metrics
     "ExtremeFlag",
     "NoFailuresObserved",

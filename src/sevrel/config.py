@@ -204,14 +204,13 @@ def _parse_model(value, path: str) -> LimitStateModel:
 
 def _parse_simulation(value, path: str) -> SimulationConfig:
     obj = _expect_object(value, path)
-    allowed = {"sampleCount", "masterSeed", "chunkSize", "robustSubsampleCap"}
+    allowed = {"sampleCount", "masterSeed", "chunkSize"}
     _check_keys(obj, allowed, path)
     try:
         return SimulationConfig(
             sample_count=_integer(obj, "sampleCount", path),
             master_seed=_integer(obj, "masterSeed", path, default=0),
             chunk_size=_integer(obj, "chunkSize", path, default=1_000_000),
-            robust_subsample_cap=_integer(obj, "robustSubsampleCap", path, default=100_000),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

@@ -11,12 +11,11 @@ size changes the substream layout and therefore the sample.
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. Deficit
 moments merge by the same pairwise update as those of g, so they cover
-every failure and no deficit outlives its chunk. One bounded sample is
-retained for robust diagnostics: the first `robust_subsample_cap`
-values of g. They are iid, so the prefix is already a uniform sample;
-each chunk cuts its own share of it, and the ordered merge concatenates
-the shares. A chunk whose g is not finite (NaN, or an overflow to inf)
-stops the run with an error that names the chunk.
+every failure and no deficit outlives its chunk. No value of g outlives
+its chunk either, so memory is bounded by the chunk size. A chunk whose
+g is not finite (NaN, or an overflow to inf) stops the run with an
+error that names the chunk; a sample variance of g that overflows,
+although every g is finite, stops it after the last chunk.
 
 On request, each chunk also bins its g and its failure deficits while
 it holds them, and the ordered merge adds the integer counts (see
@@ -40,12 +39,10 @@ __all__ = [
     "LimitStateModel",
     "SimulationConfig",
     "SimulationSummary",
-    "RobustScales",
     "model_moments",
     "simulate",
     "g_chunks",
     "calibrate_shift",
-    "robust_scales",
 ]
 
 # Substream lanes, kept disjoint by the leading spawn-key coordinate.
@@ -103,7 +100,8 @@ def model_moments(model: LimitStateModel) -> MomentReport:
     A term whose own variance is infinite makes the variance of g
     infinite. A finite term variance that overflows once scaled by the
     squared coefficient, or in the running sum, raises ValueError naming
-    the term: an overflow is not an infinite variance.
+    the term: an overflow is not an infinite variance. A variance of 0
+    raises ValueError too: a constant g has no spread to normalise by.
     """
     mean = model.shift
     variance = 0.0
@@ -117,6 +115,8 @@ def model_moments(model: LimitStateModel) -> MomentReport:
                 f"{t.coefficient!r}, variance {m.variance!r})"
             )
         variance = total
+    if variance == 0.0:
+        raise ValueError(f"g is constant (it always equals {mean!r}); its variance is 0")
     return MomentReport(mean, variance)
 
 
@@ -125,15 +125,12 @@ class SimulationConfig:
     sample_count: int
     master_seed: int
     chunk_size: int
-    robust_subsample_cap: int = 100_000
 
     def __post_init__(self):
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.robust_subsample_cap < 1:
-            raise ValueError("robust_subsample_cap must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -152,7 +149,6 @@ class SimulationSummary:
     deficit_m2: float  # centred sum of squares of all failure deficits
     deficit_min: float | None
     deficit_max: float | None
-    robust_subsample: np.ndarray
     config: SimulationConfig
     # binned during the run when simulate() was asked for histograms;
     # deficit_histogram stays None without failures
@@ -166,12 +162,12 @@ class SimulationSummary:
     def pf(self) -> float:
         return self.failure_count / self.n
 
-
-@dataclass(frozen=True)
-class RobustScales:
-    mad: float
-    iqr: float
-    conditional_std: float | None
+    @property
+    def conditional_std(self) -> float | None:
+        """Sample standard deviation of all failure deficits, from their
+        streamed moments, or None with fewer than two."""
+        k = self.failure_count
+        return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
 def _chunk_layout(config: SimulationConfig) -> list[tuple[int, int]]:
@@ -234,7 +230,6 @@ class _ChunkPartial:
     deficit_sum: float
     deficit_m2: float
     deficit_min: float
-    head: np.ndarray  # this chunk's share of the robust subsample prefix
     g_bins: histogram.Bins | None = None
     deficit_bins: histogram.Bins | None = None
 
@@ -244,15 +239,16 @@ def _summarize_chunk(
 ) -> _ChunkPartial:
     g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
     min_g, max_g = _finite_extrema(g, idx, config)
-    mean = float(g.mean())
-    centred = g - mean
-    m2 = float(np.square(centred, out=centred).sum())
-    del centred  # free it before binning allocates
-    deficits = -g[g < 0.0]
-    k, d_sum = deficits.size, float(deficits.sum())
-    # chunk idx starts at stream position idx * chunk_size; copy the head
-    # so the partial does not pin the whole chunk
-    head = g[: max(0, config.robust_subsample_cap - idx * config.chunk_size)].copy()
+    # finite values near the float limit can overflow the sums and squares;
+    # the folded M2 is checked once, after the last chunk (see simulate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(g.mean())
+        centred = g - mean
+        m2 = float(np.square(centred, out=centred).sum())
+        del centred  # free it before binning allocates
+        deficits = -g[g < 0.0]
+        k, d_sum = deficits.size, float(deficits.sum())
+        deficit_m2 = float(np.square(deficits - d_sum / k).sum()) if k else 0.0
     partial = _ChunkPartial(
         n=size,
         mean=mean,
@@ -261,9 +257,8 @@ def _summarize_chunk(
         max_g=max_g,
         failure_count=k,
         deficit_sum=d_sum,
-        deficit_m2=float(np.square(deficits - d_sum / k).sum()) if k else 0.0,
+        deficit_m2=deficit_m2,
         deficit_min=float(deficits.min()) if k else math.inf,
-        head=head,
     )
     if histograms:
         partial.g_bins = histogram.linear(g, min_g, max_g)
@@ -285,7 +280,6 @@ class _Accumulator:
         self.deficit_sum = 0.0
         self.deficit_m2 = 0.0
         self.deficit_min = math.inf
-        self.heads: list[np.ndarray] = []
         self.g_bins: histogram.Bins | None = None
         self.deficit_bins: histogram.Bins | None = None
 
@@ -308,11 +302,6 @@ class _Accumulator:
         self.failure_count = k
         self.deficit_min = min(self.deficit_min, p.deficit_min)
 
-        # chunks past the cap hold no share; skipping them keeps memory
-        # independent of the chunk count
-        if p.head.size:
-            self.heads.append(p.head)
-
         self.g_bins = histogram.merge(self.g_bins, p.g_bins)
         self.deficit_bins = histogram.merge(self.deficit_bins, p.deficit_bins)
 
@@ -329,7 +318,6 @@ class _Accumulator:
             deficit_m2=self.deficit_m2,
             deficit_min=self.deficit_min if has_fail else None,
             deficit_max=-self.min_g if has_fail else None,  # the deepest failure
-            robust_subsample=np.concatenate(self.heads),
             config=self.config,
             g_histogram=self.g_bins.histogram() if self.g_bins else None,
             deficit_histogram=self.deficit_bins.histogram() if self.deficit_bins else None,
@@ -339,7 +327,8 @@ class _Accumulator:
 def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool = False) -> SimulationSummary:
     """Run the chunked Monte Carlo estimate of the g distribution.
 
-    Chunks are drawn and folded one at a time, in index order.
+    Chunks are drawn and folded one at a time, in index order. A sample
+    variance of g that overflows raises ValueError after the last chunk.
 
     With `histograms`, each chunk is binned while it is held, and the
     summary carries `g_histogram` and `deficit_histogram`. Binning reads
@@ -348,6 +337,12 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     acc = _Accumulator(config)
     for idx, size in _chunk_layout(config):
         acc.fold(_summarize_chunk(model, config, idx, size, histograms))
+    if not math.isfinite(acc.m2):
+        # every g is finite, or a chunk would have stopped the run
+        raise ValueError(
+            f"the sample variance of g overflows over {acc.n} finite samples; "
+            "a coefficient or parameter is too large"
+        )
     return acc.finish()
 
 
@@ -457,19 +452,3 @@ def calibrate_shift(
         lo, hi = (-math.inf, lo) if r < 1 else (hi, math.inf)
     return -float(_smallest(window, r)[-1])
 
-
-def robust_scales(summary: SimulationSummary) -> RobustScales:
-    """MAD and IQR of the robust g subsample, plus the deficit spread.
-
-    conditional_std is the sample standard deviation of all failure
-    deficits, from their streamed moments, or None with fewer than two.
-    """
-    sub = summary.robust_subsample
-    if sub.size < 2:
-        raise ValueError("robust scales need at least two retained samples")
-    med = float(np.median(sub))
-    mad = float(np.median(np.abs(sub - med)))
-    q25, q75 = np.percentile(sub, [25.0, 75.0])
-    k = summary.failure_count
-    conditional_std = math.sqrt(summary.deficit_m2 / (k - 1)) if k >= 2 else None
-    return RobustScales(mad=mad, iqr=float(q75 - q25), conditional_std=conditional_std)

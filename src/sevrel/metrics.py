@@ -6,17 +6,18 @@ simulation summary we estimate
 
 * pf and beta = -quantile(pf),
 * the expected failure deficit, the mean of -g over failures,
-* its normalized form, deficit / sigma_g, which requires a finite
-  variance, and
+* its normalized form, deficit / sigma_g, with sigma_g the exact
+  standard deviation of g from the analytic moments, which requires a
+  finite variance, and
 * the severity-aware index: the Gaussian reliability index whose margin
   would produce the same normalized deficit.
 
 Deficits too deep for any Gaussian margin, or models whose variance is
-infinite (or empirically unstable), are reported through an extreme
-flag instead of a number. Classification buckets the normalized deficit
-against the Gaussian benchmarks at indices 3, 2 and 1; any flag lands in
-the extreme class. The two-stage check mirrors standards practice:
-frequency gate first, severity gate second.
+infinite, are reported through an extreme flag instead of a number.
+Classification buckets the normalized deficit against the Gaussian
+benchmarks at indices 3, 2 and 1; any flag lands in the extreme class.
+The two-stage check mirrors standards practice: frequency gate first,
+severity gate second.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-
-import numpy as np
 
 from . import gaussian
 from .distributions import MomentReport
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_MAX_LEVEL_CRITICAL",
     "reliability_index",
     "expected_failure_deficit",
-    "variance_unstable",
     "normalized_deficit",
     "severity_index",
     "classify",
@@ -61,6 +59,8 @@ class ExtremeFlag(Enum):
     """Reasons the severity index cannot be a finite number."""
 
     DEFICIT_BEYOND_ENDPOINT = "deficit-beyond-endpoint"
+    # set from the analytic variance alone; the string predates that and
+    # stays, since reports and scenario expectations carry it
     VARIANCE_INFINITE_OR_UNSTABLE = "variance-infinite-or-unstable"
 
 
@@ -137,42 +137,18 @@ def expected_failure_deficit(summary: SimulationSummary) -> float:
     return summary.deficit_sum / summary.failure_count
 
 
-def variance_unstable(summary: SimulationSummary) -> bool:
-    """Heuristic screen for variance that exists on paper only.
-
-    Splits the robust subsample into stream-order halves and compares the
-    std/MAD ratio between them; a drift beyond 50 percent means the
-    sample standard deviation never settled. Purely a backstop behind the
-    analytic finiteness flags; needs at least 200 retained points to vote.
-    """
-    sub = summary.robust_subsample
-    if sub.size < 200:
-        return False
-    half = sub.size // 2
-    ratios = []
-    for part in (sub[:half], sub[half : 2 * half]):
-        med = np.median(part)
-        mad = np.median(np.abs(part - med))
-        if mad == 0.0:
-            return False
-        ratios.append(float(np.std(part, ddof=1)) / float(mad))
-    lo, hi = sorted(ratios)
-    return hi / lo - 1.0 > 0.5
-
-
 def normalized_deficit(
     summary: SimulationSummary, moments: MomentReport
 ) -> float | ExtremeFlag:
-    """Expected failure deficit over sigma_g, or the instability flag.
+    """Expected failure deficit over the exact sigma_g, or the variance flag.
 
-    The analytic moment report decides whether sigma_g exists at all;
-    the empirical stability screen can veto it as well. When either test
-    fails the value is meaningless and the flag is returned instead.
+    sigma_g is the square root of the analytic variance of g. When that
+    variance is infinite, sigma_g does not exist and the flag is returned
+    instead.
     """
-    if not moments.variance_finite or variance_unstable(summary):
+    if not moments.variance_finite:
         return ExtremeFlag.VARIANCE_INFINITE_OR_UNSTABLE
-    sigma = math.sqrt(summary.var_g)
-    return expected_failure_deficit(summary) / sigma
+    return expected_failure_deficit(summary) / math.sqrt(moments.variance)
 
 
 def severity_index(ef_star: float) -> float | ExtremeFlag:
@@ -260,14 +236,13 @@ def build_report(
 
     The normalized-deficit confidence interval is the 95% normal (CLT)
     interval for the mean of all k failure deficits, m +/- z * s / sqrt(k),
-    over sigma_g, with m and s from the streamed sum and M2; there is none
-    with fewer than two failures. `bootstrap_resamples` is unused: the
+    over the exact sigma_g, with m and s from the streamed sum and M2; there
+    is none with fewer than two failures. `bootstrap_resamples` is unused: the
     interval used to be a percentile bootstrap of that many resamples, and
     the benchmark under perfbench/ still reads the parameter's default.
 
     A run in which every sample fails only bounds p_f from below, by
-    1 - 1/N, so beta is None; the deficit metrics are still computed,
-    except from a single sample, which gives no sigma_g.
+    1 - 1/N, so beta is None; the deficit metrics are still computed.
     """
     n = summary.n
     pf = summary.failure_count / n
@@ -304,32 +279,9 @@ def build_report(
     benchmark = gaussian.deficit(beta) if beta is not None and beta > 0.0 else None
     ef = expected_failure_deficit(summary)
 
-    if n < 2:
-        # one failing sample: there is no sample variance of g to normalise by
-        notes.append("one sample gives no variance of g; sigma-normalized metrics withheld")
-        return SeverityReport(
-            n=n,
-            failure_count=summary.failure_count,
-            pf=pf,
-            pf_se=pf_se,
-            beta=beta,
-            beta_moment=beta_moment,
-            ef=ef,
-            ef_star=None,
-            ef_star_ci=None,
-            beta_s=None,
-            extreme_flag=None,
-            level=None,
-            gaussian_benchmark=benchmark,
-            notes=tuple(notes),
-        )
-
     nd = normalized_deficit(summary, moments)
     if isinstance(nd, ExtremeFlag):
-        if not moments.variance_finite:
-            notes.append("analytic variance of g is infinite; sigma-normalized metrics withheld")
-        else:
-            notes.append("variance estimate is unstable across the run; sigma-normalized metrics withheld")
+        notes.append("analytic variance of g is infinite; sigma-normalized metrics withheld")
         return SeverityReport(
             n=n,
             failure_count=summary.failure_count,
@@ -357,7 +309,7 @@ def build_report(
     else:
         flag = None
         beta_s = si
-    sigma = math.sqrt(summary.var_g)
+    sigma = math.sqrt(moments.variance)
     ci = _ef_star_ci(summary.failure_count, summary.deficit_sum, summary.deficit_m2, sigma)
     return SeverityReport(
         n=n,

@@ -16,16 +16,11 @@ import os
 
 from . import gaussian
 from .distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
-from .engine import (
-    LimitStateModel,
-    SimulationConfig,
-    SimulationSummary,
-    robust_scales,
-)
+from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -88,12 +83,11 @@ def _config_document(config: SimulationConfig) -> dict:
         "sampleCount": config.sample_count,
         "masterSeed": config.master_seed,
         "chunkSize": config.chunk_size,
-        "robustSubsampleCap": config.robust_subsample_cap,
     }
 
 
 def _summary_document(summary: SimulationSummary) -> dict:
-    doc = {
+    return {
         "n": summary.n,
         "meanG": _num(summary.mean_g),
         "varG": _num(summary.var_g),
@@ -103,18 +97,8 @@ def _summary_document(summary: SimulationSummary) -> dict:
         "deficitSum": _num(summary.deficit_sum),
         "deficitMin": _num(summary.deficit_min),
         "deficitMax": _num(summary.deficit_max),
-        "robustSubsampleSize": int(summary.robust_subsample.size),
+        "conditionalStd": _num(summary.conditional_std),
     }
-    if summary.robust_subsample.size >= 2:
-        scales = robust_scales(summary)
-        doc["robustScales"] = {
-            "mad": _num(scales.mad),
-            "iqr": _num(scales.iqr),
-            "conditionalStd": _num(scales.conditional_std),
-        }
-    else:
-        doc["robustScales"] = None
-    return doc
 
 
 def _metrics_document(report: SeverityReport) -> dict:

@@ -143,7 +143,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 5
+    assert doc["schemaVersion"] == 6
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -321,11 +321,12 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["simulate", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
-    # the deficit store and its cap are gone; an old config naming the
-    # cap is refused like any other unknown key
-    old = make_config(tmp_path, simulation={"sampleCount": 1000, "failureReservoirCap": 10})
-    assert main(["simulate", old]) == 2
-    assert f"error: {old}.simulation: unknown key 'failureReservoirCap'" in capsys.readouterr().err
+    # the deficit store, the robust subsample and their caps are gone; an
+    # old config naming a cap is refused like any other unknown key
+    for key in ("failureReservoirCap", "robustSubsampleCap"):
+        old = make_config(tmp_path, simulation={"sampleCount": 1000, key: 10})
+        assert main(["simulate", old]) == 2
+        assert f"error: {old}.simulation: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_non_finite_g(tmp_path, capsys):
@@ -375,6 +376,48 @@ def test_simulate_rejects_variance_overflow(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "error: term 'margin': the variance of g overflows" in err
         assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rejects_constant_g(tmp_path, capsys, monkeypatch):
+    # sigma_g is 0, so E_f* has nothing to divide by; this used to end in
+    # a ZeroDivisionError traceback (exit 1) after sampling
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran although g is constant")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    model = {
+        "shift": -1.0,
+        "terms": [
+            {
+                "name": "margin",
+                "coefficient": 0.0,
+                "distribution": {"kind": "normal", "mean": 2.0, "stddev": 1.0},
+            }
+        ],
+    }
+    assert main(["simulate", make_config(tmp_path, model=model)]) == 2
+    assert "error: g is constant (it always equals -1.0)" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_simulate_rejects_sample_variance_overflow(tmp_path, capsys):
+    # the analytic variance, 1.69e308, is finite and every g is finite, but
+    # the sample M2 overflows; this used to end in a traceback (exit 1)
+    model = {
+        "terms": [
+            {
+                "name": "margin",
+                "coefficient": 1.0,
+                "distribution": {"kind": "normal", "mean": 0.0, "stddev": 1.3e154},
+            }
+        ]
+    }
+    cfg = make_config(tmp_path, model=model, simulation={"sampleCount": 10000})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", cfg]) == 2
+    assert "error: the sample variance of g overflows" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_simulate_infinite_variance_keeps_its_flag(tmp_path, capsys):

@@ -76,11 +76,19 @@ def test_minimal_config_defaults():
     assert cfg.model.shift == 0.0
     assert cfg.simulation.master_seed == 0
     assert cfg.simulation.chunk_size == 1_000_000
-    assert cfg.simulation.robust_subsample_cap == 100_000
     assert cfg.beta_target is None
     assert cfg.max_acceptable_level is None
     assert cfg.output == OutputPaths()
     assert cfg.output.report_json == "report.json"
+
+
+def test_robust_subsample_cap_is_refused():
+    # the robust subsample it sized is gone; an old config that sets it is
+    # refused like any other unknown key
+    data = base_config()
+    data["simulation"]["robustSubsampleCap"] = 100_000
+    with pytest.raises(ConfigError, match="config.simulation: unknown key 'robustSubsampleCap'"):
+        parse(data)
 
 
 def test_all_distribution_kinds():

@@ -18,7 +18,6 @@ from sevrel.engine import (
     calibrate_shift,
     g_chunks,
     model_moments,
-    robust_scales,
     simulate,
 )
 from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _pilot_window
@@ -97,6 +96,13 @@ def test_model_moments_overflow_names_the_term():
         model_moments(pair)
 
 
+def test_model_moments_rejects_constant_g():
+    # a zero coefficient leaves g equal to the shift: sigma_g is 0
+    model = LimitStateModel(terms=(Term("x", 0.0, Normal(0.0, 1.0)),), shift=-1.0)
+    with pytest.raises(ValueError, match=r"g is constant \(it always equals -1.0\)"):
+        model_moments(model)
+
+
 def test_model_moments_infinite_term_variance_is_not_an_overflow():
     heavy = builtin("example3-extreme").model
     assert math.isinf(model_moments(heavy).variance)
@@ -116,7 +122,6 @@ def test_model_moments_infinite_term_variance_is_not_an_overflow():
         dict(sample_count=0, master_seed=0, chunk_size=10),
         dict(sample_count=10, master_seed=0, chunk_size=0),
         dict(sample_count=10, master_seed=-1, chunk_size=10),
-        dict(sample_count=10, master_seed=0, chunk_size=10, robust_subsample_cap=0),
     ],
 )
 def test_config_validation(kwargs):
@@ -182,51 +187,24 @@ def test_pf_property():
     assert 0.14 < s.pf < 0.18
 
 
-# --- robust subsample ----------------------------------------------------
+# --- deficit spread -----------------------------------------------------
 
 
-def test_robust_subsample_is_exact_sample_when_it_fits():
-    cfg = SimulationConfig(
-        sample_count=50_000,
-        master_seed=2,
-        chunk_size=10_000,
-        robust_subsample_cap=100_000,
-    )
-    m = margin_model()
-    s = simulate(m, cfg)
-    assert np.array_equal(s.robust_subsample, full_g(m, cfg))
-
-
-def test_robust_subsample_capped_draws_from_the_stream():
-    # the cap ends inside the second chunk, so the prefix spans a boundary
-    cfg = SimulationConfig(
-        sample_count=80_000,
-        master_seed=4,
-        chunk_size=20_000,
-        robust_subsample_cap=30_000,
-    )
-    m = margin_model()
-    s = simulate(m, cfg)
-    assert np.array_equal(s.robust_subsample, full_g(m, cfg)[:30_000])
-
-
-def test_robust_scales_on_standard_normal():
+def test_conditional_std_on_standard_normal():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
     cfg = SimulationConfig(sample_count=200_000, master_seed=6, chunk_size=100_000)
     s = simulate(model, cfg)
-    scales = robust_scales(s)
-    assert abs(scales.mad - 0.6744897501960817) < 0.02
-    assert abs(scales.iqr - 1.3489795003921634) < 0.04
     # deficits of a centered normal are half-normal
-    assert scales.conditional_std is not None
-    assert abs(scales.conditional_std - math.sqrt(1.0 - 2.0 / math.pi)) < 0.02
+    assert s.conditional_std is not None
+    assert abs(s.conditional_std - math.sqrt(1.0 - 2.0 / math.pi)) < 0.02
 
 
-def test_robust_scales_needs_two_samples():
-    cfg = SimulationConfig(sample_count=1, master_seed=0, chunk_size=1)
-    s = simulate(margin_model(), cfg)
-    with pytest.raises(ValueError, match="two"):
-        robust_scales(s)
+def test_conditional_std_needs_two_failures():
+    model = LimitStateModel(terms=(Term("z", 1.0, Normal(-10.0, 1.0)),))
+    one = simulate(model, SimulationConfig(sample_count=1, master_seed=0, chunk_size=1))
+    assert one.failure_count == 1 and one.conditional_std is None
+    two = simulate(model, SimulationConfig(sample_count=2, master_seed=0, chunk_size=2))
+    assert two.conditional_std == math.sqrt(two.deficit_m2)
 
 
 # --- calibration ----------------------------------------------------------
@@ -420,6 +398,18 @@ def test_simulate_and_calibrate_fail_on_non_finite_g(model):
             simulate(model, cfg)
         with pytest.raises(ValueError, match="not finite in chunk 0"):
             calibrate_shift(model, 0.1, cfg)
+
+
+def test_sample_variance_overflow_fails_after_the_last_chunk():
+    # the analytic variance, 1.69e308, is finite; the squares of values
+    # near 5e154 are not, although every g is
+    model = LimitStateModel(terms=(Term("x", 1.0, Normal(0.0, 1.3e154)),))
+    assert math.isfinite(model_moments(model).variance)
+    cfg = SimulationConfig(sample_count=10_000, master_seed=0, chunk_size=4_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="the sample variance of g overflows over 10000 finite samples"):
+            simulate(model, cfg)
 
 
 def test_non_finite_g_names_the_first_chunk_that_has_it():

@@ -14,7 +14,6 @@ from sevrel.engine import (
     Term,
     g_chunks,
     model_moments,
-    robust_scales,
     simulate,
 )
 from sevrel.metrics import (
@@ -34,7 +33,6 @@ from sevrel.metrics import (
     normalized_deficit,
     reliability_index,
     severity_index,
-    variance_unstable,
 )
 
 
@@ -58,7 +56,6 @@ def _summary(sub, failure_count, deficit_sum, cfg):
         deficit_m2=0.0,
         deficit_min=0.1 if failure_count else None,
         deficit_max=1.0 if failure_count else None,
-        robust_subsample=sub,
         config=cfg,
     )
 
@@ -158,37 +155,7 @@ def test_level_labels_and_advice():
         assert level.recommendation
 
 
-# --- variance stability screen --------------------------------------------
-
-
-def test_variance_screen_abstains_below_200_points():
-    rng = np.random.default_rng(0)
-    s = _summary(rng.normal(size=150), 10, 5.0,
-                 SimulationConfig(sample_count=150, master_seed=0, chunk_size=150))
-    assert variance_unstable(s) is False
-
-
-def test_variance_screen_passes_stable_sample():
-    rng = np.random.default_rng(1)
-    s = _summary(rng.normal(size=2_000), 10, 5.0,
-                 SimulationConfig(sample_count=2_000, master_seed=0, chunk_size=2_000))
-    assert variance_unstable(s) is False
-
-
-def test_variance_screen_flags_drifting_scale():
-    rng = np.random.default_rng(2)
-    first = rng.normal(size=1_000)
-    second = rng.normal(size=1_000)
-    second[:10] = 500.0  # one half picks up deep outliers, MAD does not move
-    s = _summary(np.concatenate([first, second]), 10, 5.0,
-                 SimulationConfig(sample_count=2_000, master_seed=0, chunk_size=2_000))
-    assert variance_unstable(s) is True
-
-
-def test_variance_screen_abstains_on_degenerate_mad():
-    s = _summary(np.zeros(1_000), 10, 5.0,
-                 SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000))
-    assert variance_unstable(s) is False
+# --- normalisation -------------------------------------------------------
 
 
 def test_normalized_deficit_flags_infinite_analytic_variance():
@@ -196,9 +163,9 @@ def test_normalized_deficit_flags_infinite_analytic_variance():
     s = _summary(rng.normal(size=1_000), 10, 5.0,
                  SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000))
     assert normalized_deficit(s, MomentReport(0.0, math.inf)) is ExtremeFlag.VARIANCE_INFINITE_OR_UNSTABLE
-    value = normalized_deficit(s, MomentReport(0.0, 1.0))
-    assert isinstance(value, float)
-    assert math.isclose(value, 0.5 / math.sqrt(s.var_g))
+    # sigma_g is the analytic one; the sample variance plays no part
+    assert normalized_deficit(s, MomentReport(0.0, 4.0)) == 0.5 / 2.0
+    assert normalized_deficit(replace(s, var_g=100.0), MomentReport(0.0, 4.0)) == 0.5 / 2.0
 
 
 # --- report assembly -------------------------------------------------------
@@ -217,7 +184,7 @@ def test_report_on_gaussian_margin():
     assert rep.beta is not None and abs(rep.beta - 2.0) < 0.05
     assert rep.beta_moment == summary.mean_g / math.sqrt(summary.var_g)
     assert rep.ef == summary.deficit_sum / summary.failure_count
-    assert rep.ef_star == rep.ef / math.sqrt(summary.var_g)
+    assert rep.ef_star == rep.ef / math.sqrt(moments.variance)
     # severity index inverts the deficit map exactly
     assert rep.beta_s is not None
     assert abs(gaussian.deficit(rep.beta_s) - rep.ef_star) < 1e-12
@@ -277,7 +244,7 @@ def dense_gaussian():
 
 def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
     summary, moments, deficits = dense_gaussian
-    sigma = math.sqrt(summary.var_g)
+    sigma = math.sqrt(moments.variance)
     rep = build_report(summary, moments)
     _assert_close(rep.ef_star_ci, _normal_ci(deficits, sigma), rel=1e-12)
     # the same formula at every failure count from two up
@@ -296,16 +263,17 @@ def test_ef_star_ci_covers_every_failure():
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(0.0, 1.0)),))
     cfg = SimulationConfig(sample_count=2_123_457, master_seed=5, chunk_size=300_000)
     summary = simulate(model, cfg)
-    rep = build_report(summary, model_moments(model))
+    moments = model_moments(model)
+    rep = build_report(summary, moments)
     deficits = _deficits(model, summary)
     k = deficits.size
     assert summary.failure_count == k > 1_000_000
     lo, hi = rep.ef_star_ci
     assert (lo + hi) / 2.0 == pytest.approx(rep.ef_star, rel=1e-12)
     sd = float(np.std(deficits, ddof=1))
-    expected = -gaussian.norm_quantile(0.025) * sd / math.sqrt(k) / math.sqrt(summary.var_g)
+    expected = -gaussian.norm_quantile(0.025) * sd / math.sqrt(k) / math.sqrt(moments.variance)
     assert (hi - lo) / 2.0 == pytest.approx(expected, rel=1e-9)
-    assert robust_scales(summary).conditional_std == pytest.approx(sd, rel=1e-9)
+    assert summary.conditional_std == pytest.approx(sd, rel=1e-9)
 
 
 def test_ef_star_ci_half_width_matches_gaussian_theory(dense_gaussian):
@@ -317,6 +285,21 @@ def test_ef_star_ci_half_width_matches_gaussian_theory(dense_gaussian):
     expected = 1.96 * math.sqrt((1.0 - b * f - f * f) / (pf * summary.n))
     lo, hi = build_report(summary, moments).ef_star_ci
     assert abs((hi - lo) / 2.0 / expected - 1.0) < 0.05
+
+
+def test_ef_star_ci_coverage_on_a_gaussian_margin():
+    # with sigma_g exact, the interval is the CLT interval for E_f over a
+    # constant, so it should cover the exact E_f* in ~95% of seeds:
+    # 369..391 of 400 is 95% +/- 2.5 binomial standard deviations
+    b = 0.6745
+    model = LimitStateModel(terms=(Term("m", 1.0, Normal(b, 1.0)),))
+    moments = model_moments(model)
+    exact = gaussian.deficit(b)
+    covered = 0
+    for seed in range(400):
+        lo, hi = build_report(run(model, n=100_000, seed=seed, chunk=100_000), moments).ef_star_ci
+        covered += lo <= exact <= hi
+    assert 369 <= covered <= 391
 
 
 def test_report_zero_failures():
@@ -336,14 +319,15 @@ def test_report_zero_failures():
 def test_report_every_sample_fails():
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(-10.0, 1.0)),))
     summary = run(model, n=10_000, chunk=4_000)
-    rep = build_report(summary, model_moments(model))
+    moments = model_moments(model)
+    rep = build_report(summary, moments)
     assert summary.failure_count == summary.n == 10_000
     assert rep.pf == 1.0 and rep.pf_se == 0.0
     assert rep.beta is None and rep.gaussian_benchmark is None
     assert "p_f > 0.9999 (1/N bound)" in rep.notes[0] and "N=10000" in rep.notes[0]
     # the deficit metrics still come from the streamed moments
     assert rep.ef == summary.deficit_sum / summary.n
-    assert rep.ef_star == rep.ef / math.sqrt(summary.var_g)
+    assert rep.ef_star == rep.ef / math.sqrt(moments.variance)
     assert rep.ef_star_ci is not None
     assert rep.extreme_flag is ExtremeFlag.DEFICIT_BEYOND_ENDPOINT
     assert rep.level is SeverityLevel.EXTREME
@@ -356,17 +340,21 @@ def test_report_every_sample_fails():
     sub = np.random.default_rng(4).normal(size=1_000)
     cfg = SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000)
     rep = build_report(_summary(sub, 1_000, 500.0, cfg), MomentReport(0.0, 1.0))
-    ef_star = 0.5 / float(sub.std(ddof=1))
-    assert rep.beta is None and rep.ef_star == pytest.approx(ef_star, rel=1e-12)
+    ef_star = 0.5
+    assert rep.beta is None and rep.ef_star == ef_star
     assert rep.beta_s == severity_index(ef_star)
     assert rep.level is classify(ef_star) and rep.extreme_flag is None
 
-    # one failing sample: E_f, but no sigma_g to normalise it by
-    rep = build_report(run(model, n=1, chunk=1), model_moments(model))
-    assert rep.beta is None and rep.ef is not None
-    assert rep.ef_star is None and rep.beta_s is None and rep.level is None
+    # one failing sample: sigma_g is exact, so E_f* and the level exist;
+    # one deficit gives no interval
+    summary = run(model, n=1, chunk=1)
+    rep = build_report(summary, moments)
+    assert rep.beta is None and rep.ef == -summary.min_g
+    assert rep.ef_star == rep.ef / math.sqrt(moments.variance) and rep.ef_star_ci is None
+    assert rep.level is SeverityLevel.EXTREME
+    assert rep.extreme_flag is ExtremeFlag.DEFICIT_BEYOND_ENDPOINT
     assert assess(rep, beta_target=0.1).verdict is Verdict.REJECT_FREQUENCY
-    assert any("sigma-normalized metrics withheld" in note for note in rep.notes)
+    assert not any("withheld" in note for note in rep.notes)
 
 
 def test_report_infinite_variance_flag():

@@ -1,6 +1,7 @@
 """Scenario pipeline tests: structure on small runs, grading on full runs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ def test_full_run_passes_all_checks(sid, scenario_cache):
     assert not failed, [(c.metric, c.expected, c.computed) for c in failed]
 
 
+@pytest.mark.parametrize("sid", EXPECTED_IDS)
+def test_full_run_normalises_by_the_exact_sigma(sid, scenario_cache):
+    res = scenario_cache(sid)
+    rep = res.report
+    if res.moments.variance_finite:
+        assert rep.ef_star == rep.ef / math.sqrt(res.moments.variance)
+        lo, hi = rep.ef_star_ci
+        assert lo < rep.ef_star < hi
+    else:
+        assert rep.ef_star is None and rep.extreme_flag.value == "variance-infinite-or-unstable"
+
+
 def test_example2_reference_values_fail_as_documented(scenario_cache):
     # the reported triple cannot be reproduced from the stated inputs;
     # the study keeps the reported numbers and fails them visibly
@@ -177,12 +190,14 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 5
+    assert doc["schemaVersion"] == 6
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
-    # no deficit store since schemaVersion 5
-    assert "failureReservoirCap" not in doc["simulation"]
+    # no deficit store since schemaVersion 5, no robust subsample since 6
+    assert set(doc["simulation"]) == {"sampleCount", "masterSeed", "chunkSize"}
     assert "storedDeficits" not in doc["summary"]
+    assert "robustSubsampleSize" not in doc["summary"] and "robustScales" not in doc["summary"]
+    assert doc["summary"]["conditionalStd"] == res.summary.conditional_std
     assert doc["summary"]["failureCount"] == res.summary.failure_count
     names = [t["name"] for t in doc["model"]["terms"]]
     assert names == ["capacity", "demand"]
