@@ -12,19 +12,24 @@ Sampling conventions, fixed so that streams are reproducible:
 * Normal draws come from the generator's own Gaussian method; Lognormal
   exponentiates a Normal draw.
 * Gumbel and Pareto invert their quantile functions on one uniform each.
-* A Mixture consumes exactly two uniform arrays per batch, in fixed
-  order: first the branch selector, then the value fed through the
+* A Mixture consumes exactly two runs of uniforms per batch, in fixed
+  order: first every branch selector, then every value fed through the
   selected component's quantile. The consumption pattern never depends
   on which branch was chosen, so chunked runs merge reproducibly.
-  The heaviest-weight component's quantile is evaluated over the whole
-  value array in place; the draws of the other branches are computed
-  on their own positions first and written over it afterwards. Each
-  draw gets the same bits as if every branch had been evaluated on its
-  own positions only.
+  The heaviest-weight component's quantile is evaluated in place over
+  the value uniforms; the draws of the other branches are computed on
+  their own positions first and written over it afterwards. Each draw
+  gets the same bits as if every branch had been evaluated on its own
+  positions only.
 
-Samplers and the private ``_inverse_cdf`` work in place on the arrays
-they draw, so a batch of n draws holds one or two arrays of n floats
-and no full-length temporaries.
+A batch can be drawn in blocks into arrays the caller supplies
+(``_draws``), and no draw depends on how the batch is cut: the engine
+draws each term of a chunk through one reused block of scratch. Scalar
+families fill each block in place (``_fill``). A Mixture makes two
+passes over the blocks: the first keeps only the positions outside the
+heaviest branch and their branch index, the second draws the values.
+``sample`` draws a batch as one block in a new array. Samplers and the
+private ``_inverse_cdf`` make no full-length temporaries.
 """
 
 from __future__ import annotations
@@ -76,10 +81,33 @@ def _check_probability(p):
     return arr
 
 
-def _uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniforms on [tiny, 1), floored in place so logs and powers stay finite."""
-    u = rng.random(n)
-    return np.maximum(u, _TINY, out=u)
+def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with uniforms on [tiny, 1), floored so logs and powers stay finite."""
+    rng.random(out=out)
+    return np.maximum(out, _TINY, out=out)
+
+
+class _Sampled:
+    """Sampling shared by the families.
+
+    A scalar family defines ``_fill(rng, out)``, which overwrites out
+    with its next out.size draws. A Mixture defines ``_draws`` itself.
+    """
+
+    def _draws(self, rng: np.random.Generator, blocks: list[np.ndarray]):
+        """Fill each array of `blocks` in turn with the next draws and yield it.
+
+        The blocks together hold one batch of draws: the stream consumed,
+        and the bits of every draw, are those of one batch of their total
+        size, whatever the cut. A caller may reuse one buffer for every
+        block, since each is yielded before the next is filled.
+        """
+        for out in blocks:
+            yield self._fill(rng, out)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws, in a new array: one block that holds the whole batch."""
+        return next(self._draws(rng, [np.empty(n)]))
 
 
 def _match(p, values):
@@ -90,7 +118,7 @@ def _match(p, values):
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Sampled):
     mean: float
     stddev: float
 
@@ -115,12 +143,16 @@ class Normal:
     def cdf(self, x):
         return _match(x, ndtr((np.asarray(x, dtype=float) - self.mean) / self.stddev))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mean, self.stddev, n)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        # the arithmetic of rng.normal: mean + stddev * z
+        rng.standard_normal(out=out)
+        out *= self.stddev
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_Sampled):
     """Lognormal given the mean and stddev of the underlying normal."""
 
     log_mean: float
@@ -151,9 +183,11 @@ class Lognormal:
             z = (np.log(arr, where=arr > 0.0, out=np.full(arr.shape, -np.inf)) - self.log_mean) / self.log_std
         return _match(x, np.where(arr > 0.0, ndtr(z), 0.0))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.normal(self.log_mean, self.log_std, n)
-        return np.exp(x, out=x)
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=out)
+        out *= self.log_std
+        out += self.log_mean
+        return np.exp(out, out=out)
 
 
 def lognormal_from_median_cov(median: float, cov: float) -> Lognormal:
@@ -170,7 +204,7 @@ def lognormal_from_median_cov(median: float, cov: float) -> Lognormal:
 
 
 @dataclass(frozen=True)
-class Gumbel:
+class Gumbel(_Sampled):
     """Largest-value (maximum domain) Gumbel, the loads convention."""
 
     location: float
@@ -202,12 +236,12 @@ class Gumbel:
         z = (np.asarray(x, dtype=float) - self.location) / self.scale
         return _match(x, np.exp(-np.exp(-z)))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._inverse_cdf(_uniform(rng, n))
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return self._inverse_cdf(_uniform(rng, out))
 
 
 @dataclass(frozen=True)
-class Pareto:
+class Pareto(_Sampled):
     """Type I Pareto on [x_min, inf) with tail exponent alpha.
 
     Mean is infinite for alpha <= 1, variance infinite for alpha <= 2;
@@ -248,15 +282,15 @@ class Pareto:
         ratio = np.where(arr >= self.x_min, self.x_min / np.maximum(arr, self.x_min), 1.0)
         return _match(x, 1.0 - np.power(ratio, self.alpha))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = _uniform(rng, n)
-        np.power(u, -1.0 / self.alpha, out=u)
-        u *= self.x_min
-        return u
+    def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        _uniform(rng, out)
+        np.power(out, -1.0 / self.alpha, out=out)
+        out *= self.x_min
+        return out
 
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(_Sampled):
     """Finite mixture of scalar families (no nesting).
 
     ``components`` is a tuple of (weight, distribution) pairs; weights
@@ -304,31 +338,35 @@ class Mixture:
             acc = acc + w * np.asarray(d.cdf(arr))
         return _match(x, acc)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # Two stream consumptions per batch, fixed order: branch then value.
-        u_branch = rng.random(n)
-        u_value = _uniform(rng, n)
+    def _draws(self, rng: np.random.Generator, blocks: list[np.ndarray]):
+        # Two stream consumptions per batch, fixed order: every branch
+        # uniform of the batch, then every value uniform.
         weights = [w for w, _ in self.components]
         cuts = np.cumsum(weights)[:-1]
         heavy = weights.index(max(weights))
         # A draw is in branch k when cuts[k-1] <= u_branch < cuts[k], as
-        # searchsorted(side="right") counts; only the positions outside
-        # the heaviest branch's interval are listed.
+        # searchsorted(side="right") counts. The first pass keeps, per
+        # block, the positions outside the heaviest branch's interval
+        # [lower, upper) and their branch.
+        lower = cuts[heavy - 1] if heavy > 0 else -math.inf
+        upper = cuts[heavy] if heavy < cuts.size else math.inf
         outside = []
-        if heavy > 0:
-            outside.append(np.flatnonzero(u_branch < cuts[heavy - 1]))
-        if heavy < cuts.size:
-            outside.append(np.flatnonzero(u_branch >= cuts[heavy]))
-        pos = np.concatenate(outside) if outside else np.empty(0, dtype=np.intp)
-        branch = np.searchsorted(cuts, u_branch[pos], side="right")
-        values = np.empty(pos.size)
-        for k, (_, d) in enumerate(self.components):
-            sel = branch == k
-            if k != heavy and sel.any():
-                values[sel] = d._inverse_cdf(u_value[pos[sel]])
-        out = self.components[heavy][1]._inverse_cdf(u_value)
-        out[pos] = values
-        return out
+        for u in blocks:
+            rng.random(out=u)
+            mask = u < lower
+            mask |= u >= upper
+            pos = np.flatnonzero(mask)
+            outside.append((pos, np.searchsorted(cuts, u[pos], side="right")))
+        heaviest = self.components[heavy][1]
+        for u, (pos, branch) in zip(blocks, outside):
+            _uniform(rng, u)
+            minority = u[pos]
+            heaviest._inverse_cdf(u)
+            for k, (_, d) in enumerate(self.components):
+                sel = branch == k
+                if k != heavy and sel.any():
+                    u[pos[sel]] = d._inverse_cdf(minority[sel])
+            yield u
 
 
 Distribution = Normal | Lognormal | Gumbel | Pareto | Mixture

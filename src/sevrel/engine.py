@@ -11,11 +11,16 @@ size changes the substream layout and therefore the sample.
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. Deficit
 moments merge by the same pairwise update as those of g, so they cover
-every failure and no deficit outlives its chunk. No value of g outlives
-its chunk either, so memory is bounded by the chunk size. A chunk whose
-g is not finite (NaN, or an overflow to inf) stops the run with an
-error that names the chunk; a sample variance of g that overflows,
-although every g is finite, stops it after the last chunk.
+every failure and no deficit outlives its chunk. A run draws every
+chunk into one g buffer that it reuses: each term is drawn a block of
+_BLOCK values at a time into one block of scratch, scaled and added to
+its block of g, and the chunk is then reduced in place. So a run holds
+one chunk of g, one block of scratch and one chunk's failure deficits,
+and memory is bounded by the chunk size. `g_chunks` runs the same
+kernel on a new array per chunk, for callers that keep the chunks. A
+chunk whose g is not finite (NaN, or an overflow to inf) stops the run
+with an error that names the chunk; a sample variance of g that
+overflows, although every g is finite, stops it after the last chunk.
 
 On request, each chunk also bins its g and its failure deficits while
 it holds them, and the ordered merge adds the integer counts (see
@@ -55,6 +60,10 @@ _LANE_CALIBRATION = 3
 # the pilot's rank count; a wider window costs memory, a narrower one a
 # second pass when it misses.
 _PILOT_Z = 10.0
+
+# Values per block of the in-chunk passes: a term's draws, the deficit
+# gather and the calibration filter.
+_BLOCK = 1 << 16
 
 
 def _lane_rng(master_seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -182,18 +191,38 @@ def _chunk_layout(config: SimulationConfig) -> list[tuple[int, int]]:
     return sizes
 
 
-def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
+def _buffers(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A g buffer for the largest chunk of `config` and a block scratch."""
+    g = np.empty(min(config.chunk_size, config.sample_count))
+    return g, np.empty(min(_BLOCK, g.size))
+
+
+def _fill_g(
+    model: LimitStateModel, master_seed: int, lane: int, idx: int, g: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Draw chunk `idx` of `lane` into g, whose size is the chunk's.
+
+    Each term is drawn into `scratch` a block at a time, scaled, and
+    added to its block of g. Terms are sampled in declaration order; the
+    per-chunk stream layout is part of the reproducibility contract, and
+    a term's draws do not depend on how its batch is cut into blocks.
+    Overflow is left to _finite_extrema.
+    """
     rng = _lane_rng(master_seed, lane, idx)
-    g = np.full(size, model.shift)
-    # Terms are sampled in declaration order; the per-chunk stream layout
-    # is part of the reproducibility contract. Overflow is left to _finite_extrema.
+    g.fill(model.shift)
+    g_blocks = [g[start : start + scratch.size] for start in range(0, g.size, scratch.size)]
+    x_blocks = [scratch[: block.size] for block in g_blocks]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in model.terms:
-            x = t.distribution.sample(rng, size)
-            x *= t.coefficient
-            g += x
-            del x  # free it before the next term draws
+            for block, x in zip(g_blocks, t.distribution._draws(rng, x_blocks)):
+                x *= t.coefficient
+                block += x
     return g
+
+
+def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
+    """Chunk `idx` of `lane`, in a new array."""
+    return _fill_g(model, master_seed, lane, idx, np.empty(size), np.empty(min(_BLOCK, size)))
 
 
 def _finite_extrema(g: np.ndarray, idx: int, config: SimulationConfig) -> tuple[float, float]:
@@ -214,7 +243,8 @@ def _finite_extrema(g: np.ndarray, idx: int, config: SimulationConfig) -> tuple[
 
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Regenerate the exact g stream of simulate(), chunk by chunk."""
+    """Regenerate the exact g stream of simulate(), chunk by chunk, each in
+    a new array that the caller may keep."""
     for idx, size in _chunk_layout(config):
         yield _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
 
@@ -234,23 +264,48 @@ class _ChunkPartial:
     deficit_bins: histogram.Bins | None = None
 
 
-def _summarize_chunk(
-    model: LimitStateModel, config: SimulationConfig, idx: int, size: int, histograms: bool = False
-) -> _ChunkPartial:
-    g = _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
+def _failure_deficits(g: np.ndarray) -> np.ndarray:
+    """-g at every g < 0, in stream order, in a new array of their size.
+
+    Gathered block by block, after a count per block, so the only
+    temporaries are a block's masks.
+    """
+    blocks = [g[start : start + _BLOCK] for start in range(0, g.size, _BLOCK)]
+    counts = [int(np.count_nonzero(block < 0.0)) for block in blocks]
+    deficits = np.empty(sum(counts))
+    start = 0
+    for block, count in zip(blocks, counts):
+        if count:
+            np.compress(block < 0.0, block, out=deficits[start : start + count])
+            start += count
+    return np.negative(deficits, out=deficits)
+
+
+def _summarize_chunk(g: np.ndarray, idx: int, config: SimulationConfig, histograms: bool = False) -> _ChunkPartial:
+    """The partial statistics of chunk `idx`, whose values g holds.
+
+    Works on g in place and leaves it overwritten with the squares of
+    its centred values.
+    """
     min_g, max_g = _finite_extrema(g, idx, config)
+    g_bins = histogram.linear(g, min_g, max_g) if histograms else None
+    deficits = _failure_deficits(g)
+    k = deficits.size
+    deficit_bins = histogram.log_linear(deficits) if histograms and k else None
     # finite values near the float limit can overflow the sums and squares;
     # the folded M2 is checked once, after the last chunk (see simulate)
     with np.errstate(over="ignore", invalid="ignore"):
+        d_sum = float(deficits.sum())
+        deficit_min = float(deficits.min()) if k else math.inf
+        deficit_m2 = 0.0
+        if k:
+            deficits -= d_sum / k
+            deficit_m2 = float(np.square(deficits, out=deficits).sum())
         mean = float(g.mean())
-        centred = g - mean
-        m2 = float(np.square(centred, out=centred).sum())
-        del centred  # free it before binning allocates
-        deficits = -g[g < 0.0]
-        k, d_sum = deficits.size, float(deficits.sum())
-        deficit_m2 = float(np.square(deficits - d_sum / k).sum()) if k else 0.0
-    partial = _ChunkPartial(
-        n=size,
+        g -= mean
+        m2 = float(np.square(g, out=g).sum())
+    return _ChunkPartial(
+        n=g.size,
         mean=mean,
         m2=m2,
         min_g=min_g,
@@ -258,12 +313,10 @@ def _summarize_chunk(
         failure_count=k,
         deficit_sum=d_sum,
         deficit_m2=deficit_m2,
-        deficit_min=float(deficits.min()) if k else math.inf,
+        deficit_min=deficit_min,
+        g_bins=g_bins,
+        deficit_bins=deficit_bins,
     )
-    if histograms:
-        partial.g_bins = histogram.linear(g, min_g, max_g)
-        partial.deficit_bins = histogram.log_linear(deficits) if k else None
-    return partial
 
 
 class _Accumulator:
@@ -335,8 +388,10 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     each chunk once more, which costs far less than regenerating it.
     """
     acc = _Accumulator(config)
+    g, scratch = _buffers(config)
     for idx, size in _chunk_layout(config):
-        acc.fold(_summarize_chunk(model, config, idx, size, histograms))
+        chunk = _fill_g(model, config.master_seed, _LANE_MAIN, idx, g[:size], scratch)
+        acc.fold(_summarize_chunk(chunk, idx, config, histograms))
     if not math.isfinite(acc.m2):
         # every g is finite, or a chunk would have stopped the run
         raise ValueError(
@@ -369,9 +424,17 @@ def _pilot_window(pilot: np.ndarray, p: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _below_and_window(g: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """How many values of g lie below lo, and the values in [lo, hi]."""
-    return int(np.count_nonzero(g < lo)), g[(lo <= g) & (g <= hi)]
+def _below_and_window(g: np.ndarray, lo: float, hi: float) -> tuple[int, list[np.ndarray]]:
+    """How many values of g lie below lo, and the values in [lo, hi], one
+    array per block of g."""
+    below, window = 0, []
+    for start in range(0, g.size, _BLOCK):
+        block = g[start : start + _BLOCK]
+        below += int(np.count_nonzero(block < lo))
+        inside = lo <= block
+        inside &= block <= hi
+        window.append(block[inside])
+    return below, window
 
 
 def _smallest(values: np.ndarray, count: int) -> np.ndarray:
@@ -403,10 +466,11 @@ def calibrate_shift(
     and the answer is the (k - below)-th smallest of the window. The
     window is about 2 * _PILOT_Z * sqrt(p * (1 - p) / m) * n values for
     p = k / n and chunk size m, and it is cut to its (k - below) smallest
-    values whenever it grows past them, so memory is one chunk plus
-    min(window, k) values. When the window misses, one more pass keeps
-    only the side the rank fell on. Every path gives the k-th smallest
-    value exactly.
+    values whenever it grows past them. Memory is one chunk buffer, one
+    block of scratch and min(window, k) values: the chunks are drawn into
+    the one buffer, which also holds the joined window at the end when it
+    fits. When the window misses, one more pass keeps only the side the
+    rank fell on. Every path gives the k-th smallest value exactly.
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -421,34 +485,47 @@ def calibrate_shift(
     base = model.with_shift(0.0)
     k = math.ceil(expected_failures - 1e-9)
 
+    g, scratch = _buffers(config)
+
     def draw(idx: int, size: int) -> np.ndarray:
-        g = _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
-        _finite_extrema(g, idx, config)
-        return g
+        chunk = _fill_g(base, config.master_seed, _LANE_CALIBRATION, idx, g[:size], scratch)
+        _finite_extrema(chunk, idx, config)
+        return chunk
+
+    def cut(window: list[np.ndarray], size: int, count: int) -> np.ndarray:
+        # The `count` smallest of the window's `size` values; empties the
+        # list. Between draws the g buffer is free, so the values are
+        # joined there when they fit, and the cut is copied out of it.
+        fits = size <= g.size
+        joined = np.concatenate(window, out=g[:size] if fits else None)
+        window.clear()
+        smallest = _smallest(joined, count)
+        return smallest.copy() if fits else smallest
 
     layout = _chunk_layout(config)
     pilot = draw(*layout[0])
     lo, hi = _pilot_window(pilot, k / config.sample_count)
     for _ in range(2):
         # Per-chunk (below, window) pairs merge in index order: counts add
-        # and windows concatenate. No value past the (k - below)-th
-        # smallest of the window can be the answer, so those are dropped.
-        below, window = 0, np.empty(0)
+        # and windows join. The window stays a list of arrays, joined only
+        # to be cut: no value past its (k - below)-th smallest can be the
+        # answer, so those are dropped.
+        below, window, kept = 0, [], 0
         for idx, size in layout:
-            g = draw(idx, size) if pilot is None else pilot
+            chunk = draw(idx, size) if pilot is None else pilot
             pilot = None
-            b, w = _below_and_window(g, lo, hi)
-            del g
+            b, w = _below_and_window(chunk, lo, hi)
             below += b
-            window = np.concatenate((window, w))
-            del w
-            if window.size > k - below:
-                window = _smallest(window, k - below)
+            window += w
+            kept += sum(x.size for x in w)
+            if kept > k - below:
+                window = [cut(window, kept, k - below)]
+                kept = window[0].size
         r = k - below
-        if 1 <= r <= window.size:
+        if 1 <= r <= kept:
             break
         # The window missed: pass again, keeping only the side the rank
         # fell on and its bound. That pass holds the rank and cannot miss.
         lo, hi = (-math.inf, lo) if r < 1 else (hi, math.inf)
-    return -float(_smallest(window, r)[-1])
+    return -float(cut(window, kept, r)[-1])
 

@@ -20,7 +20,15 @@ from sevrel.engine import (
     model_moments,
     simulate,
 )
-from sevrel.engine import _LANE_CALIBRATION, _chunk_g, _chunk_layout, _pilot_window
+from sevrel.engine import (
+    _BLOCK,
+    _LANE_CALIBRATION,
+    _LANE_MAIN,
+    _chunk_g,
+    _chunk_layout,
+    _fill_g,
+    _pilot_window,
+)
 from sevrel.scenarios import builtin
 
 
@@ -142,6 +150,17 @@ def test_chunk_layout_covers_remainder():
     cfg = SimulationConfig(sample_count=250_000, master_seed=7, chunk_size=100_000)
     sizes = [c.size for c in g_chunks(failure_heavy_model(), cfg)]
     assert sizes == [100_000, 100_000, 50_000]
+
+
+def test_g_chunks_yields_fresh_arrays():
+    # simulate reuses one g buffer; g_chunks must not, since its callers keep every chunk
+    cfg = SimulationConfig(sample_count=250_000, master_seed=9, chunk_size=100_000)
+    m = failure_heavy_model()
+    chunks = list(g_chunks(m, cfg))
+    for a, b in itertools.combinations(chunks, 2):
+        assert not np.shares_memory(a, b)
+    for (idx, size), g in zip(_chunk_layout(cfg), chunks):
+        assert np.array_equal(g, _chunk_g(m, cfg.master_seed, _LANE_MAIN, idx, size))
 
 
 def test_g_chunks_deterministic():
@@ -313,40 +332,53 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_
         "lo==hi": lo == hi,
     }[window]
     draws = []
-    monkeypatch.setattr(engine, "_chunk_g", lambda *args: draws.append(args) or _chunk_g(*args))
+    monkeypatch.setattr(engine, "_fill_g", lambda *args: draws.append(args) or _fill_g(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
     assert len(draws) == len(_chunk_layout(cfg))  # the window did not miss
+
+
+def window_size(model, target_pf, config):
+    # how many values of the whole calibration sample lie in the pilot window
+    lo, hi = pilot_window(model, target_pf, config)
+    base = model.with_shift(0.0)
+    inside = 0
+    for idx, size in _chunk_layout(config):
+        g = _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
+        inside += int(np.count_nonzero((lo <= g) & (g <= hi)))
+    return inside
 
 
 @pytest.mark.parametrize(
     "target_pf, chunk, z, missed, bound",
     [
-        # A draw holds g and one term's draws (two chunks of float64), and
-        # the window here holds ~55k values; keeping the k = 500 000
-        # smallest values took 9.9 MiB.
-        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks: 8 * 4 * chunk),
+        # One g buffer, one block of scratch and the window, which holds
+        # ~55k values here and is joined in the g buffer when it is cut
+        # (as the count below lo nears k) or read; the block filter's
+        # boolean masks, a byte per value, come on top.
+        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks, window: 8 * (chunk + window + _BLOCK) + 4 * _BLOCK),
         # At 1k chunks the window is ~12 k, so it is cut to the k smallest
         # values. The (idx, size) layout of 2 000 chunks takes up to ~110
         # bytes a chunk, less when tuples come from the interpreter's free
         # list; gc.collect() empties that list, so it is counted in full.
-        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks: 8 * 2 * (k + chunk) + 128 * chunks),
+        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks, window: 8 * 2 * (k + chunk) + 128 * chunks),
         # The second pass keeps the side of the window the rank fell on,
         # cut to the k smallest values, not that whole side.
-        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks: 8 * 3 * (k + chunk)),
+        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks, window: 8 * 3 * (k + chunk)),
     ],
     ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
 )
 def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, missed, bound):
     monkeypatch.setattr(engine, "_PILOT_Z", z)
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
+    model = builtin("scenarioA").model
+    window = window_size(model, target_pf, cfg)
     draws = itertools.count()
 
     def counted(*args):
         next(draws)
-        return _chunk_g(*args)
+        return _fill_g(*args)
 
-    monkeypatch.setattr(engine, "_chunk_g", counted)
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
-    model = builtin("scenarioA").model
+    monkeypatch.setattr(engine, "_fill_g", counted)
     gc.collect()
     tracemalloc.start()
     try:
@@ -357,7 +389,32 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
     chunks = len(_chunk_layout(cfg))
     assert (next(draws) > chunks) == missed
     k = math.ceil(target_pf * cfg.sample_count)
-    assert peak < bound(k, chunk, chunks)
+    assert peak < bound(k, chunk, chunks, window)
+
+
+@pytest.mark.parametrize(
+    "sid, target_pf",
+    [("case-study", None), ("scenarioA", 0.25)],
+    ids=["case-study", "scenarioA-pf-0.25"],
+)
+def test_simulate_memory_is_one_chunk(sid, target_pf):
+    # One g buffer and one block of scratch serve every chunk, and the
+    # chunk is reduced in place: the only other chunk-scale array is the
+    # chunk's failure deficits. A few blocks cover the scratch and the
+    # binning's per-block keys.
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=5, chunk_size=1_000_000)
+    model = builtin(sid).model
+    if target_pf is not None:
+        model = model.with_shift(calibrate_shift(model, target_pf, cfg))
+    most_failures = max(int(np.count_nonzero(g < 0.0)) for g in g_chunks(model, cfg))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulate(model, cfg, histograms=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cfg.chunk_size + 8 * most_failures + 4 * 8 * _BLOCK
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
@@ -424,3 +481,24 @@ def test_non_finite_g_names_the_first_chunk_that_has_it():
     with pytest.raises(ValueError, match=message):
         simulate(model, cfg)
 
+
+@pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
+def test_non_finite_g_after_finite_chunks_names_its_chunk(lane):
+    # finite chunks fill the one g buffer first; the error must still name
+    # the first non-finite chunk of the lane and its stream positions
+    rare = Mixture(((0.9999, Normal(0.0, 1.0)), (0.0001, Normal(1.7e308, 1e308))))
+    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
+    cfg = SimulationConfig(sample_count=100_500, master_seed=4, chunk_size=1_000)
+    bad = [
+        idx
+        for idx, size in _chunk_layout(cfg)
+        if not np.isfinite(_chunk_g(model, cfg.master_seed, lane, idx, size)).all()
+    ]
+    assert bad and bad[0] > 0
+    first = bad[0]
+    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
+    with pytest.raises(ValueError, match=message):
+        if lane == _LANE_MAIN:
+            simulate(model, cfg, histograms=True)
+        else:
+            calibrate_shift(model, 0.25, cfg)

@@ -1,22 +1,28 @@
 """Bit-identity of the sampling kernel against the straightforward algorithms.
 
-The samplers and the chunk kernel work in place, and a Mixture evaluates
-its heaviest branch over the whole batch before the other branches
+The samplers and the chunk kernel work in place, block by block: the
+engine draws each term through one reused block scratch, and a Mixture
+evaluates its heaviest branch over each block before the other branches
 overwrite their positions. The references below are the direct forms
-those replace: one expression per quantile, a searchsorted branch index
-with a mask and gather per component, and ``g += c * sample``. The
-reproducibility contract is about bits, so every comparison is
-``np.array_equal``.
+those replace: one expression per quantile, one whole-batch draw, a
+searchsorted branch index with a mask and gather per component, and
+``g += c * sample``. The reproducibility contract is about bits, so
+every comparison is ``np.array_equal``. Sizes on both sides of a block
+edge check that cutting a batch into blocks changes no draw.
 """
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from sevrel import histogram
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from sevrel.engine import (
+    _BLOCK,
     _LANE_MAIN,
+    LimitStateModel,
     SimulationConfig,
+    Term,
     _chunk_g,
     _lane_rng,
     _summarize_chunk,
@@ -25,6 +31,8 @@ from sevrel.scenarios import SCENARIO_IDS, builtin
 
 _TINY = float(np.finfo(float).tiny)
 SIZES = [1, 13, 1_000_000]
+# one short of a block, one block, one past it, and a ragged fourth block
+EDGES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 
 
 def reference_quantile(d, q):
@@ -84,6 +92,11 @@ FOUR_WAY = Mixture(
 )
 HEAVY_LAST = Mixture(((0.3, Gumbel(2.0, 0.6)), (0.7, Normal(0.0, 1.0))))
 TIED = Mixture(((0.4, Normal(0.0, 1.0)), (0.4, Gumbel(2.0, 0.6)), (0.2, Pareto(1.0, 3.0))))
+# the first branch counts as the heaviest, so half the draws are overwritten
+HALF = Mixture(((0.5, Normal(0.0, 1.0)), (0.5, Gumbel(2.0, 0.6))))
+# a seed whose HALF draws overwrite the first and last position of every
+# block of a 3 * _BLOCK + 7 batch (see test_half_mixture_minority_on_block_edges)
+HALF_SEED = 287
 
 
 def _builtin_distributions():
@@ -95,7 +108,14 @@ def _builtin_distributions():
     return seen
 
 
-DISTRIBUTIONS = FAMILIES + [FOUR_WAY, HEAVY_LAST, TIED] + _builtin_distributions()
+DISTRIBUTIONS = FAMILIES + [FOUR_WAY, HEAVY_LAST, TIED] + _builtin_distributions() + [HALF]
+
+
+def blocked_sample(dist, rng, n):
+    # the engine's way: every block of the batch drawn into one reused scratch
+    scratch = np.empty(min(_BLOCK, n))
+    blocks = [scratch[: min(_BLOCK, n - start)] for start in range(0, n, _BLOCK)]
+    return np.concatenate([x.copy() for x in dist._draws(rng, blocks)])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -106,6 +126,26 @@ def test_sample_matches_reference_bits(dist, n):
     want = reference_sample(dist, np.random.default_rng(seed), n)
     assert got.shape == (n,)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", EDGES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
+def test_blocked_draws_match_reference_bits(dist, n):
+    seed = 1000 + n
+    got = blocked_sample(dist, np.random.default_rng(seed), n)
+    want = reference_sample(dist, np.random.default_rng(seed), n)
+    assert np.array_equal(got, want)
+
+
+def test_half_mixture_minority_on_block_edges():
+    n = 3 * _BLOCK + 7
+    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK - 1, 3 * _BLOCK, n - 1]
+    # the branch uniforms come first in the stream; the minority is u >= 0.5
+    assert (np.random.default_rng(HALF_SEED).random(n)[edges] >= 0.5).all()
+    got = blocked_sample(HALF, np.random.default_rng(HALF_SEED), n)
+    want = reference_sample(HALF, np.random.default_rng(HALF_SEED), n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(HALF.sample(np.random.default_rng(HALF_SEED), n), want)
 
 
 def test_four_way_mixture_draws_every_branch():
@@ -132,18 +172,35 @@ def test_quantile_rejects_the_closed_ends(dist):
             dist.quantile(bad)
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("sid", SCENARIO_IDS)
+# every branch of FOUR_WAY, and half the draws from the minority of HALF
+MIXTURES = LimitStateModel(
+    terms=(
+        Term("four", 1.0, FOUR_WAY),
+        Term("half", -2.0, HALF),
+        Term("normal", 0.5, Normal(1.0, 1.0)),
+    ),
+    shift=-3.0,
+)
+
+
+def chunk_model(sid):
+    return MIXTURES if sid == "mixtures" else builtin(sid).model.with_shift(0.25)
+
+
+@pytest.mark.parametrize("n", SIZES + EDGES)
+@pytest.mark.parametrize("sid", [*SCENARIO_IDS, "mixtures"])
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
-    model = builtin(sid).model.with_shift(0.25)
+    model = chunk_model(sid)
     g = reference_chunk_g(model, 7, _LANE_MAIN, 2, n)
     assert np.array_equal(_chunk_g(model, 7, _LANE_MAIN, 2, n), g)
 
     config = SimulationConfig(sample_count=3 * n, master_seed=7, chunk_size=n)
-    part = _summarize_chunk(model, config, 2, n)
+    part = _summarize_chunk(_chunk_g(model, 7, _LANE_MAIN, 2, n), 2, config, histograms=True)
     mean = float(g.mean())
     assert part.mean == mean
     assert part.m2 == float(np.square(g - mean).sum())
+    assert (part.min_g, part.max_g) == (float(g.min()), float(g.max()))
+    assert np.array_equal(part.g_bins.counts, histogram.linear(g, float(g.min()), float(g.max())).counts)
     deficits = -g[g < 0.0]
     k = deficits.size
     assert part.failure_count == k
@@ -151,3 +208,6 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     if k:
         assert part.deficit_m2 == float(np.square(deficits - float(deficits.sum()) / k).sum())
         assert part.deficit_min == float(deficits.min())
+        assert np.array_equal(part.deficit_bins.counts, histogram.log_linear(deficits).counts)
+    else:
+        assert part.deficit_bins is None
