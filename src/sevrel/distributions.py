@@ -23,13 +23,16 @@ Sampling conventions, fixed so that streams are reproducible:
   positions only.
 
 A batch can be drawn in blocks into arrays the caller supplies
-(``_draws``), and no draw depends on how the batch is cut: the engine
-draws each term of a chunk through one reused block of scratch. Scalar
-families fill each block in place (``_fill``). A Mixture makes two
-passes over the blocks: the first keeps only the positions outside the
-heaviest branch and their branch index, the second draws the values.
-``sample`` draws a batch as one block in a new array. Samplers and the
-private ``_inverse_cdf`` make no full-length temporaries.
+(``_draws``), one block per step, and no draw depends on how the batch
+is cut: the engine draws each term of a chunk from its own generator,
+a block at a time, through one reused block of scratch, so the terms
+of a block of g are drawn together. Scalar families fill each block in
+place (``_fill``). A Mixture drawn in more than one block reads its
+value uniforms from a copy of its generator advanced past the batch's
+branch uniforms, so each block reads both of its runs and nothing is
+kept from one block to the next. ``sample`` draws a batch as one block
+in a new array. Samplers and the private ``_inverse_cdf`` make no
+full-length temporaries.
 """
 
 from __future__ import annotations
@@ -340,26 +343,28 @@ class Mixture(_Sampled):
 
     def _draws(self, rng: np.random.Generator, blocks: list[np.ndarray]):
         # Two stream consumptions per batch, fixed order: every branch
-        # uniform of the batch, then every value uniform.
+        # uniform of the batch, then every value uniform. Over more than
+        # one block the value uniforms come from a copy of the generator
+        # advanced past the branch uniforms, so each block draws both of
+        # its runs at once.
         weights = [w for w, _ in self.components]
         cuts = np.cumsum(weights)[:-1]
         heavy = weights.index(max(weights))
         # A draw is in branch k when cuts[k-1] <= u_branch < cuts[k], as
-        # searchsorted(side="right") counts. The first pass keeps, per
-        # block, the positions outside the heaviest branch's interval
-        # [lower, upper) and their branch.
+        # searchsorted(side="right") counts. Only the positions outside the
+        # heaviest branch's interval [lower, upper) are kept, with their
+        # branch.
         lower = cuts[heavy - 1] if heavy > 0 else -math.inf
         upper = cuts[heavy] if heavy < cuts.size else math.inf
-        outside = []
+        heaviest = self.components[heavy][1]
+        values = rng if len(blocks) == 1 else _ahead(rng, sum(u.size for u in blocks))
         for u in blocks:
             rng.random(out=u)
             mask = u < lower
             mask |= u >= upper
             pos = np.flatnonzero(mask)
-            outside.append((pos, np.searchsorted(cuts, u[pos], side="right")))
-        heaviest = self.components[heavy][1]
-        for u, (pos, branch) in zip(blocks, outside):
-            _uniform(rng, u)
+            branch = np.searchsorted(cuts, u[pos], side="right")
+            _uniform(values, u)
             minority = u[pos]
             heaviest._inverse_cdf(u)
             for k, (_, d) in enumerate(self.components):
@@ -367,6 +372,20 @@ class Mixture(_Sampled):
                 if k != heavy and sel.any():
                     u[pos[sel]] = d._inverse_cdf(minority[sel])
             yield u
+        if values is not rng:
+            rng.bit_generator.state = values.bit_generator.state
+
+
+def _ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
+    """A new generator whose stream starts n doubles past rng's.
+
+    Needs a bit generator whose ``advance`` counts 64-bit draws, one per
+    double, as PCG64 (``default_rng``) does.
+    """
+    bits = type(rng.bit_generator)(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(n)
+    return np.random.Generator(bits)
 
 
 Distribution = Normal | Lognormal | Gumbel | Pareto | Mixture

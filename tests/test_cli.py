@@ -143,7 +143,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 6
+    assert doc["schemaVersion"] == 7
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -504,7 +504,10 @@ def test_scenario_rejects_bad_overrides(argv, message, capsys):
 
 
 def test_scenario_pass(capsys):
-    assert main(["scenario", "example1-gaussian", "--n", "200000"]) == 0
+    # at the scenario's own 5M samples its efStar and betaS tolerances are
+    # ~4 standard errors; at 200k they were under one, so the verdict
+    # depended on the stream
+    assert main(["scenario", "example1-gaussian"]) == 0
     out = capsys.readouterr().out
     assert "Two-Gaussian closed-form check" in out
     assert "pass" in out and "FAIL" not in out
@@ -518,7 +521,8 @@ def test_scenario_failing_expectations(capsys):
 
 
 def test_scenario_export(tmp_path, capsys):
-    rc = main(["scenario", "example1-gaussian", "--n", "200000", "--export", str(tmp_path / "out")])
+    # at the scenario's own n, like test_scenario_pass: exit 0 needs every check to pass
+    rc = main(["scenario", "example1-gaussian", "--export", str(tmp_path / "out")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "exported:" in out

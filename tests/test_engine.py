@@ -3,8 +3,12 @@
 import gc
 import itertools
 import math
+import os
+import threading
+import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +30,10 @@ from sevrel.engine import (
     _LANE_MAIN,
     _chunk_g,
     _chunk_layout,
-    _fill_g,
+    _draw_chunk,
     _pilot_window,
 )
-from sevrel.scenarios import builtin
+from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
 
 def margin_model():
@@ -45,6 +49,10 @@ def margin_model():
 def failure_heavy_model():
     # pf = cdf(-1) ~ 0.159, enough failures to exercise the stores
     return LimitStateModel(terms=(Term("x", 1.0, Normal(1.0, 1.0)),))
+
+
+def pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(engine, "_workers", lambda layout: min(workers, len(layout)))
 
 
 def full_g(model, config):
@@ -276,9 +284,10 @@ def test_calibrate_shift_streams_to_the_same_bits(target_pf, n):
 
 
 def pilot_window(model, target_pf, config):
-    # the window calibrate_shift draws from chunk 0 of the calibration lane
+    # the window calibrate_shift draws from the first block of chunk 0 of
+    # the calibration lane
     size = min(config.chunk_size, config.sample_count)
-    pilot = _chunk_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)
+    pilot = _chunk_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)[:_BLOCK]
     k = math.ceil(target_pf * config.sample_count - 1e-9)
     return _pilot_window(pilot, k / config.sample_count)
 
@@ -287,7 +296,7 @@ def pilot_window(model, target_pf, config):
     "z, seed, side",
     [
         (-3.0, 1, "below"),  # lo == hi, several pilot SDs above the quantile
-        (0.0, 1, "below"),
+        (0.0, 5, "below"),
         (0.0, 3, "above"),
     ],
 )
@@ -332,9 +341,10 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_
         "lo==hi": lo == hi,
     }[window]
     draws = []
-    monkeypatch.setattr(engine, "_fill_g", lambda *args: draws.append(args) or _fill_g(*args))
+    monkeypatch.setattr(engine, "_draw_chunk", lambda *args: draws.append(args) or _draw_chunk(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
-    assert len(draws) == len(_chunk_layout(cfg))  # the window did not miss
+    # the pilot, then every chunk once: the window did not miss
+    assert len(draws) == 1 + len(_chunk_layout(cfg))
 
 
 def window_size(model, target_pf, config):
@@ -348,27 +358,33 @@ def window_size(model, target_pf, config):
     return inside
 
 
+def per_thread(workers, size):
+    # each thread, and the pilot, holds a block of g and one of scratch,
+    # float64, and a block filter's masks or a block's binning keys
+    return (workers + 1) * 4 * 8 * min(_BLOCK, size)
+
+
 @pytest.mark.parametrize(
     "target_pf, chunk, z, missed, bound",
     [
-        # One g buffer, one block of scratch and the window, which holds
-        # ~55k values here and is joined in the g buffer when it is cut
-        # (as the count below lo nears k) or read; the block filter's
-        # boolean masks, a byte per value, come on top.
-        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks, window: 8 * (chunk + window + _BLOCK) + 4 * _BLOCK),
-        # At 1k chunks the window is ~12 k, so it is cut to the k smallest
+        # A few blocks per thread, and the window, which holds ~67k values
+        # here and is joined, once, to be cut (as the count below lo nears
+        # k) or read. No term grows with the chunk size.
+        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks, window, threads: 8 * 2 * window + threads),
+        # At 1k chunks the window is ~24k, so it is cut to the k smallest
         # values. The (idx, size) layout of 2 000 chunks takes up to ~110
         # bytes a chunk, less when tuples come from the interpreter's free
         # list; gc.collect() empties that list, so it is counted in full.
-        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks, window: 8 * 2 * (k + chunk) + 128 * chunks),
+        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks, window, threads: 8 * 2 * k + 128 * chunks + threads),
         # The second pass keeps the side of the window the rank fell on,
         # cut to the k smallest values, not that whole side.
-        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks, window: 8 * 3 * (k + chunk)),
+        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks, window, threads: 8 * 2 * k + threads),
     ],
     ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
 )
 def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, missed, bound):
     monkeypatch.setattr(engine, "_PILOT_Z", z)
+    pin_workers(monkeypatch, 2)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
     model = builtin("scenarioA").model
     window = window_size(model, target_pf, cfg)
@@ -376,9 +392,9 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
 
     def counted(*args):
         next(draws)
-        return _fill_g(*args)
+        return _draw_chunk(*args)
 
-    monkeypatch.setattr(engine, "_fill_g", counted)
+    monkeypatch.setattr(engine, "_draw_chunk", counted)
     gc.collect()
     tracemalloc.start()
     try:
@@ -387,9 +403,9 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
     finally:
         tracemalloc.stop()
     chunks = len(_chunk_layout(cfg))
-    assert (next(draws) > chunks) == missed
+    assert (next(draws) > 1 + chunks) == missed
     k = math.ceil(target_pf * cfg.sample_count)
-    assert peak < bound(k, chunk, chunks, window)
+    assert peak < bound(k, chunk, chunks, window, per_thread(2, chunk))
 
 
 @pytest.mark.parametrize(
@@ -397,16 +413,15 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
     [("case-study", None), ("scenarioA", 0.25)],
     ids=["case-study", "scenarioA-pf-0.25"],
 )
-def test_simulate_memory_is_one_chunk(sid, target_pf):
-    # One g buffer and one block of scratch serve every chunk, and the
-    # chunk is reduced in place: the only other chunk-scale array is the
-    # chunk's failure deficits. A few blocks cover the scratch and the
-    # binning's per-block keys.
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=5, chunk_size=1_000_000)
+def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
+    # Each thread draws and reduces its chunk one block at a time, so
+    # memory is a few blocks per thread, whatever the chunk size: here a
+    # chunk alone would take 16 MB.
+    pin_workers(monkeypatch, 2)
+    cfg = SimulationConfig(sample_count=4_000_000, master_seed=5, chunk_size=2_000_000)
     model = builtin(sid).model
     if target_pf is not None:
         model = model.with_shift(calibrate_shift(model, target_pf, cfg))
-    most_failures = max(int(np.count_nonzero(g < 0.0)) for g in g_chunks(model, cfg))
     gc.collect()
     tracemalloc.start()
     try:
@@ -414,7 +429,7 @@ def test_simulate_memory_is_one_chunk(sid, target_pf):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * cfg.chunk_size + 8 * most_failures + 4 * 8 * _BLOCK
+    assert peak < per_thread(2, cfg.chunk_size)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
@@ -436,6 +451,12 @@ def test_calibrate_refuses_starved_targets():
 def overflowing_model():
     # 1e308 * N(10, 1) overflows to inf on every draw
     return LimitStateModel(terms=(Term("x", 1e308, Normal(10.0, 1.0)),))
+
+
+def rare_overflow_model():
+    # a rare branch whose draws overflow about half the time
+    rare = Mixture(((0.9999, Normal(0.0, 1.0)), (0.0001, Normal(1.7e308, 1e308))))
+    return LimitStateModel(terms=(Term("x", 1.0, rare),))
 
 
 def nan_model():
@@ -470,9 +491,7 @@ def test_sample_variance_overflow_fails_after_the_last_chunk():
 
 
 def test_non_finite_g_names_the_first_chunk_that_has_it():
-    # a rare branch whose draws overflow about half the time
-    rare = Mixture(((0.9999, Normal(0.0, 1.0)), (0.0001, Normal(1.7e308, 1e308))))
-    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
+    model = rare_overflow_model()
     cfg = SimulationConfig(sample_count=100_000, master_seed=3, chunk_size=1_000)
     bad = [i for i, g in enumerate(g_chunks(model, cfg)) if not np.isfinite(g).all()]
     assert bad and bad[0] > 0
@@ -484,10 +503,9 @@ def test_non_finite_g_names_the_first_chunk_that_has_it():
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
 def test_non_finite_g_after_finite_chunks_names_its_chunk(lane):
-    # finite chunks fill the one g buffer first; the error must still name
-    # the first non-finite chunk of the lane and its stream positions
-    rare = Mixture(((0.9999, Normal(0.0, 1.0)), (0.0001, Normal(1.7e308, 1e308))))
-    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
+    # finite chunks come first; the error must still name the first
+    # non-finite chunk of the lane and its stream positions
+    model = rare_overflow_model()
     cfg = SimulationConfig(sample_count=100_500, master_seed=4, chunk_size=1_000)
     bad = [
         idx
@@ -502,3 +520,138 @@ def test_non_finite_g_after_finite_chunks_names_its_chunk(lane):
             simulate(model, cfg, histograms=True)
         else:
             calibrate_shift(model, 0.25, cfg)
+
+
+# --- threads --------------------------------------------------------------
+
+
+def scenario_outputs(sid, tmp_path, workers):
+    # 8 chunks of two blocks each, the last chunk ragged
+    res = run(replace(builtin(sid), chunk_size=100_000), sample_count=700_003, histograms=True)
+    path = tmp_path / f"{sid}-{workers}.json"
+    export_result(res, "report-json", str(path))
+    s = res.summary
+    scalars = {k: v for k, v in vars(s).items() if k not in ("g_histogram", "deficit_histogram", "failure_deficits")}
+    hists = [h for h in (s.g_histogram, s.deficit_histogram) if h is not None]
+    return scalars, hists, path.read_bytes(), res.calibrated_shift
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, sid):
+    outputs = []
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        outputs.append(scenario_outputs(sid, tmp_path, workers))
+    (scalars, hists, doc, shift) = outputs[0]
+    assert hists
+    for other_scalars, other_hists, other_doc, other_shift in outputs[1:]:
+        assert other_scalars == scalars
+        assert len(other_hists) == len(hists)
+        for a, b in zip(hists, other_hists):
+            assert np.array_equal(a.edges, b.edges) and np.array_equal(a.counts, b.counts)
+        assert other_doc == doc
+        assert other_shift == shift
+
+
+@pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
+def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, lane):
+    # The first bad chunk is held back, so a later bad chunk raises first
+    # on another thread; the error must still name the first. The rare
+    # branch is ten times as likely as in rare_overflow_model, so that two
+    # bad chunks are in flight together.
+    rare = Mixture(((0.999, Normal(0.0, 1.0)), (0.001, Normal(1.7e308, 1e308))))
+    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
+    cfg = SimulationConfig(sample_count=20_000, master_seed=4, chunk_size=1_000)
+    bad = [
+        idx
+        for idx, size in _chunk_layout(cfg)
+        if not np.isfinite(_chunk_g(model, cfg.master_seed, lane, idx, size)).all()
+    ]
+    assert len(bad) >= 2 and bad[0] > 0
+    first, second = bad[:2]
+    assert second - first < 2 * 3  # both are in flight together on three threads
+    raised = threading.Event()
+
+    def draw(base, master_seed, chunk_lane, idx, g_blocks):
+        if idx == first:
+            raised.wait(timeout=10.0)
+            time.sleep(0.1)  # time for the second chunk's error to reach its future
+        for g in _draw_chunk(base, master_seed, chunk_lane, idx, g_blocks):
+            if idx == second and not np.isfinite(g).all():
+                raised.set()
+            yield g
+
+    pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
+    with pytest.raises(ValueError, match=message):
+        if lane == _LANE_MAIN:
+            simulate(model, cfg)
+        else:
+            calibrate_shift(model, 0.25, cfg)
+    assert raised.is_set()
+
+
+def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch):
+    # While chunk 0 is held, the other threads may run only the chunks
+    # already submitted: two per worker, counting chunk 0.
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
+    held, ahead = threading.Event(), []
+
+    def draw(*args):
+        idx = args[3]
+        if idx == 0:
+            time.sleep(0.3)
+            held.set()
+        elif not held.is_set():
+            ahead.append(idx)
+        return _draw_chunk(*args)
+
+    pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    simulate(margin_model(), cfg)
+    assert ahead and max(ahead) < 2 * 3
+
+
+def test_an_error_cancels_the_chunks_not_started(monkeypatch):
+    # Chunk 0 fails at once while chunks 1 to 5 are queued or running
+    # slowly: only the chunks already running are drawn.
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
+    drawn = []
+
+    def draw(*args):
+        drawn.append(args[3])
+        if args[3]:
+            time.sleep(0.2)
+        return _draw_chunk(*args)
+
+    pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    with pytest.raises(ValueError, match="not finite in chunk 0"):
+        simulate(overflowing_model(), cfg)
+    # chunk 0 and at most one chunk per thread started after it
+    assert sorted(drawn) == list(range(len(drawn))) and len(drawn) <= 1 + 3
+
+
+def test_chunks_shorter_than_a_block_run_on_one_thread():
+    assert engine._workers(_chunk_layout(SimulationConfig(1_000_000, 0, _BLOCK - 1))) == 1
+    cpus = len(os.sched_getaffinity(0))
+    for chunks in (1, 3, 100):
+        layout = _chunk_layout(SimulationConfig(chunks * _BLOCK, 0, _BLOCK))
+        assert engine._workers(layout) == min(cpus, chunks)
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    pin_workers(monkeypatch, 3)
+    start = threading.active_count()
+    cfg = SimulationConfig(sample_count=50_000, master_seed=0, chunk_size=1_000)
+    simulate(margin_model(), cfg, histograms=True)
+    assert threading.active_count() == start
+    calibrate_shift(margin_model(), 0.01, cfg)
+    assert threading.active_count() == start
+    with pytest.raises(ValueError, match="not finite"):
+        simulate(overflowing_model(), cfg)
+    assert threading.active_count() == start
+    with pytest.raises(ValueError, match="not finite"):
+        calibrate_shift(overflowing_model(), 0.1, cfg)
+    assert threading.active_count() == start

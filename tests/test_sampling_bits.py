@@ -1,15 +1,21 @@
 """Bit-identity of the sampling kernel against the straightforward algorithms.
 
 The samplers and the chunk kernel work in place, block by block: the
-engine draws each term through one reused block scratch, and a Mixture
-evaluates its heaviest branch over each block before the other branches
-overwrite their positions. The references below are the direct forms
-those replace: one expression per quantile, one whole-batch draw, a
-searchsorted branch index with a mask and gather per component, and
-``g += c * sample``. The reproducibility contract is about bits, so
-every comparison is ``np.array_equal``. Sizes on both sides of a block
-edge check that cutting a batch into blocks changes no draw.
+engine draws each term from its own substream through one reused block
+scratch, a Mixture drawn in blocks reads its value uniforms from an
+advanced copy of its generator, and a Mixture evaluates its heaviest
+branch over each block before the other branches overwrite their
+positions. The references below are the direct forms those replace: one
+expression per quantile, one whole-batch draw, a searchsorted branch
+index with a mask and gather per component, ``g += c * sample`` with
+term j drawn from SeedSequence(seed, spawn_key=(lane, chunk, j)), and
+each block's statistics computed from its values. The reproducibility
+contract is about bits, so every comparison is exact. Sizes on both
+sides of a block edge check that cutting a batch into blocks changes no
+draw.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +30,9 @@ from sevrel.engine import (
     SimulationConfig,
     Term,
     _chunk_g,
-    _lane_rng,
-    _summarize_chunk,
+    _chunk_partial,
+    _Partial,
+    _summarize_block,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -72,9 +79,9 @@ def reference_sample(d, rng, n):
 
 
 def reference_chunk_g(model, master_seed, lane, idx, size):
-    rng = _lane_rng(master_seed, lane, idx)
     g = np.full(size, model.shift)
-    for t in model.terms:
+    for j, t in enumerate(model.terms):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j)))
         g += t.coefficient * reference_sample(t.distribution, rng, size)
     return g
 
@@ -132,9 +139,12 @@ def test_sample_matches_reference_bits(dist, n):
 @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
 def test_blocked_draws_match_reference_bits(dist, n):
     seed = 1000 + n
-    got = blocked_sample(dist, np.random.default_rng(seed), n)
-    want = reference_sample(dist, np.random.default_rng(seed), n)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = blocked_sample(dist, got_rng, n)
+    want = reference_sample(dist, want_rng, n)
     assert np.array_equal(got, want)
+    # and the stream is left where one whole-batch draw leaves it
+    assert got_rng.random() == want_rng.random()
 
 
 def test_half_mixture_minority_on_block_edges():
@@ -187,6 +197,40 @@ def chunk_model(sid):
     return MIXTURES if sid == "mixtures" else builtin(sid).model.with_shift(0.25)
 
 
+def reference_block_partial(g):
+    # one block's statistics, each from the block's values directly
+    lo, hi = float(g.min()), float(g.max())
+    mean = float(g.mean())
+    part = _Partial(
+        n=g.size,
+        mean=mean,
+        m2=float(np.square(g - mean).sum()),
+        min_g=lo,
+        max_g=hi,
+        g_bins=histogram.linear(g, lo, hi),
+    )
+    deficits = -g[g < 0.0]
+    k = deficits.size
+    if k:
+        part.failure_count = k
+        part.deficit_sum = float(deficits.sum())
+        part.deficit_m2 = float(np.square(deficits - float(deficits.sum()) / k).sum())
+        part.deficit_min = float(deficits.min())
+        part.deficit_bins = histogram.log_linear(deficits)
+    return part
+
+
+def assert_same_partial(got, want):
+    for name in ("n", "mean", "m2", "min_g", "max_g", "failure_count", "deficit_sum", "deficit_m2", "deficit_min"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("g_bins", "deficit_bins"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert (a.lo, a.hi, a.shift) == (b.lo, b.hi, b.shift), name
+            assert np.array_equal(a.counts, b.counts), name
+
+
 @pytest.mark.parametrize("n", SIZES + EDGES)
 @pytest.mark.parametrize("sid", [*SCENARIO_IDS, "mixtures"])
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
@@ -194,20 +238,35 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     g = reference_chunk_g(model, 7, _LANE_MAIN, 2, n)
     assert np.array_equal(_chunk_g(model, 7, _LANE_MAIN, 2, n), g)
 
+    # each block reduces to its own statistics, and the chunk's partial
+    # is their fold in block order
     config = SimulationConfig(sample_count=3 * n, master_seed=7, chunk_size=n)
-    part = _summarize_chunk(_chunk_g(model, 7, _LANE_MAIN, 2, n), 2, config, histograms=True)
-    mean = float(g.mean())
-    assert part.mean == mean
-    assert part.m2 == float(np.square(g - mean).sum())
-    assert (part.min_g, part.max_g) == (float(g.min()), float(g.max()))
-    assert np.array_equal(part.g_bins.counts, histogram.linear(g, float(g.min()), float(g.max())).counts)
-    deficits = -g[g < 0.0]
-    k = deficits.size
-    assert part.failure_count == k
-    assert part.deficit_sum == float(deficits.sum())
-    if k:
-        assert part.deficit_m2 == float(np.square(deficits - float(deficits.sum()) / k).sum())
-        assert part.deficit_min == float(deficits.min())
-        assert np.array_equal(part.deficit_bins.counts, histogram.log_linear(deficits).counts)
-    else:
-        assert part.deficit_bins is None
+    want = _Partial()
+    for start in range(0, n, _BLOCK):
+        block = g[start : start + _BLOCK]
+        ref = reference_block_partial(block)
+        assert_same_partial(_summarize_block(block.copy(), 2, n, config, histograms=True), ref)
+        want.fold(ref)
+    assert_same_partial(_chunk_partial(model, config, True, 2, n), want)
+
+
+def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
+    # A term's draws come from its own substream, so they do not depend on
+    # how many values the other terms consume. Zero coefficients pick out
+    # one term's contribution to g, exactly.
+    n = 3 * _BLOCK + 7
+
+    def g(model):
+        return _chunk_g(model, 7, _LANE_MAIN, 2, n)
+
+    two = LimitStateModel(terms=(Term("a", 1.0, Normal(1.0, 2.0)), Term("b", -0.5, Gumbel(8.0, 1.2))), shift=0.25)
+    zeroed = tuple(replace(t, coefficient=0.0) for t in two.terms)
+    only_b = replace(two, terms=(zeroed[0], two.terms[1]), shift=0.0)
+    for dist in (FOUR_WAY, HALF, Pareto(10.0, 1.5)):
+        # appended: g gains the new term's draws and nothing else
+        c = Term("c", 2.0, dist)
+        only_c = replace(two, terms=(*zeroed, c), shift=0.0)
+        assert np.array_equal(g(replace(two, terms=(*two.terms, c))), g(two) + g(only_c))
+        # in front of another term, a family that consumes another number of
+        # values leaves that term's draws as they were
+        assert np.array_equal(g(replace(only_b, terms=(Term("a", 0.0, dist), two.terms[1]))), g(only_b))

@@ -10,6 +10,7 @@ from sevrel import scenarios
 from sevrel.distributions import Normal
 from sevrel.engine import LimitStateModel, Term
 from sevrel.histogram import HISTOGRAM_BINS
+from sevrel.metrics import classify
 from sevrel.scenarios import (
     SCENARIO_IDS,
     Expectation,
@@ -167,7 +168,14 @@ def test_case_study_reference_values_fail_as_documented(scenario_cache):
     # frequency stats land well off the reported ones; severity stats agree
     res = scenario_cache("case-study")
     failing = {c.metric for c in res.checks if not c.passed}
-    assert failing == {"pf", "beta"}
+    assert failing - {"level"} == {"pf", "beta"}
+    # The exact beta_S, 1.163, lies so near the level boundary at 1.0 that
+    # one 2M-sample run's 95% interval straddles it, and the stream picks
+    # its level. The mean E_f* of the five seeds that criterion 6 runs
+    # (SE 0.0097) is 3.2 SE from the boundary, and grades the level.
+    ef_star = np.mean([scenario_cache("case-study", master_seed=s).report.ef_star for s in (None, 1, 2, 3, 4)])
+    (level,) = [c.expected for c in res.checks if c.metric == "level"]
+    assert classify(ef_star).label == level
 
 
 def test_matched_pair_is_calibrated(scenario_cache):
@@ -190,7 +198,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 6
+    assert doc["schemaVersion"] == 7
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     # no deficit store since schemaVersion 5, no robust subsample since 6
