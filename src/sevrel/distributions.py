@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtr, ndtri
 
 __all__ = [
@@ -376,13 +377,22 @@ class Mixture(_Sampled):
             rng.bit_generator.state = values.bit_generator.state
 
 
+class _Blank(ISeedSequence):
+    """A seed of zeros, for a bit generator whose state is set at once:
+    seeding it from a SeedSequence would hash an entropy pool for
+    nothing, and costs several times as much."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype)
+
+
 def _ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
     """A new generator whose stream starts n doubles past rng's.
 
     Needs a bit generator whose ``advance`` counts 64-bit draws, one per
     double, as PCG64 (``default_rng``) does.
     """
-    bits = type(rng.bit_generator)(0)
+    bits = type(rng.bit_generator)(_Blank())
     bits.state = rng.bit_generator.state
     bits.advance(n)
     return np.random.Generator(bits)

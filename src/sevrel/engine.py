@@ -3,11 +3,11 @@
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
 Simulation is chunked, and each term of a chunk has its own substream:
-term j of chunk i on a lane draws from SeedSequence(master_seed,
-spawn_key=(lane, i, j)). So a term's draws do not depend on the other
-terms, and the terms of a chunk can be drawn together a block at a
-time. Changing the chunk size changes the substream layout and
-therefore the sample.
+chunk i on a lane has the stream of SeedSequence(master_seed,
+spawn_key=(lane, i)), and term j reads it from its (j * 2**64)-th draw
+on. So a term's draws do not depend on the other terms, and the terms
+of a chunk can be drawn together a block at a time. Changing the chunk
+size changes the substream layout and therefore the sample.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. A chunk is
@@ -45,7 +45,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import histogram
-from .distributions import Distribution, MomentReport
+from .distributions import Distribution, MomentReport, _ahead
 
 __all__ = [
     "Term",
@@ -202,8 +202,10 @@ def _workers(layout: list[tuple[int, int]]) -> int:
     per chunk.
 
     Chunks shorter than a block get one thread: their numpy calls are
-    too short to release the interpreter lock for long, and two threads
-    took 4M samples in 1k chunks from 0.8 s to 3.7 s.
+    too short to release the interpreter lock for long. Against one
+    thread, two took 4M samples 2.5-5 times as long in 1k chunks, about
+    as long in 16k, and 1.3-1.6 times less from 48k up (README,
+    threads); the cut at a block is on the safe side of that.
     """
     if layout[0][1] < _BLOCK:
         return 1
@@ -239,9 +241,18 @@ def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> I
                 future.cancel()
 
 
-def _term_rng(master_seed: int, lane: int, idx: int, term: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, idx, term))
-    return np.random.default_rng(seq)
+def _term_rngs(master_seed: int, lane: int, idx: int, terms: int) -> list[np.random.Generator]:
+    """One generator per term of chunk `idx` of `lane`: term j reads the
+    chunk's stream, SeedSequence(master_seed; lane, idx), from its
+    (j * 2**64)-th draw on.
+
+    A term draws at most a few values per sample, so the substreams
+    never meet. A copy advanced by 2**64 costs under half as much as
+    seeding a term on its own, and seeding is most of what a small
+    chunk costs.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, idx)))
+    return [rng] + [_ahead(rng, j << 64) for j in range(1, terms)]
 
 
 def _reused_blocks(size: int) -> list[np.ndarray]:
@@ -257,8 +268,8 @@ def _draw_chunk(
     """Draw chunk `idx` of `lane` into the arrays of g_blocks in turn, and
     yield each block as soon as it holds its values of g.
 
-    Term j draws from its own substream (master_seed; lane, idx, j) into
-    one block of scratch, which is scaled and added to the block of g.
+    Term j draws from its own substream (see `_term_rngs`) into one
+    block of scratch, which is scaled and added to the block of g.
     A term's draws depend neither on how the chunk is cut into blocks
     nor on the other terms. The blocks may share one buffer, since each
     is yielded before the next is drawn. Overflow is left to
@@ -266,7 +277,8 @@ def _draw_chunk(
     """
     scratch = np.empty(g_blocks[0].size)
     x_blocks = [scratch[: g.size] for g in g_blocks]
-    draws = [t.distribution._draws(_term_rng(master_seed, lane, idx, j), x_blocks) for j, t in enumerate(model.terms)]
+    rngs = _term_rngs(master_seed, lane, idx, len(model.terms))
+    draws = [t.distribution._draws(rng, x_blocks) for t, rng in zip(model.terms, rngs)]
     for g in g_blocks:
         g.fill(model.shift)
         for t, draw in zip(model.terms, draws):
@@ -516,8 +528,9 @@ def calibrate_shift(
     base = model.with_shift(0.0)
     k = math.ceil(expected_failures - 1e-9)
 
-    def window(lo: float, hi: float, idx: int, size: int) -> tuple[int, np.ndarray]:
-        # how many values of chunk idx lie below lo, and its values in [lo, hi]
+    def window(lo: float, hi: float, idx: int, size: int) -> tuple[int, list[np.ndarray]]:
+        # how many values of chunk idx lie below lo, and its values in
+        # [lo, hi], one array per block
         below, inside = 0, []
         with np.errstate(over="ignore", invalid="ignore"):
             for g in _draw_chunk(base, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
@@ -526,7 +539,7 @@ def calibrate_shift(
                 mask = lo <= g
                 mask &= g <= hi
                 inside.append(g[mask])
-        return below, np.concatenate(inside)
+        return below, inside
 
     layout = _chunk_layout(config)
     lo, hi = _pilot_window(_pilot(base, config, layout[0][1]), k / config.sample_count)
@@ -538,8 +551,8 @@ def calibrate_shift(
         below, kept, pieces = 0, 0, []
         for b, w in _ordered(functools.partial(window, lo, hi), layout):
             below += b
-            pieces.append(w)
-            kept += w.size
+            pieces += w
+            kept += sum(x.size for x in w)
             if kept > k - below:
                 pieces = [_cut(pieces, k - below)]
                 kept = pieces[0].size

@@ -5,9 +5,9 @@ import itertools
 import math
 import os
 import threading
-import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +31,7 @@ from sevrel.engine import (
     _chunk_g,
     _chunk_layout,
     _draw_chunk,
+    _finite_extrema,
     _pilot_window,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
@@ -296,7 +297,7 @@ def pilot_window(model, target_pf, config):
     "z, seed, side",
     [
         (-3.0, 1, "below"),  # lo == hi, several pilot SDs above the quantile
-        (0.0, 5, "below"),
+        (0.0, 1, "below"),
         (0.0, 3, "above"),
     ],
 )
@@ -358,33 +359,46 @@ def window_size(model, target_pf, config):
     return inside
 
 
-def per_thread(workers, size):
-    # each thread, and the pilot, holds a block of g and one of scratch,
-    # float64, and a block filter's masks or a block's binning keys
-    return (workers + 1) * 4 * 8 * min(_BLOCK, size)
+def per_thread(size):
+    # a thread holds a block of g and one of scratch, float64, and at most
+    # a block of failure deficits and a byte mask, or a filter's masks
+    return (8 + 8 + 8 + 1) * min(_BLOCK, size)
+
+
+def traced_peak(call):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
     "target_pf, chunk, z, missed, bound",
     [
-        # A few blocks per thread, and the window, which holds ~67k values
-        # here and is joined, once, to be cut (as the count below lo nears
-        # k) or read. No term grows with the chunk size.
-        (0.25, 100_000, 10.0, False, lambda k, chunk, chunks, window, threads: 8 * 2 * window + threads),
-        # At 1k chunks the window is ~24k, so it is cut to the k smallest
+        # One block of g, one of scratch and the window, which holds ~67k
+        # values here and is joined to be cut (as the count below lo nears
+        # k) or read; the block filter's boolean masks, a byte per value,
+        # come on top.
+        (0.25, 100_000, 10.0, False, lambda k, block, chunks, window: 8 * (window + 2 * block) + 4 * block),
+        # At 1k chunks the window is ~19k, so it is cut to the k smallest
         # values. The (idx, size) layout of 2 000 chunks takes up to ~110
         # bytes a chunk, less when tuples come from the interpreter's free
         # list; gc.collect() empties that list, so it is counted in full.
-        (0.001, 1_000, 10.0, False, lambda k, chunk, chunks, window, threads: 8 * 2 * k + 128 * chunks + threads),
+        (0.001, 1_000, 10.0, False, lambda k, block, chunks, window: 8 * 2 * (k + block) + 128 * chunks),
         # The second pass keeps the side of the window the rank fell on,
         # cut to the k smallest values, not that whole side.
-        (0.25, 100_000, 0.0, True, lambda k, chunk, chunks, window, threads: 8 * 2 * k + threads),
+        (0.25, 100_000, 0.0, True, lambda k, block, chunks, window: 8 * 2 * (k + block)),
     ],
     ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
 )
 def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, missed, bound):
+    # On one thread no term grows with the chunk size; each further
+    # thread adds its own blocks (see test_a_thread_adds_its_blocks).
     monkeypatch.setattr(engine, "_PILOT_Z", z)
-    pin_workers(monkeypatch, 2)
+    pin_workers(monkeypatch, 1)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
     model = builtin("scenarioA").model
     window = window_size(model, target_pf, cfg)
@@ -395,17 +409,11 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
         return _draw_chunk(*args)
 
     monkeypatch.setattr(engine, "_draw_chunk", counted)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        calibrate_shift(model, target_pf, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
     chunks = len(_chunk_layout(cfg))
     assert (next(draws) > 1 + chunks) == missed
     k = math.ceil(target_pf * cfg.sample_count)
-    assert peak < bound(k, chunk, chunks, window, per_thread(2, chunk))
+    assert peak < bound(k, min(_BLOCK, chunk), chunks, window)
 
 
 @pytest.mark.parametrize(
@@ -422,14 +430,23 @@ def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
     model = builtin(sid).model
     if target_pf is not None:
         model = model.with_shift(calibrate_shift(model, target_pf, cfg))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        simulate(model, cfg, histograms=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < per_thread(2, cfg.chunk_size)
+    assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(cfg.chunk_size)
+
+
+@pytest.mark.parametrize("call", ["simulate", "calibrate_shift"])
+def test_a_thread_adds_its_blocks(monkeypatch, call):
+    # A second thread holds its own blocks, and at most two chunks per
+    # thread of finished partials or windows wait for the fold.
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=100_000)
+    model = builtin("scenarioA").model
+    peaks = []
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        if call == "simulate":
+            peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
+        else:
+            peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
+    assert peaks[1] - peaks[0] < per_thread(cfg.chunk_size)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
@@ -555,13 +572,14 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, sid):
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
 def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, lane):
-    # The first bad chunk is held back, so a later bad chunk raises first
-    # on another thread; the error must still name the first. The rare
+    # The first bad chunk waits until a later bad chunk has raised on
+    # another thread; the error must still name the first. The rare
     # branch is ten times as likely as in rare_overflow_model, so that two
-    # bad chunks are in flight together.
+    # bad chunks are in flight together; at seed 1 chunk 0 is finite on
+    # both lanes, so the calibration pilot does not fail first.
     rare = Mixture(((0.999, Normal(0.0, 1.0)), (0.001, Normal(1.7e308, 1e308))))
     model = LimitStateModel(terms=(Term("x", 1.0, rare),))
-    cfg = SimulationConfig(sample_count=20_000, master_seed=4, chunk_size=1_000)
+    cfg = SimulationConfig(sample_count=20_000, master_seed=1, chunk_size=1_000)
     bad = [
         idx
         for idx, size in _chunk_layout(cfg)
@@ -572,17 +590,18 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, la
     assert second - first < 2 * 3  # both are in flight together on three threads
     raised = threading.Event()
 
-    def draw(base, master_seed, chunk_lane, idx, g_blocks):
+    def extrema(g, idx, size, config):
         if idx == first:
             raised.wait(timeout=10.0)
-            time.sleep(0.1)  # time for the second chunk's error to reach its future
-        for g in _draw_chunk(base, master_seed, chunk_lane, idx, g_blocks):
-            if idx == second and not np.isfinite(g).all():
+        try:
+            return _finite_extrema(g, idx, size, config)
+        except ValueError:
+            if idx == second:
                 raised.set()
-            yield g
+            raise
 
     pin_workers(monkeypatch, 3)
-    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    monkeypatch.setattr(engine, "_finite_extrema", extrema)
     message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
     with pytest.raises(ValueError, match=message):
         if lane == _LANE_MAIN:
@@ -594,43 +613,59 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, la
 
 def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch):
     # While chunk 0 is held, the other threads may run only the chunks
-    # already submitted: two per worker, counting chunk 0.
+    # already submitted: two per worker, counting chunk 0. Chunk 0 is
+    # held until those five have started, and then a while longer, in
+    # which a chunk past the bound would start.
     cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
-    held, ahead = threading.Event(), []
+    submitted, beyond, released = threading.Event(), threading.Event(), threading.Event()
+    ahead = []
 
     def draw(*args):
         idx = args[3]
         if idx == 0:
-            time.sleep(0.3)
-            held.set()
-        elif not held.is_set():
+            submitted.wait(timeout=10.0)
+            beyond.wait(timeout=0.2)
+            released.set()
+        elif not released.is_set():
             ahead.append(idx)
+            if len(ahead) == 2 * 3 - 1:
+                submitted.set()
+            if idx >= 2 * 3:
+                beyond.set()
         return _draw_chunk(*args)
 
     pin_workers(monkeypatch, 3)
     monkeypatch.setattr(engine, "_draw_chunk", draw)
     simulate(margin_model(), cfg)
-    assert ahead and max(ahead) < 2 * 3
+    assert sorted(ahead) == list(range(1, 2 * 3))
 
 
 def test_an_error_cancels_the_chunks_not_started(monkeypatch):
-    # Chunk 0 fails at once while chunks 1 to 5 are queued or running
-    # slowly: only the chunks already running are drawn.
+    # Chunk 0 fails at once, while every other chunk that starts is held
+    # until the pool shuts down, which is after the error has cancelled
+    # the chunks not started. So at most one chunk per thread, in
+    # submission order, is drawn after chunk 0.
     cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
-    drawn = []
+    closing, drawn = threading.Event(), []
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            closing.set()
+            super().shutdown(*args, **kwargs)
 
     def draw(*args):
         drawn.append(args[3])
         if args[3]:
-            time.sleep(0.2)
+            closing.wait(timeout=10.0)
         return _draw_chunk(*args)
 
     pin_workers(monkeypatch, 3)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(engine, "_draw_chunk", draw)
     with pytest.raises(ValueError, match="not finite in chunk 0"):
         simulate(overflowing_model(), cfg)
-    # chunk 0 and at most one chunk per thread started after it
-    assert sorted(drawn) == list(range(len(drawn))) and len(drawn) <= 1 + 3
+    assert closing.is_set()
+    assert 0 in drawn and set(drawn) <= {0, 1, 2, 3}
 
 
 def test_chunks_shorter_than_a_block_run_on_one_thread():

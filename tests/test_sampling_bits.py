@@ -8,8 +8,9 @@ branch over each block before the other branches overwrite their
 positions. The references below are the direct forms those replace: one
 expression per quantile, one whole-batch draw, a searchsorted branch
 index with a mask and gather per component, ``g += c * sample`` with
-term j drawn from SeedSequence(seed, spawn_key=(lane, chunk, j)), and
-each block's statistics computed from its values. The reproducibility
+term j read from the stream of SeedSequence(seed, spawn_key=(lane,
+chunk)) advanced by j * 2**64 draws, and each block's statistics
+computed from its values. The reproducibility
 contract is about bits, so every comparison is exact. Sizes on both
 sides of a block edge check that cutting a batch into blocks changes no
 draw.
@@ -81,8 +82,9 @@ def reference_sample(d, rng, n):
 def reference_chunk_g(model, master_seed, lane, idx, size):
     g = np.full(size, model.shift)
     for j, t in enumerate(model.terms):
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j)))
-        g += t.coefficient * reference_sample(t.distribution, rng, size)
+        bits = np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx)))
+        bits.advance(j * 2**64)
+        g += t.coefficient * reference_sample(t.distribution, np.random.Generator(bits), size)
     return g
 
 
