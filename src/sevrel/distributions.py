@@ -10,7 +10,9 @@ sampling. Heavy tails are first-class: moments report infinite variance
 Sampling conventions, fixed so that streams are reproducible:
 
 * Normal draws come from the generator's own Gaussian method; Lognormal
-  exponentiates a Normal draw.
+  exponentiates a Normal draw. The engine does not draw a model's Normal
+  terms one by one: it draws their weighted sum, itself a Normal, as
+  mean + sd * z from one standard normal per sample (see ``engine``).
 * Gumbel and Pareto invert their quantile functions on one uniform each.
 * A Mixture consumes exactly two runs of uniforms per batch, in fixed
   order: first every branch selector, then every value fed through the
@@ -24,15 +26,15 @@ Sampling conventions, fixed so that streams are reproducible:
 
 A batch can be drawn in blocks into arrays the caller supplies
 (``_draws``), one block per step, and no draw depends on how the batch
-is cut: the engine draws each term of a chunk from its own generator,
-a block at a time, through one reused block of scratch, so the terms
-of a block of g are drawn together. Scalar families fill each block in
-place (``_fill``). A Mixture drawn in more than one block reads its
-value uniforms from a copy of its generator advanced past the batch's
-branch uniforms, so each block reads both of its runs and nothing is
-kept from one block to the next. ``sample`` draws a batch as one block
-in a new array. Samplers and the private ``_inverse_cdf`` make no
-full-length temporaries.
+is cut: the engine draws each term of a chunk that is not Normal from
+its own generator, a block at a time, through one reused block of
+scratch, so the terms of a block of g are drawn together. Scalar
+families fill each block in place (``_fill``). A Mixture drawn in more
+than one block reads its value uniforms from a copy of its generator
+advanced past the batch's branch uniforms, so each block reads both of
+its runs and nothing is kept from one block to the next. ``sample``
+draws a batch as one block in a new array. Samplers and the private
+``_inverse_cdf`` make no full-length temporaries.
 """
 
 from __future__ import annotations

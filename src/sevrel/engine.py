@@ -2,20 +2,25 @@
 
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
-Simulation is chunked, and each term of a chunk has its own substream:
-chunk i on a lane has the stream of SeedSequence(master_seed,
-spawn_key=(lane, i)), and term j reads it from its (j * 2**64)-th draw
-on. So a term's draws do not depend on the other terms, and the terms
-of a chunk can be drawn together a block at a time. Changing the chunk
-size changes the substream layout and therefore the sample.
+Simulation is chunked, and each term of a chunk has its own substream
+slot: chunk i on a lane has the stream of SeedSequence(master_seed,
+spawn_key=(lane, i)), and slot j reads it from its (j * 2**64)-th draw
+on. The Normal terms are drawn as one Normal, their sum, with the
+coefficients and the shift folded into its mean and sd, from the slot
+of the first Normal term; every other term j draws from slot j. So the
+draws of a term that is not Normal do not depend on the other terms,
+and the terms of a chunk can be drawn together a block at a time. The
+draw plan (see `_Plan`) is fixed once per call. Changing the chunk size
+changes the substream layout and therefore the sample.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. A chunk is
-built one block of _BLOCK values at a time: the shift, then each term's
-next block drawn through one block of scratch, scaled and added. The
-block is reduced while it is in cache (extrema and finiteness, failure
-deficits, bins, moments), and the block partials fold in order, with
-the pairwise update, into one partial per chunk. So memory is a few
+built one block of _BLOCK values at a time: the merged Normal drawn
+into it (or the shift, without one), then each other term's next block
+drawn through one block of scratch, scaled and added. The block is
+reduced while it is in cache (extrema and finiteness, failure deficits,
+bins, moments), and the block partials fold in order, with the pairwise
+update, into one partial per chunk. So memory is a few
 blocks per thread, never a chunk. Chunks run on a small thread pool,
 one thread per usable CPU (one for chunks shorter than a block), and
 their partials fold in ascending chunk order, so the result is
@@ -45,7 +50,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import histogram
-from .distributions import Distribution, MomentReport, _ahead
+from .distributions import Distribution, MomentReport, Normal, _ahead
 
 __all__ = [
     "Term",
@@ -241,18 +246,58 @@ def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> I
                 future.cancel()
 
 
-def _term_rngs(master_seed: int, lane: int, idx: int, terms: int) -> list[np.random.Generator]:
-    """One generator per term of chunk `idx` of `lane`: term j reads the
+@dataclass(frozen=True)
+class _Plan:
+    """How every chunk of one call draws g, fixed before the first chunk.
+
+    The Normal terms merge into one Normal with the coefficients and the
+    shift folded in: mean = shift + sum(a * mu) and sd = hypot(a * sigma),
+    drawn straight into the block of g as mean + sd * z from the slot of
+    the first Normal term. With sd 0 (no Normal term, or only zero
+    coefficients) the block is filled with mean. Every other term draws
+    from its own slot through scratch and is added in term order. The
+    sums are plain floats, so an overflow or inf - inf reaches g as inf
+    or NaN and `_finite_extrema` reports it.
+    """
+
+    mean: float
+    sd: float
+    # the slots read, in draw order: the merged Normal's when sd > 0, then
+    # one per term of `others`
+    slots: tuple[int, ...]
+    others: tuple[Term, ...]
+
+
+def _plan(model: LimitStateModel) -> _Plan:
+    """The draw plan of `model`, built once per call."""
+    mean, scales, normal_slots, slots, others = model.shift, [], [], [], []
+    for j, t in enumerate(model.terms):
+        if isinstance(t.distribution, Normal):
+            mean += t.coefficient * t.distribution.mean
+            scales.append(t.coefficient * t.distribution.stddev)
+            normal_slots.append(j)
+        else:
+            slots.append(j)
+            others.append(t)
+    sd = math.hypot(*scales)
+    first = normal_slots[:1] if sd > 0.0 else []
+    return _Plan(mean, sd, tuple(first + slots), tuple(others))
+
+
+def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
+    """One generator per slot of chunk `idx` of `lane`: slot j reads the
     chunk's stream, SeedSequence(master_seed; lane, idx), from its
-    (j * 2**64)-th draw on.
+    (j * 2**64)-th draw on. No slot, no seeding.
 
     A term draws at most a few values per sample, so the substreams
     never meet. A copy advanced by 2**64 costs under half as much as
-    seeding a term on its own, and seeding is most of what a small
+    seeding a slot on its own, and seeding is most of what a small
     chunk costs.
     """
+    if not slots:
+        return []
     rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, idx)))
-    return [rng] + [_ahead(rng, j << 64) for j in range(1, terms)]
+    return [rng if j == 0 else _ahead(rng, j << 64) for j in slots]
 
 
 def _reused_blocks(size: int) -> list[np.ndarray]:
@@ -263,25 +308,34 @@ def _reused_blocks(size: int) -> list[np.ndarray]:
 
 
 def _draw_chunk(
-    model: LimitStateModel, master_seed: int, lane: int, idx: int, g_blocks: list[np.ndarray]
+    plan: _Plan, master_seed: int, lane: int, idx: int, g_blocks: list[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Draw chunk `idx` of `lane` into the arrays of g_blocks in turn, and
     yield each block as soon as it holds its values of g.
 
-    Term j draws from its own substream (see `_term_rngs`) into one
-    block of scratch, which is scaled and added to the block of g.
-    A term's draws depend neither on how the chunk is cut into blocks
-    nor on the other terms. The blocks may share one buffer, since each
-    is yielded before the next is drawn. Overflow is left to
-    _finite_extrema, under the caller's np.errstate.
+    The merged Normal is drawn straight into the block of g (see
+    `_Plan`); each other term draws from its own slot (see `_term_rngs`)
+    into one block of scratch, which is scaled and added. No draw
+    depends on how the chunk is cut into blocks, and the draws of a term
+    that is not Normal do not depend on the other terms. The blocks may
+    share one buffer, since each is yielded before the next is drawn.
+    Overflow is left to _finite_extrema, under the caller's np.errstate.
     """
-    scratch = np.empty(g_blocks[0].size)
-    x_blocks = [scratch[: g.size] for g in g_blocks]
-    rngs = _term_rngs(master_seed, lane, idx, len(model.terms))
-    draws = [t.distribution._draws(rng, x_blocks) for t, rng in zip(model.terms, rngs)]
+    rngs = _term_rngs(master_seed, lane, idx, plan.slots)
+    normal = rngs.pop(0) if plan.sd > 0.0 else None
+    draws = []
+    if plan.others:
+        scratch = np.empty(g_blocks[0].size)
+        x_blocks = [scratch[: g.size] for g in g_blocks]
+        draws = [t.distribution._draws(rng, x_blocks) for t, rng in zip(plan.others, rngs)]
     for g in g_blocks:
-        g.fill(model.shift)
-        for t, draw in zip(model.terms, draws):
+        if normal is None:
+            g.fill(plan.mean)
+        else:
+            normal.standard_normal(out=g)
+            g *= plan.sd
+            g += plan.mean
+        for t, draw in zip(plan.others, draws):
             x = next(draw)
             x *= t.coefficient
             g += x
@@ -292,7 +346,7 @@ def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size
     """Chunk `idx` of `lane`, in a new array."""
     g = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _draw_chunk(model, master_seed, lane, idx, np.split(g, range(_BLOCK, size, _BLOCK))):
+        for _ in _draw_chunk(_plan(model), master_seed, lane, idx, np.split(g, range(_BLOCK, size, _BLOCK))):
             pass
     return g
 
@@ -412,14 +466,12 @@ def _summarize_block(g: np.ndarray, idx: int, size: int, config: SimulationConfi
     return part
 
 
-def _chunk_partial(
-    model: LimitStateModel, config: SimulationConfig, histograms: bool, idx: int, size: int
-) -> _Partial:
+def _chunk_partial(plan: _Plan, config: SimulationConfig, histograms: bool, idx: int, size: int) -> _Partial:
     """Chunk `idx` drawn and reduced block by block, its blocks folded in order."""
     part = _Partial()
     # np.errstate is per thread; non-finite g is reported by _finite_extrema
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in _draw_chunk(model, config.master_seed, _LANE_MAIN, idx, _reused_blocks(size)):
+        for g in _draw_chunk(plan, config.master_seed, _LANE_MAIN, idx, _reused_blocks(size)):
             part.fold(_summarize_block(g, idx, size, config, histograms))
     return part
 
@@ -437,7 +489,7 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     each block once more, which costs far less than regenerating it.
     """
     acc = _Partial()
-    for part in _ordered(functools.partial(_chunk_partial, model, config, histograms), _chunk_layout(config)):
+    for part in _ordered(functools.partial(_chunk_partial, _plan(model), config, histograms), _chunk_layout(config)):
         acc.fold(part)
     if not math.isfinite(acc.m2):
         # every g is finite, or a chunk would have stopped the run
@@ -447,10 +499,10 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
         )
     return acc.summary(config)
 
-def _pilot(base: LimitStateModel, config: SimulationConfig, size: int) -> np.ndarray:
+def _pilot(plan: _Plan, config: SimulationConfig, size: int) -> np.ndarray:
     """The first block of chunk 0, of `size` values, on the calibration lane."""
     with np.errstate(over="ignore", invalid="ignore"):
-        pilot = next(_draw_chunk(base, config.master_seed, _LANE_CALIBRATION, 0, _reused_blocks(size)))
+        pilot = next(_draw_chunk(plan, config.master_seed, _LANE_CALIBRATION, 0, _reused_blocks(size)))
         _finite_extrema(pilot, 0, size, config)
     return pilot
 
@@ -525,7 +577,7 @@ def calibrate_shift(
             f"target_pf * sample_count = {expected_failures:.3g} is below 10; "
             "the order statistic would be too noisy to calibrate against"
         )
-    base = model.with_shift(0.0)
+    plan = _plan(model.with_shift(0.0))
     k = math.ceil(expected_failures - 1e-9)
 
     def window(lo: float, hi: float, idx: int, size: int) -> tuple[int, list[np.ndarray]]:
@@ -533,7 +585,7 @@ def calibrate_shift(
         # [lo, hi], one array per block
         below, inside = 0, []
         with np.errstate(over="ignore", invalid="ignore"):
-            for g in _draw_chunk(base, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
+            for g in _draw_chunk(plan, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
                 _finite_extrema(g, idx, size, config)
                 below += int(np.count_nonzero(g < lo))
                 mask = lo <= g
@@ -542,7 +594,7 @@ def calibrate_shift(
         return below, inside
 
     layout = _chunk_layout(config)
-    lo, hi = _pilot_window(_pilot(base, config, layout[0][1]), k / config.sample_count)
+    lo, hi = _pilot_window(_pilot(plan, config, layout[0][1]), k / config.sample_count)
     for _ in range(2):
         # Per-chunk (below, window) pairs merge in index order: counts add
         # and windows join. The window stays a list of arrays, joined only

@@ -20,7 +20,7 @@ from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 __all__ = [
     "SCHEMA_VERSION",

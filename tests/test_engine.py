@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from sevrel import engine
-from sevrel.distributions import Mixture, Normal, Pareto
+from sevrel.distributions import Gumbel, Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
     SimulationConfig,
@@ -233,6 +234,39 @@ def test_conditional_std_needs_two_failures():
     assert one.failure_count == 1 and one.conditional_std is None
     two = simulate(model, SimulationConfig(sample_count=2, master_seed=0, chunk_size=2))
     assert two.conditional_std == math.sqrt(two.deficit_m2)
+
+
+# --- the Normal terms drawn as one Normal -----------------------------------
+
+
+def test_merged_normals_keep_the_law_of_g():
+    # Three Normal terms of mixed sign draw as one Normal, around a Gumbel
+    # that keeps its own draws; the sample mean and variance of g must
+    # match the term-by-term moments.
+    normals = ((1.0, Normal(10.0, 1.0)), (-1.0, Normal(3.0, 1.5)), (2.0, Normal(-1.0, 0.5)))
+    load = Term("load", -0.8, Gumbel(4.0, 1.1))
+    terms = [Term(f"x{i}", a, d) for i, (a, d) in enumerate(normals)]
+    model = LimitStateModel(terms=(terms[0], load, *terms[1:]), shift=0.5)
+    cfg = SimulationConfig(sample_count=1_000_000, master_seed=11, chunk_size=250_000)
+    s = simulate(model, cfg)
+    exact = model_moments(model)
+    n = cfg.sample_count
+    # fourth central moment of g = N + G: 3 var_N^2 + 6 var_N var_G + mu4_G,
+    # with a Gumbel's kurtosis 27/5
+    var_n = sum(a * a * d.stddev**2 for a, d in normals)
+    var_gumbel = load.coefficient**2 * load.distribution.moments().variance
+    mu4 = 3.0 * var_n**2 + 6.0 * var_n * var_gumbel + 5.4 * var_gumbel**2
+    assert abs(s.mean_g - exact.mean) < 5.0 * math.sqrt(exact.variance / n)
+    assert abs(s.var_g - exact.variance) < 5.0 * math.sqrt((mu4 - exact.variance**2) / n)
+
+
+def test_example1_pf_matches_the_closed_form():
+    # g ~ N(5, 3.25), drawn as one Normal
+    scenario = builtin("example1-gaussian")
+    cfg = scenario.config(sample_count=2_000_000)
+    pf = float(ndtr(-5.0 / math.sqrt(3.25)))
+    s = simulate(scenario.model, cfg)
+    assert abs(s.pf - pf) < 5.0 * math.sqrt(pf * (1.0 - pf) / cfg.sample_count)
 
 
 # --- calibration ----------------------------------------------------------

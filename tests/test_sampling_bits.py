@@ -1,21 +1,23 @@
 """Bit-identity of the sampling kernel against the straightforward algorithms.
 
 The samplers and the chunk kernel work in place, block by block: the
-engine draws each term from its own substream through one reused block
-scratch, a Mixture drawn in blocks reads its value uniforms from an
+engine draws the Normal terms as one Normal straight into the block of
+g and each other term from its own substream through one reused block
+of scratch, a Mixture drawn in blocks reads its value uniforms from an
 advanced copy of its generator, and a Mixture evaluates its heaviest
 branch over each block before the other branches overwrite their
 positions. The references below are the direct forms those replace: one
 expression per quantile, one whole-batch draw, a searchsorted branch
-index with a mask and gather per component, ``g += c * sample`` with
-term j read from the stream of SeedSequence(seed, spawn_key=(lane,
-chunk)) advanced by j * 2**64 draws, and each block's statistics
-computed from its values. The reproducibility
-contract is about bits, so every comparison is exact. Sizes on both
-sides of a block edge check that cutting a batch into blocks changes no
-draw.
+index with a mask and gather per component, g = mean + sd * z for the
+merged Normal and then ``g += c * sample`` per other term, with slot j
+read from the stream of SeedSequence(seed, spawn_key=(lane, chunk))
+advanced by j * 2**64 draws, and each block's statistics computed from
+its values. The reproducibility contract is about bits, so every
+comparison is exact. Sizes on both sides of a block edge check that
+cutting a batch into blocks changes no draw.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from sevrel.engine import (
     Term,
     _chunk_g,
     _chunk_partial,
+    _plan,
     _Partial,
     _summarize_block,
 )
@@ -80,11 +83,22 @@ def reference_sample(d, rng, n):
 
 
 def reference_chunk_g(model, master_seed, lane, idx, size):
-    g = np.full(size, model.shift)
-    for j, t in enumerate(model.terms):
+    def slot(j):
         bits = np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx)))
         bits.advance(j * 2**64)
-        g += t.coefficient * reference_sample(t.distribution, np.random.Generator(bits), size)
+        return np.random.Generator(bits)
+
+    # the Normal terms as one Normal with the shift folded in, from the
+    # slot of the first of them; a constant when its sd is 0
+    normals = [(j, t) for j, t in enumerate(model.terms) if isinstance(t.distribution, Normal)]
+    mean = model.shift
+    for _, t in normals:
+        mean += t.coefficient * t.distribution.mean
+    sd = math.hypot(*(t.coefficient * t.distribution.stddev for _, t in normals))
+    g = mean + sd * slot(normals[0][0]).standard_normal(size) if sd > 0 else np.full(size, mean)
+    for j, t in enumerate(model.terms):
+        if not isinstance(t.distribution, Normal):
+            g += t.coefficient * reference_sample(t.distribution, slot(j), size)
     return g
 
 
@@ -195,8 +209,24 @@ MIXTURES = LimitStateModel(
 )
 
 
+# three Normal terms of mixed sign merged around a Gumbel, from the slot
+# of the first of them, 1
+NORMALS = LimitStateModel(
+    terms=(
+        Term("load", -0.8, Gumbel(4.0, 1.1)),
+        Term("a", 1.0, Normal(10.0, 1.0)),
+        Term("b", -1.0, Normal(3.0, 1.5)),
+        Term("c", 2.0, Normal(-1.0, 0.5)),
+    ),
+    shift=0.5,
+)
+# a Normal with coefficient 0 merges to sd 0 and draws as a constant
+ZERO_NORMAL = LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)), Term("load", -0.8, Gumbel(4.0, 1.1))), shift=0.5)
+MODELS = {"mixtures": MIXTURES, "normals": NORMALS, "zero-normal": ZERO_NORMAL}
+
+
 def chunk_model(sid):
-    return MIXTURES if sid == "mixtures" else builtin(sid).model.with_shift(0.25)
+    return MODELS[sid] if sid in MODELS else builtin(sid).model.with_shift(0.25)
 
 
 def reference_block_partial(g):
@@ -234,7 +264,7 @@ def assert_same_partial(got, want):
 
 
 @pytest.mark.parametrize("n", SIZES + EDGES)
-@pytest.mark.parametrize("sid", [*SCENARIO_IDS, "mixtures"])
+@pytest.mark.parametrize("sid", [*SCENARIO_IDS, *MODELS])
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     model = chunk_model(sid)
     g = reference_chunk_g(model, 7, _LANE_MAIN, 2, n)
@@ -249,13 +279,14 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
         ref = reference_block_partial(block)
         assert_same_partial(_summarize_block(block.copy(), 2, n, config, histograms=True), ref)
         want.fold(ref)
-    assert_same_partial(_chunk_partial(model, config, True, 2, n), want)
+    assert_same_partial(_chunk_partial(_plan(model), config, True, 2, n), want)
 
 
 def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
     # A term's draws come from its own substream, so they do not depend on
     # how many values the other terms consume. Zero coefficients pick out
-    # one term's contribution to g, exactly.
+    # one term's contribution to g, exactly. (The Normal terms draw as one
+    # Normal, so a Normal term added changes the draws of the others.)
     n = 3 * _BLOCK + 7
 
     def g(model):
