@@ -16,12 +16,13 @@ changes the substream layout and therefore the sample.
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. A chunk is
 built one block of _BLOCK values at a time: the merged Normal drawn
-into it (or the shift, without one), then each other term's next block
-drawn through one block of scratch, scaled and added. The block is
-reduced while it is in cache (extrema and finiteness, failure deficits,
-bins, moments), and the block partials fold in order, with the pairwise
-update, into one partial per chunk. So memory is a few
-blocks per thread, never a chunk. Chunks run on a small thread pool,
+into it (or, without one, the first other term, scaled and shifted),
+then each other term's next block drawn through one block of scratch,
+scaled and added. The block is reduced while it is in cache (extrema
+and finiteness, failure deficits, bins, moments), and the block
+partials fold in order, with the pairwise update, into one partial per
+chunk. So memory is a few blocks per thread, never a chunk. Chunks run
+on a small thread pool,
 one thread per usable CPU (one for chunks shorter than a block), and
 their partials fold in ascending chunk order, so the result is
 bit-identical for a fixed (master seed, chunk size, _BLOCK) whatever
@@ -34,6 +35,13 @@ although every g is finite, stops it after the last chunk.
 On request, each block is also binned while it is held, and the
 ordered merge adds the integer counts (see `histogram`), so the
 histograms of a run need no second pass over the stream.
+
+`calibrate_shift` reads its own lane chunk by chunk in the same way and
+keeps, of its whole sample, a count and a window around the target
+rank, which the ordered fold re-centres each time it has seen twice as
+many values (see `quantile`). So its memory grows with the square root
+of the sample count, not with the count, and the shift is still the
+exact order statistic.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import numpy as np
 
 from . import histogram
 from .distributions import Distribution, MomentReport, Normal, _ahead
+from .quantile import Window
 
 __all__ = [
     "Term",
@@ -69,9 +78,10 @@ __all__ = [
 _LANE_MAIN = 0
 _LANE_CALIBRATION = 3
 
-# Half-width of calibrate_shift's pilot window, in standard deviations of
-# the pilot's rank count; a wider window costs memory, a narrower one a
-# second pass when it misses.
+# Half-width of calibrate_shift's window, in standard deviations of the
+# rank count of the values it is centred on (the pilot, then the values
+# folded so far); a wider window costs memory, a narrower one a second
+# pass when it misses.
 _PILOT_Z = 10.0
 
 # Values per block of the in-chunk passes: a term's draws, the deficit
@@ -315,29 +325,50 @@ def _draw_chunk(
 
     The merged Normal is drawn straight into the block of g (see
     `_Plan`); each other term draws from its own slot (see `_term_rngs`)
-    into one block of scratch, which is scaled and added. No draw
-    depends on how the chunk is cut into blocks, and the draws of a term
-    that is not Normal do not depend on the other terms. The blocks may
-    share one buffer, since each is yielded before the next is drawn.
+    into one block of scratch, which is scaled and added (a coefficient
+    of 1 skips the scaling, one of -1 subtracts). Without a Normal term,
+    the first other term is drawn straight into g, scaled there and
+    shifted by the mean, with the bits that filling g with the mean and
+    adding the term give. No draw depends on how the chunk is cut into
+    blocks, and the draws of a term that is not Normal do not depend on
+    the other terms. The blocks may share one buffer, since each is
+    yielded before the next is drawn.
     Overflow is left to _finite_extrema, under the caller's np.errstate.
     """
     rngs = _term_rngs(master_seed, lane, idx, plan.slots)
     normal = rngs.pop(0) if plan.sd > 0.0 else None
+    others = list(zip(plan.others, rngs))
+    # Without a Normal, the first other term draws straight into g and is
+    # scaled there: a * x + mean has the bits of mean + a * x.
+    first = None
+    if normal is None and others:
+        t, rng = others.pop(0)
+        first = t.coefficient, t.distribution._draws(rng, g_blocks)
     draws = []
-    if plan.others:
+    if others:
         scratch = np.empty(g_blocks[0].size)
         x_blocks = [scratch[: g.size] for g in g_blocks]
-        draws = [t.distribution._draws(rng, x_blocks) for t, rng in zip(plan.others, rngs)]
+        draws = [(t.coefficient, t.distribution._draws(rng, x_blocks)) for t, rng in others]
     for g in g_blocks:
-        if normal is None:
+        if first is not None:
+            a, draw = first
+            next(draw)
+            if a != 1.0:
+                g *= a
+            g += plan.mean  # also when 0.0, which turns a -0.0 into 0.0
+        elif normal is None:
             g.fill(plan.mean)
         else:
             normal.standard_normal(out=g)
             g *= plan.sd
             g += plan.mean
-        for t, draw in zip(plan.others, draws):
+        for a, draw in draws:
             x = next(draw)
-            x *= t.coefficient
+            if a == -1.0:
+                g -= x
+                continue
+            if a != 1.0:
+                x *= a
             g += x
         yield g
 
@@ -437,6 +468,19 @@ class _Partial:
         )
 
 
+def _gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The values of g where mask is set, in order, in a new array.
+
+    `compress` gathers several times as fast as boolean indexing on a
+    mask that is set for a few percent to half of the values (1.4 against
+    5.9 ns a value at 25%, numpy 2.4), but through an index array of 8
+    bytes per value kept. Up to half the values, that array and the
+    values gathered take no more room than g; past that, g[mask], which
+    needs no index array, gathers them.
+    """
+    return g.compress(mask) if 2 * np.count_nonzero(mask) <= g.size else g[mask]
+
+
 def _summarize_block(g: np.ndarray, idx: int, size: int, config: SimulationConfig, histograms: bool) -> _Partial:
     """The partial statistics of g, a block of chunk `idx` of `size` values.
 
@@ -450,7 +494,7 @@ def _summarize_block(g: np.ndarray, idx: int, size: int, config: SimulationConfi
     if histograms:
         part.g_bins = histogram.linear(g, min_g, max_g)
     if min_g < 0.0:
-        deficits = g[g < 0.0]
+        deficits = _gather(g, g < 0.0)
         np.negative(deficits, out=deficits)
         k = deficits.size
         part.failure_count = k
@@ -499,6 +543,7 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
         )
     return acc.summary(config)
 
+
 def _pilot(plan: _Plan, config: SimulationConfig, size: int) -> np.ndarray:
     """The first block of chunk 0, of `size` values, on the calibration lane."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,38 +552,32 @@ def _pilot(plan: _Plan, config: SimulationConfig, size: int) -> np.ndarray:
     return pilot
 
 
-def _pilot_window(pilot: np.ndarray, p: float) -> tuple[float, float]:
-    """Bounds that hold the rank-p quantile of the whole sample but for a
-    miss ~_PILOT_Z standard deviations away.
-
-    They are the pilot's order statistics at ranks m*p -/+ (Z*sqrt(m*p*(1-p))
-    + 1), clipped to the pilot; a bound whose rank clips to the pilot's
-    first or last value is -inf or +inf. Partitions `pilot` in place.
-    """
-    m = pilot.size
+def _ranks(m: int, p: float) -> tuple[int, int]:
+    """The ranks m*p -/+ (Z*sqrt(m*p*(1-p)) + 1) of m values, rounded
+    outwards: the rank-p quantile of a larger sample falls between them
+    but for a miss ~_PILOT_Z standard deviations of the rank count away."""
     centre = m * p
     half = _PILOT_Z * math.sqrt(centre * (1.0 - p)) + 1.0
-    lo_rank = min(max(math.floor(centre - half), 0), m - 1)
+    return math.floor(centre - half), math.ceil(centre + half)
+
+
+def _pilot_window(pilot: np.ndarray, p: float) -> tuple[float, float]:
+    """The pilot's order statistics at its `_ranks`, clipped to the pilot;
+    a bound whose rank clips to the pilot's first or last value is -inf
+    or +inf. Partitions `pilot` in place.
+    """
+    m = pilot.size
+    lo_rank, hi_rank = _ranks(m, p)
+    lo_rank = min(max(lo_rank, 0), m - 1)
     # keeps lo <= hi when the half-width is negative, so the three sides
     # g < lo, lo <= g <= hi and g > hi never overlap
-    hi_rank = min(max(math.ceil(centre + half), lo_rank), m - 1)
+    hi_rank = min(max(hi_rank, lo_rank), m - 1)
     kth = [r for r, used in ((lo_rank, lo_rank > 0), (hi_rank, hi_rank < m - 1)) if used]
     if kth:
         pilot.partition(kth)
     lo = float(pilot[lo_rank]) if lo_rank > 0 else -math.inf
     hi = float(pilot[hi_rank]) if hi_rank < m - 1 else math.inf
     return lo, hi
-
-
-def _cut(pieces: list[np.ndarray], count: int) -> np.ndarray:
-    """The `count` smallest values of the arrays in `pieces`, the largest of
-    them last, as a view of their join; empties the list."""
-    values = np.concatenate(pieces)
-    pieces.clear()
-    if count <= 0:
-        return values[:0]
-    values.partition(count - 1)
-    return values[:count]
 
 
 def calibrate_shift(
@@ -557,14 +596,18 @@ def calibrate_shift(
     chunk 0 is a pilot: it brackets the k-th smallest value in a window
     [lo, hi] (see `_pilot_window`). Every chunk then counts its values
     below lo and keeps its values inside the window, the chunks run in
-    parallel and their pairs merge in index order, and the answer is the
-    (k - below)-th smallest of the window. The window is about
-    2 * _PILOT_Z * sqrt(p * (1 - p) / m) * n values for p = k / n and a
-    pilot of m = min(_BLOCK, chunk size) values, and it is cut to its
-    (k - below) smallest values whenever it grows past them. Memory is a
-    few blocks per thread, the windows of the chunks in flight and
-    min(window, k) values. When the window misses, one more pass keeps
-    only the side the rank fell on. Every path gives the k-th smallest
+    parallel and their pairs fold in index order (see `quantile.Window`),
+    and the answer is the (k - below)-th smallest of the window. Each
+    time the fold has seen twice as many values as when the window was
+    last centred, the window is re-centred on the same ranks of the
+    values seen so far, p * seen -/+ (_PILOT_Z * sqrt(p * (1 - p) * seen) + 1)
+    for p = k / n, in the manner of Floyd and Rivest's sample-then-narrow
+    selection (CACM 18(3), 1975). So the window holds about
+    4 * _PILOT_Z * sqrt(p * (1 - p) * n) values at most, and memory is a
+    few blocks per thread, the windows of the chunks in flight and the
+    window: it grows with sqrt(n), not n. When the window misses, one
+    more pass keeps only the side the rank fell on, cut to the values
+    that can still be the answer. Every path gives the k-th smallest
     value exactly.
 
     Refuses targets that would rest on fewer than 10 expected failures.
@@ -579,10 +622,12 @@ def calibrate_shift(
         )
     plan = _plan(model.with_shift(0.0))
     k = math.ceil(expected_failures - 1e-9)
+    p = k / config.sample_count
 
-    def window(lo: float, hi: float, idx: int, size: int) -> tuple[int, list[np.ndarray]]:
-        # how many values of chunk idx lie below lo, and its values in
-        # [lo, hi], one array per block
+    def chunk_window(win: Window, idx: int, size: int) -> tuple[tuple[float, float], int, list[np.ndarray]]:
+        # the bounds read when chunk idx starts, how many of its values lie
+        # below lo, and its values in [lo, hi], one array per block
+        bounds = lo, hi = win.bounds
         below, inside = 0, []
         with np.errstate(over="ignore", invalid="ignore"):
             for g in _draw_chunk(plan, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
@@ -590,28 +635,29 @@ def calibrate_shift(
                 below += int(np.count_nonzero(g < lo))
                 mask = lo <= g
                 mask &= g <= hi
-                inside.append(g[mask])
-        return below, inside
+                inside.append(_gather(g, mask))
+        return bounds, below, inside
 
     layout = _chunk_layout(config)
-    lo, hi = _pilot_window(_pilot(plan, config, layout[0][1]), k / config.sample_count)
-    for _ in range(2):
-        # Per-chunk (below, window) pairs merge in index order: counts add
-        # and windows join. The window stays a list of arrays, joined only
-        # to be cut: no value past its (k - below)-th smallest can be the
-        # answer, so those are dropped.
-        below, kept, pieces = 0, 0, []
-        for b, w in _ordered(functools.partial(window, lo, hi), layout):
-            below += b
-            pieces += w
-            kept += sum(x.size for x in w)
-            if kept > k - below:
-                pieces = [_cut(pieces, k - below)]
-                kept = pieces[0].size
-        r = k - below
-        if 1 <= r <= kept:
-            break
+    # Cutting only past twice what the rank still needs keeps small chunks
+    # from joining and partitioning the window every time.
+    win = Window(*_pilot_window(_pilot(plan, config, layout[0][1]), p), k, slack=2)
+    seen, centred = 0, min(_BLOCK, layout[0][1])
+    for (_, size), part in zip(layout, _ordered(functools.partial(chunk_window, win), layout)):
+        win.fold(*part)
+        seen += size
+        if 2 * centred <= seen < config.sample_count:
+            win.narrow(*_ranks(seen, p))
+            centred = seen
+    value = win.select()
+    if value is None:
         # The window missed: pass again, keeping only the side the rank
-        # fell on and its bound. That pass holds the rank and cannot miss.
-        lo, hi = (-math.inf, lo) if r < 1 else (hi, math.inf)
-    return -float(_cut(pieces, r)[-1])
+        # fell on and its bound. That pass holds the rank and cannot miss;
+        # it can hold a whole side of the sample, so it is cut as soon as
+        # it holds more than the rank needs.
+        lo, hi = win.bounds
+        win = Window(*((-math.inf, lo) if k <= win.below else (hi, math.inf)), k, slack=1)
+        for part in _ordered(functools.partial(chunk_window, win), layout):
+            win.fold(*part)
+        value = win.select()
+    return -value

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from sevrel import engine
+from sevrel import engine, quantile
 from sevrel.distributions import Gumbel, Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
@@ -382,15 +382,81 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_
     assert len(draws) == 1 + len(_chunk_layout(cfg))
 
 
-def window_size(model, target_pf, config):
-    # how many values of the whole calibration sample lie in the pilot window
-    lo, hi = pilot_window(model, target_pf, config)
-    base = model.with_shift(0.0)
-    inside = 0
-    for idx, size in _chunk_layout(config):
-        g = _chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size)
-        inside += int(np.count_nonzero((lo <= g) & (g <= hi)))
-    return inside
+def spy_on_the_window(monkeypatch):
+    # how many re-centrings moved a bound, and the side of each miss
+    events = {"moved": 0, "missed": []}
+    narrow, select = quantile.Window.narrow, quantile.Window.select
+
+    def spied_narrow(win, lo_rank, hi_rank):
+        before = win.bounds
+        narrow(win, lo_rank, hi_rank)
+        events["moved"] += win.bounds != before
+
+    def spied_select(win):
+        value = select(win)
+        if value is None:
+            events["missed"].append("below" if win.k <= win.below else "above")
+        return value
+
+    monkeypatch.setattr(quantile.Window, "narrow", spied_narrow)
+    monkeypatch.setattr(quantile.Window, "select", spied_select)
+    return events
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "z, seed, missed",
+    [
+        # 1k-value pilot, re-centred at 2k, 4k, ... 64k values seen
+        (10.0, 1, []),
+        # a window too narrow to hold the rank, narrowed before it misses
+        (0.5, 1, ["below"]),
+        (0.5, 0, ["above"]),
+    ],
+    ids=["narrowed", "missed-below", "missed-above"],
+)
+def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, workers, z, seed, missed):
+    # On two threads chunks start ahead of the fold, so some may be
+    # filtered with bounds that a re-centring has narrowed since (the
+    # test below folds such a chunk deterministically).
+    monkeypatch.setattr(engine, "_PILOT_Z", z)
+    pin_workers(monkeypatch, workers)
+    cfg = SimulationConfig(sample_count=100_003, master_seed=seed, chunk_size=1_000)
+    m = failure_heavy_model()
+    expected = calibration_reference(m, 0.25, cfg)
+    events = spy_on_the_window(monkeypatch)
+    assert calibrate_shift(m, 0.25, cfg) == expected
+    assert events["moved"] >= (6 if z == 10.0 else 1)
+    assert events["missed"] == missed
+
+
+def test_a_window_filtered_with_wider_bounds_folds_as_if_filtered_with_the_current_ones():
+    rng = np.random.default_rng(3)
+    first, late = rng.standard_normal(4_000), rng.standard_normal(1_000)
+
+    def folded(late_bounds):
+        # re-centred on ranks 1 900-2 100 of 4 000, not cut
+        win = quantile.Window(-math.inf, math.inf, k=2_600, slack=2)
+        win.fold((-math.inf, math.inf), 0, [first.copy()])
+        win.narrow(1_900, 2_100)
+        lo, hi = win.bounds if late_bounds is None else late_bounds
+        win.fold((lo, hi), int(np.count_nonzero(late < lo)), [late[(lo <= late) & (late <= hi)]])
+        return win.bounds, win.below, np.sort(np.concatenate(win.pieces))
+
+    bounds, below, values = folded(None)
+    assert -math.inf < bounds[0] < bounds[1] < math.inf
+    assert values.size > 201
+    for wider in [(-math.inf, math.inf), (bounds[0] - 0.1, bounds[1]), (bounds[0], bounds[1] + 0.1)]:
+        got = folded(wider)
+        assert got[:2] == (bounds, below)
+        assert np.array_equal(got[2], values)
+
+
+def narrowed_window(target_pf, n, z):
+    # After a re-centring at s values seen the window holds ~2 * z * sd of
+    # the rank count, sd = sqrt(p * (1 - p) * s), and gains about as many
+    # again before the next one, at 2s; s < n.
+    return 4 * z * math.sqrt(target_pf * (1 - target_pf) * n)
 
 
 def per_thread(size):
@@ -412,13 +478,13 @@ def traced_peak(call):
 @pytest.mark.parametrize(
     "target_pf, chunk, z, missed, bound",
     [
-        # One block of g, one of scratch and the window, which holds ~67k
-        # values here and is joined to be cut (as the count below lo nears
-        # k) or read; the block filter's boolean masks, a byte per value,
-        # come on top.
+        # One block of g, one of scratch and the window, which holds at
+        # most ~24k values here once narrowed (the pilot window would hold
+        # ~67k) and is joined to be narrowed, cut or read; the block
+        # filter's boolean masks, a byte per value, come on top.
         (0.25, 100_000, 10.0, False, lambda k, block, chunks, window: 8 * (window + 2 * block) + 4 * block),
-        # At 1k chunks the window is ~19k, so it is cut to the k smallest
-        # values. The (idx, size) layout of 2 000 chunks takes up to ~110
+        # At 1k chunks the window is cut to twice the k smallest values at
+        # most. The (idx, size) layout of 2 000 chunks takes up to ~110
         # bytes a chunk, less when tuples come from the interpreter's free
         # list; gc.collect() empties that list, so it is counted in full.
         (0.001, 1_000, 10.0, False, lambda k, block, chunks, window: 8 * 2 * (k + block) + 128 * chunks),
@@ -435,7 +501,7 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
     pin_workers(monkeypatch, 1)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
     model = builtin("scenarioA").model
-    window = window_size(model, target_pf, cfg)
+    window = narrowed_window(target_pf, cfg.sample_count, z)
     draws = itertools.count()
 
     def counted(*args):
@@ -448,6 +514,20 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, mis
     assert (next(draws) > 1 + chunks) == missed
     k = math.ceil(target_pf * cfg.sample_count)
     assert peak < bound(k, min(_BLOCK, chunk), chunks, window)
+
+
+def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
+    # The re-centred window grows with sqrt(n): at p_f 0.25 it holds at
+    # most ~49k values at 8M samples and ~24k at 2M, so the peaks differ
+    # by under a block. The pilot window alone would grow 4x, to ~86k at
+    # 8M, and is joined once more to be read.
+    pin_workers(monkeypatch, 1)
+    model = builtin("scenarioA").model
+    peaks = []
+    for n in (2_000_000, 8_000_000):
+        cfg = SimulationConfig(sample_count=n, master_seed=7, chunk_size=1_000_000)
+        peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
+    assert peaks[1] - peaks[0] < 8 * _BLOCK
 
 
 @pytest.mark.parametrize(
@@ -539,6 +619,15 @@ def test_sample_variance_overflow_fails_after_the_last_chunk():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="the sample variance of g overflows over 10000 finite samples"):
             simulate(model, cfg)
+
+
+def test_a_zero_coefficient_other_term_draws_positive_zeros():
+    # With no Normal term the first other term is drawn straight into g
+    # and scaled there; adding the mean, even 0.0, turns 0.0 * (a negative
+    # draw) = -0.0 into 0.0, as mean + 0.0 * x gives.
+    model = LimitStateModel(terms=(Term("load", 0.0, Gumbel(0.0, 1.0)),))
+    g = _chunk_g(model, 7, _LANE_MAIN, 0, 1_000)
+    assert not np.signbit(g).any()
 
 
 def test_non_finite_g_names_the_first_chunk_that_has_it():
