@@ -11,7 +11,7 @@ The file has four sections. "model" and "simulation" are required,
            "distribution": {"kind": "normal", "mean": 10.0, "stddev": 1.0}}
         ]
       },
-      "simulation": {"sampleCount": 5000000, "masterSeed": 0, "chunkSize": 1000000},
+      "simulation": {"sampleCount": 5000000, "masterSeed": 0},
       "assessment": {"betaTarget": 3.0, "maxAcceptableLevel": "III"},
       "output": {"reportJson": "report.json", "histogramCsv": "g.csv"}
     }
@@ -204,13 +204,13 @@ def _parse_model(value, path: str) -> LimitStateModel:
 
 def _parse_simulation(value, path: str) -> SimulationConfig:
     obj = _expect_object(value, path)
-    allowed = {"sampleCount", "masterSeed", "chunkSize"}
-    _check_keys(obj, allowed, path)
+    _check_keys(obj, {"sampleCount", "masterSeed", "chunkSize"}, path)
+    if _integer(obj, "chunkSize", path, default=1_000_000) != 1_000_000:
+        raise ConfigError(f"{path}.chunkSize: must be 1000000, the fixed segment length")
     try:
         return SimulationConfig(
             sample_count=_integer(obj, "sampleCount", path),
             master_seed=_integer(obj, "masterSeed", path, default=0),
-            chunk_size=_integer(obj, "chunkSize", path, default=1_000_000),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):

@@ -17,7 +17,7 @@ Sampling conventions, fixed so that streams are reproducible:
 * A Mixture consumes exactly two runs of uniforms per batch, in fixed
   order: first every branch selector, then every value fed through the
   selected component's quantile. The consumption pattern never depends
-  on which branch was chosen, so chunked runs merge reproducibly.
+  on which branch was chosen, so segmented runs merge reproducibly.
   The heaviest-weight component's quantile is evaluated in place over
   the value uniforms; the draws of the other branches are computed on
   their own positions first and written over it afterwards. Each draw
@@ -26,7 +26,7 @@ Sampling conventions, fixed so that streams are reproducible:
 
 A batch can be drawn in blocks into arrays the caller supplies
 (``_draws``), one block per step, and no draw depends on how the batch
-is cut: the engine draws each term of a chunk that is not Normal from
+is cut: the engine draws each term of a segment that is not Normal from
 its own generator, a block at a time, through one reused block of
 scratch, so the terms of a block of g are drawn together. Scalar
 families fill each block in place (``_fill``). A Mixture drawn in more

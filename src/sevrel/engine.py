@@ -1,43 +1,44 @@
-"""Limit state models and the chunked Monte Carlo engine.
+"""Limit state models and the segmented Monte Carlo engine.
 
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
-Simulation is chunked, and each term of a chunk has its own substream
-slot: chunk i on a lane has the stream of SeedSequence(master_seed,
+Each lane of the stream is cut into segments of _SEGMENT values, the
+last one ragged, and each term of a segment has its own substream slot:
+segment i on a lane has the stream of SeedSequence(master_seed,
 spawn_key=(lane, i)), and slot j reads it from its (j * 2**64)-th draw
 on. The Normal terms are drawn as one Normal, their sum, with the
 coefficients and the shift folded into its mean and sd, from the slot
 of the first Normal term; every other term j draws from slot j. So the
 draws of a term that is not Normal do not depend on the other terms,
-and the terms of a chunk can be drawn together a block at a time. The
-draw plan (see `_Plan`) is fixed once per call. Changing the chunk size
-changes the substream layout and therefore the sample.
+and the terms of a segment can be drawn together a block at a time. The
+draw plan (see `_Plan`) is fixed once per call. The segment length is a
+constant, so the sample depends on the master seed and the sample count
+alone.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
-and the count, sum, M2 and extrema of the failure deficits. A chunk is
+and the count, sum, M2 and extrema of the failure deficits. A segment is
 built one block of _BLOCK values at a time: the merged Normal drawn
 into it (or, without one, the first other term, scaled and shifted),
 then each other term's next block drawn through one block of scratch,
 scaled and added. The block is reduced while it is in cache (extrema
 and finiteness, failure deficits, bins, moments), and the block
 partials fold in order, with the pairwise update, into one partial per
-chunk. So memory is a few blocks per thread, never a chunk. Chunks run
-on a small thread pool,
-one thread per usable CPU (one for chunks shorter than a block), and
-their partials fold in ascending chunk order, so the result is
-bit-identical for a fixed (master seed, chunk size, _BLOCK) whatever
-the number of threads. `g_chunks` runs the same draw on a new array
-per chunk, for callers that keep the chunks. A chunk whose g is not
-finite (NaN, or an overflow to inf) stops the run with an error that
-names the first such chunk; a sample variance of g that overflows,
-although every g is finite, stops it after the last chunk.
+segment. So memory is a few blocks per thread, never a segment. Segments
+are the units of work of a small thread pool, one thread per usable
+CPU, and their partials fold in ascending segment order, so the result
+is bit-identical for a fixed master seed and sample count whatever the
+number of threads. `g_chunks` runs the same draw on a new array per
+segment, for callers that keep them. A segment whose g is not finite
+(NaN, or an overflow to inf) stops the run with an error that names
+the first such segment as a chunk; a sample variance of g that
+overflows, although every g is finite, stops it after the last segment.
 
 On request, each block is also binned while it is held, and the
 ordered merge adds the integer counts (see `histogram`), so the
 histograms of a run need no second pass over the stream.
 
-`calibrate_shift` reads its own lane chunk by chunk in the same way and
-keeps, of its whole sample, a count and a window around the target
+`calibrate_shift` reads its own lane segment by segment in the same way
+and keeps, of its whole sample, a count and a window around the target
 rank, which the ordered fold re-centres each time it has seen twice as
 many values (see `quantile`). So its memory grows with the square root
 of the sample count, not with the count, and the shift is still the
@@ -84,7 +85,11 @@ _LANE_CALIBRATION = 3
 # pass when it misses.
 _PILOT_Z = 10.0
 
-# Values per block of the in-chunk passes: a term's draws, the deficit
+# Values per segment of a lane. Segment i draws the stream seeded by
+# (lane, i), so changing this changes the sample of every longer run.
+_SEGMENT = 1_000_000
+
+# Values per block of the in-segment passes: a term's draws, the deficit
 # gather and the calibration filter.
 _BLOCK = 1 << 16
 
@@ -154,15 +159,18 @@ def model_moments(model: LimitStateModel) -> MomentReport:
 class SimulationConfig:
     sample_count: int
     master_seed: int
-    chunk_size: int
 
     def __post_init__(self):
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+
+    @property
+    def chunk_size(self) -> int:
+        # the segment length under its old name, read by the report and
+        # perfbench/tracing.py; it goes with the next benchmark change
+        return _SEGMENT
 
 
 @dataclass
@@ -200,43 +208,27 @@ class SimulationSummary:
         return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
-def _chunk_layout(config: SimulationConfig) -> list[tuple[int, int]]:
-    sizes = []
-    remaining = config.sample_count
-    idx = 0
-    while remaining > 0:
-        size = min(config.chunk_size, remaining)
-        sizes.append((idx, size))
-        remaining -= size
-        idx += 1
-    return sizes
+def _segments(sample_count: int) -> list[tuple[int, int]]:
+    """(index, size) of each segment of a lane's first `sample_count` values."""
+    return [(idx, min(_SEGMENT, sample_count - start)) for idx, start in enumerate(range(0, sample_count, _SEGMENT))]
 
 
 def _workers(layout: list[tuple[int, int]]) -> int:
-    """Threads for the chunks of `layout`: one per usable CPU, at most one
-    per chunk.
-
-    Chunks shorter than a block get one thread: their numpy calls are
-    too short to release the interpreter lock for long. Against one
-    thread, two took 4M samples 2.5-5 times as long in 1k chunks, about
-    as long in 16k, and 1.3-1.6 times less from 48k up (README,
-    threads); the cut at a block is on the safe side of that.
-    """
-    if layout[0][1] < _BLOCK:
-        return 1
+    """Threads for the segments of `layout`: one per usable CPU, at most
+    one per segment."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, len(layout))
 
 
 def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> Iterator[_T]:
-    """work(idx, size) for each chunk of `layout`, yielded in index order.
+    """work(idx, size) for each segment of `layout`, yielded in index order.
 
-    The chunks run on `_workers` threads, with at most two chunks per
+    The segments run on `_workers` threads, with at most two segments per
     worker started ahead of the one read next, so finished results
-    cannot pile up. An error in a chunk is raised when that chunk is
-    read, so the first failing chunk in index order is the one reported;
-    the chunks not yet started are then cancelled. No thread outlives
-    the generator. With one worker the chunks run in the calling thread.
+    cannot pile up. An error in a segment is raised when that segment is
+    read, so the first failing segment in index order is the one reported;
+    the segments not yet started are then cancelled. No thread outlives
+    the generator. With one worker the segments run in the calling thread.
     """
     workers = _workers(layout)
     if workers == 1:
@@ -258,7 +250,7 @@ def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> I
 
 @dataclass(frozen=True)
 class _Plan:
-    """How every chunk of one call draws g, fixed before the first chunk.
+    """How every segment of one call draws g, fixed before the first one.
 
     The Normal terms merge into one Normal with the coefficients and the
     shift folded in: mean = shift + sum(a * mu) and sd = hypot(a * sigma),
@@ -295,14 +287,13 @@ def _plan(model: LimitStateModel) -> _Plan:
 
 
 def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
-    """One generator per slot of chunk `idx` of `lane`: slot j reads the
-    chunk's stream, SeedSequence(master_seed; lane, idx), from its
+    """One generator per slot of segment `idx` of `lane`: slot j reads
+    the segment's stream, SeedSequence(master_seed; lane, idx), from its
     (j * 2**64)-th draw on. No slot, no seeding.
 
     A term draws at most a few values per sample, so the substreams
     never meet. A copy advanced by 2**64 costs under half as much as
-    seeding a slot on its own, and seeding is most of what a small
-    chunk costs.
+    seeding a slot on its own.
     """
     if not slots:
         return []
@@ -311,16 +302,16 @@ def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) ->
 
 
 def _reused_blocks(size: int) -> list[np.ndarray]:
-    """The blocks of a chunk of `size` values, in order, all views of one
+    """The blocks of a segment of `size` values, in order, all views of one
     new block-sized buffer."""
     buffer = np.empty(min(_BLOCK, size))
     return [buffer[: min(_BLOCK, size - start)] for start in range(0, size, _BLOCK)]
 
 
-def _draw_chunk(
+def _draw_segment(
     plan: _Plan, master_seed: int, lane: int, idx: int, g_blocks: list[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Draw chunk `idx` of `lane` into the arrays of g_blocks in turn, and
+    """Draw segment `idx` of `lane` into the arrays of g_blocks in turn, and
     yield each block as soon as it holds its values of g.
 
     The merged Normal is drawn straight into the block of g (see
@@ -329,7 +320,7 @@ def _draw_chunk(
     of 1 skips the scaling, one of -1 subtracts). Without a Normal term,
     the first other term is drawn straight into g, scaled there and
     shifted by the mean, with the bits that filling g with the mean and
-    adding the term give. No draw depends on how the chunk is cut into
+    adding the term give. No draw depends on how the segment is cut into
     blocks, and the draws of a term that is not Normal do not depend on
     the other terms. The blocks may share one buffer, since each is
     yielded before the next is drawn.
@@ -373,18 +364,19 @@ def _draw_chunk(
         yield g
 
 
-def _chunk_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
-    """Chunk `idx` of `lane`, in a new array."""
+def _segment_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
+    """Segment `idx` of `lane`, in a new array."""
     g = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _draw_chunk(_plan(model), master_seed, lane, idx, np.split(g, range(_BLOCK, size, _BLOCK))):
+        for _ in _draw_segment(_plan(model), master_seed, lane, idx, np.split(g, range(_BLOCK, size, _BLOCK))):
             pass
     return g
 
 
-def _finite_extrema(g: np.ndarray, idx: int, size: int, config: SimulationConfig) -> tuple[float, float]:
-    """Min and max of g, a block of chunk `idx` of `size` values, or
-    ValueError, naming the chunk, if g is not finite.
+def _finite_extrema(g: np.ndarray, idx: int, size: int) -> tuple[float, float]:
+    """Min and max of g, a block of segment `idx` of `size` values, or
+    ValueError if g is not finite. The error names the segment as a
+    chunk, with its stream positions, from idx * _SEGMENT.
 
     NaN propagates through min and max, so the extrema catch every
     non-finite value; unchecked, NaN would fail no `g < 0` test and
@@ -392,7 +384,7 @@ def _finite_extrema(g: np.ndarray, idx: int, size: int, config: SimulationConfig
     """
     lo, hi = float(g.min()), float(g.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        start = idx * config.chunk_size
+        start = idx * _SEGMENT
         raise ValueError(
             f"g is not finite in chunk {idx} (stream positions {start} to "
             f"{start + size - 1}); a coefficient or parameter overflows"
@@ -401,15 +393,15 @@ def _finite_extrema(g: np.ndarray, idx: int, size: int, config: SimulationConfig
 
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Regenerate the exact g stream of simulate(), chunk by chunk, each in
-    a new array that the caller may keep."""
-    for idx, size in _chunk_layout(config):
-        yield _chunk_g(model, config.master_seed, _LANE_MAIN, idx, size)
+    """Regenerate the exact g stream of simulate(), segment by segment,
+    each in a new array that the caller may keep."""
+    for idx, size in _segments(config.sample_count):
+        yield _segment_g(model, config.master_seed, _LANE_MAIN, idx, size)
 
 
 @dataclass
 class _Partial:
-    """Statistics of consecutive samples of g: a block, a chunk or a run.
+    """Statistics of consecutive samples of g: a block, a segment or a run.
 
     The empty partial folds into anything; `fold` appends the samples of
     the next partial with the pairwise update.
@@ -481,15 +473,15 @@ def _gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return g.compress(mask) if 2 * np.count_nonzero(mask) <= g.size else g[mask]
 
 
-def _summarize_block(g: np.ndarray, idx: int, size: int, config: SimulationConfig, histograms: bool) -> _Partial:
-    """The partial statistics of g, a block of chunk `idx` of `size` values.
+def _summarize_block(g: np.ndarray, idx: int, size: int, histograms: bool) -> _Partial:
+    """The partial statistics of g, a block of segment `idx` of `size` values.
 
     Works on g in place and leaves it overwritten with the squares of
     its centred values. Finite values near the float limit can overflow
     the sums and squares under the caller's np.errstate; the folded M2
-    is checked once, after the last chunk (see simulate).
+    is checked once, after the last segment (see simulate).
     """
-    min_g, max_g = _finite_extrema(g, idx, size, config)
+    min_g, max_g = _finite_extrema(g, idx, size)
     part = _Partial(n=g.size, min_g=min_g, max_g=max_g)
     if histograms:
         part.g_bins = histogram.linear(g, min_g, max_g)
@@ -510,33 +502,34 @@ def _summarize_block(g: np.ndarray, idx: int, size: int, config: SimulationConfi
     return part
 
 
-def _chunk_partial(plan: _Plan, config: SimulationConfig, histograms: bool, idx: int, size: int) -> _Partial:
-    """Chunk `idx` drawn and reduced block by block, its blocks folded in order."""
+def _segment_partial(plan: _Plan, master_seed: int, histograms: bool, idx: int, size: int) -> _Partial:
+    """Segment `idx` drawn and reduced block by block, its blocks folded in order."""
     part = _Partial()
     # np.errstate is per thread; non-finite g is reported by _finite_extrema
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in _draw_chunk(plan, config.master_seed, _LANE_MAIN, idx, _reused_blocks(size)):
-            part.fold(_summarize_block(g, idx, size, config, histograms))
+        for g in _draw_segment(plan, master_seed, _LANE_MAIN, idx, _reused_blocks(size)):
+            part.fold(_summarize_block(g, idx, size, histograms))
     return part
 
 
 def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool = False) -> SimulationSummary:
-    """Run the chunked Monte Carlo estimate of the g distribution.
+    """Run the segmented Monte Carlo estimate of the g distribution.
 
-    Chunks run in parallel (see `_ordered`) and their partials are folded
-    in index order, so the bits do not depend on the number of threads.
-    A sample variance of g that overflows raises ValueError after the
-    last chunk.
+    Segments run in parallel (see `_ordered`) and their partials are
+    folded in index order, so the bits do not depend on the number of
+    threads. A sample variance of g that overflows raises ValueError
+    after the last segment.
 
     With `histograms`, each block is binned while it is held, and the
     summary carries `g_histogram` and `deficit_histogram`. Binning reads
     each block once more, which costs far less than regenerating it.
     """
     acc = _Partial()
-    for part in _ordered(functools.partial(_chunk_partial, _plan(model), config, histograms), _chunk_layout(config)):
+    work = functools.partial(_segment_partial, _plan(model), config.master_seed, histograms)
+    for part in _ordered(work, _segments(config.sample_count)):
         acc.fold(part)
     if not math.isfinite(acc.m2):
-        # every g is finite, or a chunk would have stopped the run
+        # every g is finite, or a segment would have stopped the run
         raise ValueError(
             f"the sample variance of g overflows over {acc.n} finite samples; "
             "a coefficient or parameter is too large"
@@ -544,11 +537,11 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     return acc.summary(config)
 
 
-def _pilot(plan: _Plan, config: SimulationConfig, size: int) -> np.ndarray:
-    """The first block of chunk 0, of `size` values, on the calibration lane."""
+def _pilot(plan: _Plan, master_seed: int, size: int) -> np.ndarray:
+    """The first block of segment 0, of `size` values, on the calibration lane."""
     with np.errstate(over="ignore", invalid="ignore"):
-        pilot = next(_draw_chunk(plan, config.master_seed, _LANE_CALIBRATION, 0, _reused_blocks(size)))
-        _finite_extrema(pilot, 0, size, config)
+        pilot = next(_draw_segment(plan, master_seed, _LANE_CALIBRATION, 0, _reused_blocks(size)))
+        _finite_extrema(pilot, 0, size)
     return pilot
 
 
@@ -592,19 +585,19 @@ def calibrate_shift(
     k = ceil(target_pf * n). On the calibration sample itself the shifted
     failure fraction then matches target_pf to within 1/n.
 
-    The sample is read chunk by chunk, block by block. The first block of
-    chunk 0 is a pilot: it brackets the k-th smallest value in a window
-    [lo, hi] (see `_pilot_window`). Every chunk then counts its values
-    below lo and keeps its values inside the window, the chunks run in
-    parallel and their pairs fold in index order (see `quantile.Window`),
-    and the answer is the (k - below)-th smallest of the window. Each
+    The sample is read segment by segment, block by block. The first
+    block of segment 0 is a pilot: it brackets the k-th smallest value in
+    a window [lo, hi] (see `_pilot_window`). Every segment then counts its
+    values below lo and keeps its values inside the window, the segments
+    run in parallel and their pairs fold in index order (see
+    `quantile.Window`), and the answer is the (k - below)-th smallest of the window. Each
     time the fold has seen twice as many values as when the window was
     last centred, the window is re-centred on the same ranks of the
     values seen so far, p * seen -/+ (_PILOT_Z * sqrt(p * (1 - p) * seen) + 1)
     for p = k / n, in the manner of Floyd and Rivest's sample-then-narrow
     selection (CACM 18(3), 1975). So the window holds about
     4 * _PILOT_Z * sqrt(p * (1 - p) * n) values at most, and memory is a
-    few blocks per thread, the windows of the chunks in flight and the
+    few blocks per thread, the windows of the segments in flight and the
     window: it grows with sqrt(n), not n. When the window misses, one
     more pass keeps only the side the rank fell on, cut to the values
     that can still be the answer. Every path gives the k-th smallest
@@ -624,26 +617,26 @@ def calibrate_shift(
     k = math.ceil(expected_failures - 1e-9)
     p = k / config.sample_count
 
-    def chunk_window(win: Window, idx: int, size: int) -> tuple[tuple[float, float], int, list[np.ndarray]]:
-        # the bounds read when chunk idx starts, how many of its values lie
+    def segment_window(win: Window, idx: int, size: int) -> tuple[tuple[float, float], int, list[np.ndarray]]:
+        # the bounds read when segment idx starts, how many of its values lie
         # below lo, and its values in [lo, hi], one array per block
         bounds = lo, hi = win.bounds
         below, inside = 0, []
         with np.errstate(over="ignore", invalid="ignore"):
-            for g in _draw_chunk(plan, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
-                _finite_extrema(g, idx, size, config)
+            for g in _draw_segment(plan, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
+                _finite_extrema(g, idx, size)
                 below += int(np.count_nonzero(g < lo))
                 mask = lo <= g
                 mask &= g <= hi
                 inside.append(_gather(g, mask))
         return bounds, below, inside
 
-    layout = _chunk_layout(config)
-    # Cutting only past twice what the rank still needs keeps small chunks
-    # from joining and partitioning the window every time.
-    win = Window(*_pilot_window(_pilot(plan, config, layout[0][1]), p), k, slack=2)
+    layout = _segments(config.sample_count)
+    # Cutting only past twice what the rank still needs spares the window
+    # a join and a partition at every fold.
+    win = Window(*_pilot_window(_pilot(plan, config.master_seed, layout[0][1]), p), k, slack=2)
     seen, centred = 0, min(_BLOCK, layout[0][1])
-    for (_, size), part in zip(layout, _ordered(functools.partial(chunk_window, win), layout)):
+    for (_, size), part in zip(layout, _ordered(functools.partial(segment_window, win), layout)):
         win.fold(*part)
         seen += size
         if 2 * centred <= seen < config.sample_count:
@@ -657,7 +650,7 @@ def calibrate_shift(
         # it holds more than the rank needs.
         lo, hi = win.bounds
         win = Window(*((-math.inf, lo) if k <= win.below else (hi, math.inf)), k, slack=1)
-        for part in _ordered(functools.partial(chunk_window, win), layout):
+        for part in _ordered(functools.partial(segment_window, win), layout):
             win.fold(*part)
         value = win.select()
     return -value

@@ -1,6 +1,19 @@
 import pytest
 
+from sevrel import engine
 from sevrel.scenarios import builtin, run
+
+
+@pytest.fixture
+def segment(monkeypatch):
+    """Cut every stream into segments of the given length for one test.
+
+    Segment i of a lane draws SeedSequence(seed; lane, i) whatever its
+    length, so a short segment gives a test many segments, threads or a
+    named failing segment cheaply, and the sample of the chunk size the
+    test was written for.
+    """
+    return lambda size: monkeypatch.setattr(engine, "_SEGMENT", size)
 
 
 @pytest.fixture(scope="session")

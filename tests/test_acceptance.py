@@ -378,7 +378,7 @@ def test_criterion_7_matched_rate_pair(capsys, scenario_cache):
     assert not problems, problems
 
 
-def test_criterion_8_property_battery(capsys):
+def test_criterion_8_property_battery(capsys, segment):
     problems = []
 
     # strict monotone decay on a dense grid
@@ -430,7 +430,8 @@ def test_criterion_8_property_battery(capsys):
 
     # streaming merge against a two-pass reference
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(1.0, 1.0)),))
-    cfg = SimulationConfig(sample_count=300_000, master_seed=17, chunk_size=100_000)
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=300_000, master_seed=17)
     s1 = simulate(model, cfg)
     g = np.concatenate(list(g_chunks(model, cfg)))
     if abs(s1.mean_g - g.mean()) > 1e-9 * abs(g.mean()):

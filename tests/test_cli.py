@@ -329,6 +329,18 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert f"error: {old}.simulation: unknown key '{key}'" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_chunk_size_other_than_the_segment(tmp_path, capsys):
+    # every stream is cut into fixed 1M-value segments; the old key is
+    # accepted only with that value, so no config can pick another sample
+    cfg = make_config(tmp_path, simulation={"sampleCount": 100000, "masterSeed": 7, "chunkSize": 50000})
+    assert main(["simulate", cfg]) == 2
+    assert f"error: {cfg}.simulation.chunkSize: must be 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    cfg = make_config(tmp_path, simulation={"sampleCount": 1000, "chunkSize": 1000000})
+    assert main(["simulate", cfg]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["simulation"]["chunkSize"] == 1000000
+
+
 def test_simulate_rejects_non_finite_g(tmp_path, capsys):
     # a finite coefficient whose product with the samples overflows to inf;
     # g is never below 0, so this used to read as "no failures". The

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sevrel.config import AnalysisConfig, ConfigError, OutputPaths, load_config, parse_config
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto, lognormal_from_median_cov
+from sevrel.engine import SimulationConfig
 from sevrel.metrics import SeverityLevel
 
 
@@ -31,7 +32,7 @@ def base_config():
                 },
             ],
         },
-        "simulation": {"sampleCount": 100000, "masterSeed": 7, "chunkSize": 50000},
+        "simulation": {"sampleCount": 100000, "masterSeed": 7, "chunkSize": 1000000},
         "assessment": {"betaTarget": 3.0, "maxAcceptableLevel": "III"},
         "output": {"reportJson": "out.json", "histogramCsv": "g.csv"},
     }
@@ -50,7 +51,6 @@ def test_full_config_parses():
     assert cfg.model.terms[1].distribution == Gumbel(5.0, 1.2)
     assert cfg.simulation.sample_count == 100000
     assert cfg.simulation.master_seed == 7
-    assert cfg.simulation.chunk_size == 50000
     assert cfg.beta_target == 3.0
     assert cfg.max_acceptable_level is SeverityLevel.HIGH
     assert cfg.output.report_json == "out.json"
@@ -74,8 +74,7 @@ def test_minimal_config_defaults():
         }
     )
     assert cfg.model.shift == 0.0
-    assert cfg.simulation.master_seed == 0
-    assert cfg.simulation.chunk_size == 1_000_000
+    assert cfg.simulation == SimulationConfig(sample_count=1000, master_seed=0)
     assert cfg.beta_target is None
     assert cfg.max_acceptable_level is None
     assert cfg.output == OutputPaths()
@@ -274,8 +273,18 @@ def test_duplicate_term_names_are_wrapped():
 
 def test_invalid_simulation_values_are_wrapped():
     data = base_config()
-    data["simulation"]["chunkSize"] = 0
-    with pytest.raises(ConfigError, match="config.simulation"):
+    data["simulation"]["sampleCount"] = 0
+    with pytest.raises(ConfigError, match="config.simulation: sample_count must be at least 1"):
+        parse(data)
+
+
+@pytest.mark.parametrize("value", [50_000, 0, 2_000_000])
+def test_chunk_size_other_than_the_segment_is_refused(value):
+    # the stream is cut into fixed 1M-value segments, so the old key may
+    # only repeat that length
+    data = base_config()
+    data["simulation"]["chunkSize"] = value
+    with pytest.raises(ConfigError, match=r"^config\.simulation\.chunkSize: "):
         parse(data)
 
 
@@ -400,7 +409,7 @@ _documents = st.fixed_dictionaries(
         ),
         "simulation": st.fixed_dictionaries(
             {"sampleCount": _mostly(st.integers(min_value=1, max_value=10**6), _values)},
-            optional={"masterSeed": st.integers(min_value=-2), "chunkSize": _values},
+            optional={"masterSeed": st.integers(min_value=-2), "chunkSize": _mostly(st.just(10**6), _values)},
         ),
     },
     optional={

@@ -3,12 +3,11 @@
 import gc
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,11 +28,11 @@ from sevrel.engine import (
     _BLOCK,
     _LANE_CALIBRATION,
     _LANE_MAIN,
-    _chunk_g,
-    _chunk_layout,
-    _draw_chunk,
+    _draw_segment,
     _finite_extrema,
     _pilot_window,
+    _segment_g,
+    _segments,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
@@ -137,9 +136,9 @@ def test_model_moments_infinite_term_variance_is_not_an_overflow():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(sample_count=0, master_seed=0, chunk_size=10),
-        dict(sample_count=10, master_seed=0, chunk_size=0),
-        dict(sample_count=10, master_seed=-1, chunk_size=10),
+        dict(sample_count=0, master_seed=0),
+        dict(sample_count=-10, master_seed=0),
+        dict(sample_count=10, master_seed=-1),
     ],
 )
 def test_config_validation(kwargs):
@@ -148,48 +147,53 @@ def test_config_validation(kwargs):
 
 
 def test_sample_count_below_chunk_size_is_fine():
-    cfg = SimulationConfig(sample_count=1000, master_seed=0, chunk_size=1_000_000)
+    cfg = SimulationConfig(sample_count=1000, master_seed=0)
     s = simulate(failure_heavy_model(), cfg)
     assert s.n == 1000
 
 
-# --- chunking and reproducibility ----------------------------------------
+# --- segmenting and reproducibility ----------------------------------------
 
 
-def test_chunk_layout_covers_remainder():
-    cfg = SimulationConfig(sample_count=250_000, master_seed=7, chunk_size=100_000)
+def test_chunk_layout_covers_remainder(segment):
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=250_000, master_seed=7)
     sizes = [c.size for c in g_chunks(failure_heavy_model(), cfg)]
     assert sizes == [100_000, 100_000, 50_000]
 
 
-def test_g_chunks_yields_fresh_arrays():
-    # simulate reuses one g buffer; g_chunks must not, since its callers keep every chunk
-    cfg = SimulationConfig(sample_count=250_000, master_seed=9, chunk_size=100_000)
+def test_g_chunks_yields_fresh_arrays(segment):
+    # simulate reuses one g buffer; g_chunks must not, since its callers keep every segment
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=250_000, master_seed=9)
     m = failure_heavy_model()
     chunks = list(g_chunks(m, cfg))
     for a, b in itertools.combinations(chunks, 2):
         assert not np.shares_memory(a, b)
-    for (idx, size), g in zip(_chunk_layout(cfg), chunks):
-        assert np.array_equal(g, _chunk_g(m, cfg.master_seed, _LANE_MAIN, idx, size))
+    for (idx, size), g in zip(_segments(cfg.sample_count), chunks):
+        assert np.array_equal(g, _segment_g(m, cfg.master_seed, _LANE_MAIN, idx, size))
 
 
-def test_g_chunks_deterministic():
-    cfg = SimulationConfig(sample_count=30_000, master_seed=42, chunk_size=10_000)
+def test_g_chunks_deterministic(segment):
+    segment(10_000)
+    cfg = SimulationConfig(sample_count=30_000, master_seed=42)
     m = margin_model()
     a = full_g(m, cfg)
     b = full_g(m, cfg)
     assert np.array_equal(a, b)
 
 
-def test_chunk_size_changes_the_sample():
-    m = margin_model()
-    a = full_g(m, SimulationConfig(sample_count=1000, master_seed=5, chunk_size=1000))
-    b = full_g(m, SimulationConfig(sample_count=1000, master_seed=5, chunk_size=500))
-    assert not np.array_equal(a, b)
+def test_the_sample_depends_on_the_seed_and_the_sample_count_alone():
+    # every lane is cut into fixed 1M-value segments; no caller picks the cut
+    assert [f.name for f in fields(SimulationConfig)] == ["sample_count", "master_seed"]
+    with pytest.raises(TypeError):
+        SimulationConfig(sample_count=1000, master_seed=5, chunk_size=500)
+    assert _segments(2_500_000) == [(0, 1_000_000), (1, 1_000_000), (2, 500_000)]
 
 
-def test_merge_matches_two_pass_statistics():
-    cfg = SimulationConfig(sample_count=250_000, master_seed=3, chunk_size=100_000)
+def test_merge_matches_two_pass_statistics(segment):
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=250_000, master_seed=3)
     m = failure_heavy_model()
     s = simulate(m, cfg)
     g = full_g(m, cfg)
@@ -204,13 +208,14 @@ def test_merge_matches_two_pass_statistics():
     assert s.failure_count == deficits.size
     assert math.isclose(s.deficit_sum, float(deficits.sum()), rel_tol=1e-12)
     assert math.isclose(s.deficit_m2, float(np.square(deficits - deficits.mean()).sum()), rel_tol=1e-12)
-    # extrema are global, over every chunk
+    # extrema are global, over every segment
     assert s.deficit_min == float(deficits.min())
     assert s.deficit_max == float(deficits.max())
 
 
-def test_pf_property():
-    cfg = SimulationConfig(sample_count=50_000, master_seed=1, chunk_size=10_000)
+def test_pf_property(segment):
+    segment(10_000)
+    cfg = SimulationConfig(sample_count=50_000, master_seed=1)
     s = simulate(failure_heavy_model(), cfg)
     assert s.pf == s.failure_count / s.n
     assert 0.14 < s.pf < 0.18
@@ -219,9 +224,10 @@ def test_pf_property():
 # --- deficit spread -----------------------------------------------------
 
 
-def test_conditional_std_on_standard_normal():
+def test_conditional_std_on_standard_normal(segment):
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    cfg = SimulationConfig(sample_count=200_000, master_seed=6, chunk_size=100_000)
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=200_000, master_seed=6)
     s = simulate(model, cfg)
     # deficits of a centered normal are half-normal
     assert s.conditional_std is not None
@@ -230,16 +236,16 @@ def test_conditional_std_on_standard_normal():
 
 def test_conditional_std_needs_two_failures():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(-10.0, 1.0)),))
-    one = simulate(model, SimulationConfig(sample_count=1, master_seed=0, chunk_size=1))
+    one = simulate(model, SimulationConfig(sample_count=1, master_seed=0))
     assert one.failure_count == 1 and one.conditional_std is None
-    two = simulate(model, SimulationConfig(sample_count=2, master_seed=0, chunk_size=2))
+    two = simulate(model, SimulationConfig(sample_count=2, master_seed=0))
     assert two.conditional_std == math.sqrt(two.deficit_m2)
 
 
 # --- the Normal terms drawn as one Normal -----------------------------------
 
 
-def test_merged_normals_keep_the_law_of_g():
+def test_merged_normals_keep_the_law_of_g(segment):
     # Three Normal terms of mixed sign draw as one Normal, around a Gumbel
     # that keeps its own draws; the sample mean and variance of g must
     # match the term-by-term moments.
@@ -247,7 +253,8 @@ def test_merged_normals_keep_the_law_of_g():
     load = Term("load", -0.8, Gumbel(4.0, 1.1))
     terms = [Term(f"x{i}", a, d) for i, (a, d) in enumerate(normals)]
     model = LimitStateModel(terms=(terms[0], load, *terms[1:]), shift=0.5)
-    cfg = SimulationConfig(sample_count=1_000_000, master_seed=11, chunk_size=250_000)
+    segment(250_000)
+    cfg = SimulationConfig(sample_count=1_000_000, master_seed=11)
     s = simulate(model, cfg)
     exact = model_moments(model)
     n = cfg.sample_count
@@ -272,9 +279,10 @@ def test_example1_pf_matches_the_closed_form():
 # --- calibration ----------------------------------------------------------
 
 
-def test_calibrate_shift_hits_target():
+def test_calibrate_shift_hits_target(segment):
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    cfg = SimulationConfig(sample_count=200_000, master_seed=13, chunk_size=100_000)
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=200_000, master_seed=13)
     c = calibrate_shift(model, 0.05, cfg)
     # P(z + c < 0) = 0.05 wants c near the upper 5% point
     assert abs(c - 1.6448536269514722) < 0.03
@@ -285,9 +293,10 @@ def test_calibrate_shift_hits_target():
     assert abs(s.pf - 0.05) < 4.0 * se
 
 
-def test_calibrate_shift_ignores_existing_shift():
+def test_calibrate_shift_ignores_existing_shift(segment):
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    cfg = SimulationConfig(sample_count=100_000, master_seed=13, chunk_size=50_000)
+    segment(50_000)
+    cfg = SimulationConfig(sample_count=100_000, master_seed=13)
     a = calibrate_shift(model, 0.05, cfg)
     b = calibrate_shift(model.with_shift(123.0), 0.05, cfg)
     assert a == b
@@ -297,7 +306,7 @@ def calibration_reference(model, target_pf, config):
     # the whole calibration sample in memory at once, then one partition
     base = model.with_shift(0.0)
     g = np.concatenate(
-        [_chunk_g(base, config.master_seed, _LANE_CALIBRATION, idx, size) for idx, size in _chunk_layout(config)]
+        [_segment_g(base, config.master_seed, _LANE_CALIBRATION, idx, size) for idx, size in _segments(config.sample_count)]
     )
     k = math.ceil(target_pf * config.sample_count - 1e-9)
     return -float(np.partition(g, k - 1)[k - 1])
@@ -306,23 +315,24 @@ def calibration_reference(model, target_pf, config):
 @pytest.mark.parametrize(
     "target_pf, n",
     [
-        (0.05, 100_000),  # k = 5 000 below the chunk size, ragged last chunk
-        (0.5, 100_000),  # k = 50 000 above the chunk size, ragged last chunk
-        (0.3, 90_000),  # k = 27 000, chunks of equal size
-        (0.0001, 100_000),  # k = 10, most chunks filter to nothing
+        (0.05, 100_000),  # k = 5 000 below the segment length, ragged last segment
+        (0.5, 100_000),  # k = 50 000 above the segment length, ragged last segment
+        (0.3, 90_000),  # k = 27 000, segments of equal size
+        (0.0001, 100_000),  # k = 10, most segments filter to nothing
     ],
 )
-def test_calibrate_shift_streams_to_the_same_bits(target_pf, n):
-    cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=30_000)
+def test_calibrate_shift_streams_to_the_same_bits(segment, target_pf, n):
+    segment(30_000)
+    cfg = SimulationConfig(sample_count=n, master_seed=21)
     m = failure_heavy_model()
     assert calibrate_shift(m, target_pf, cfg) == calibration_reference(m, target_pf, cfg)
 
 
 def pilot_window(model, target_pf, config):
-    # the window calibrate_shift draws from the first block of chunk 0 of
+    # the window calibrate_shift draws from the first block of segment 0 of
     # the calibration lane
-    size = min(config.chunk_size, config.sample_count)
-    pilot = _chunk_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)[:_BLOCK]
+    size = min(engine._SEGMENT, config.sample_count)
+    pilot = _segment_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)[:_BLOCK]
     k = math.ceil(target_pf * config.sample_count - 1e-9)
     return _pilot_window(pilot, k / config.sample_count)
 
@@ -335,9 +345,10 @@ def pilot_window(model, target_pf, config):
         (0.0, 3, "above"),
     ],
 )
-def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, side):
+def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, segment, z, seed, side):
     monkeypatch.setattr(engine, "_PILOT_Z", z)
-    cfg = SimulationConfig(sample_count=100_003, master_seed=seed, chunk_size=30_000)
+    segment(30_000)
+    cfg = SimulationConfig(sample_count=100_003, master_seed=seed)
     m = failure_heavy_model()
     expected = calibration_reference(m, 0.25, cfg)
     lo, hi = pilot_window(m, 0.25, cfg)
@@ -351,10 +362,10 @@ def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, s
 @pytest.mark.parametrize(
     "model, target_pf, n, chunk, window",
     [
-        # a single chunk is its own pilot
+        # a single segment is its own pilot
         (failure_heavy_model(), 0.25, 100_000, 100_000, "finite"),
         (failure_heavy_model(), 0.25, 100_000, 250_000, "finite"),
-        # a ragged last chunk
+        # a ragged last segment
         (failure_heavy_model(), 0.25, 100_003, 30_000, "finite"),
         # hi clips at the pilot's last value
         (failure_heavy_model(), 0.999, 100_000, 30_000, "hi=+inf"),
@@ -365,8 +376,9 @@ def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, s
     ],
     ids=["one-chunk", "chunk-above-n", "ragged", "hi-inf", "lo-inf", "all-equal"],
 )
-def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_pf, n, chunk, window):
-    cfg = SimulationConfig(sample_count=n, master_seed=21, chunk_size=chunk)
+def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, segment, model, target_pf, n, chunk, window):
+    segment(chunk)
+    cfg = SimulationConfig(sample_count=n, master_seed=21)
     expected = calibration_reference(model, target_pf, cfg)
     lo, hi = pilot_window(model, target_pf, cfg)
     assert {
@@ -376,10 +388,10 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, model, target_
         "lo==hi": lo == hi,
     }[window]
     draws = []
-    monkeypatch.setattr(engine, "_draw_chunk", lambda *args: draws.append(args) or _draw_chunk(*args))
+    monkeypatch.setattr(engine, "_draw_segment", lambda *args: draws.append(args) or _draw_segment(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
-    # the pilot, then every chunk once: the window did not miss
-    assert len(draws) == 1 + len(_chunk_layout(cfg))
+    # the pilot, then every segment once: the window did not miss
+    assert len(draws) == 1 + len(_segments(cfg.sample_count))
 
 
 def spy_on_the_window(monkeypatch):
@@ -415,13 +427,14 @@ def spy_on_the_window(monkeypatch):
     ],
     ids=["narrowed", "missed-below", "missed-above"],
 )
-def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, workers, z, seed, missed):
-    # On two threads chunks start ahead of the fold, so some may be
+def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, segment, workers, z, seed, missed):
+    # On two threads segments start ahead of the fold, so some may be
     # filtered with bounds that a re-centring has narrowed since (the
-    # test below folds such a chunk deterministically).
+    # test below folds such a segment deterministically).
     monkeypatch.setattr(engine, "_PILOT_Z", z)
     pin_workers(monkeypatch, workers)
-    cfg = SimulationConfig(sample_count=100_003, master_seed=seed, chunk_size=1_000)
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=100_003, master_seed=seed)
     m = failure_heavy_model()
     expected = calibration_reference(m, 0.25, cfg)
     events = spy_on_the_window(monkeypatch)
@@ -483,9 +496,9 @@ def traced_peak(call):
         # ~67k) and is joined to be narrowed, cut or read; the block
         # filter's boolean masks, a byte per value, come on top.
         (0.25, 100_000, 10.0, False, lambda k, block, chunks, window: 8 * (window + 2 * block) + 4 * block),
-        # At 1k chunks the window is cut to twice the k smallest values at
-        # most. The (idx, size) layout of 2 000 chunks takes up to ~110
-        # bytes a chunk, less when tuples come from the interpreter's free
+        # At 1k segments the window is cut to twice the k smallest values at
+        # most. The (idx, size) layout of 2 000 segments takes up to ~110
+        # bytes a segment, less when tuples come from the interpreter's free
         # list; gc.collect() empties that list, so it is counted in full.
         (0.001, 1_000, 10.0, False, lambda k, block, chunks, window: 8 * 2 * (k + block) + 128 * chunks),
         # The second pass keeps the side of the window the rank fell on,
@@ -494,23 +507,24 @@ def traced_peak(call):
     ],
     ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
 )
-def test_calibrate_shift_memory_is_bounded(monkeypatch, target_pf, chunk, z, missed, bound):
-    # On one thread no term grows with the chunk size; each further
+def test_calibrate_shift_memory_is_bounded(monkeypatch, segment, target_pf, chunk, z, missed, bound):
+    # On one thread no term grows with the segment length; each further
     # thread adds its own blocks (see test_a_thread_adds_its_blocks).
     monkeypatch.setattr(engine, "_PILOT_Z", z)
     pin_workers(monkeypatch, 1)
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=chunk)
+    segment(chunk)
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
     model = builtin("scenarioA").model
     window = narrowed_window(target_pf, cfg.sample_count, z)
     draws = itertools.count()
 
     def counted(*args):
         next(draws)
-        return _draw_chunk(*args)
+        return _draw_segment(*args)
 
-    monkeypatch.setattr(engine, "_draw_chunk", counted)
+    monkeypatch.setattr(engine, "_draw_segment", counted)
     peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
-    chunks = len(_chunk_layout(cfg))
+    chunks = len(_segments(cfg.sample_count))
     assert (next(draws) > 1 + chunks) == missed
     k = math.ceil(target_pf * cfg.sample_count)
     assert peak < bound(k, min(_BLOCK, chunk), chunks, window)
@@ -525,7 +539,7 @@ def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
     model = builtin("scenarioA").model
     peaks = []
     for n in (2_000_000, 8_000_000):
-        cfg = SimulationConfig(sample_count=n, master_seed=7, chunk_size=1_000_000)
+        cfg = SimulationConfig(sample_count=n, master_seed=7)
         peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
     assert peaks[1] - peaks[0] < 8 * _BLOCK
 
@@ -536,22 +550,23 @@ def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
     ids=["case-study", "scenarioA-pf-0.25"],
 )
 def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
-    # Each thread draws and reduces its chunk one block at a time, so
-    # memory is a few blocks per thread, whatever the chunk size: here a
-    # chunk alone would take 16 MB.
+    # Each thread draws and reduces its segment one block at a time, so
+    # memory is a few blocks per thread: here a segment alone would take
+    # 8 MB.
     pin_workers(monkeypatch, 2)
-    cfg = SimulationConfig(sample_count=4_000_000, master_seed=5, chunk_size=2_000_000)
+    cfg = SimulationConfig(sample_count=4_000_000, master_seed=5)
     model = builtin(sid).model
     if target_pf is not None:
         model = model.with_shift(calibrate_shift(model, target_pf, cfg))
-    assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(cfg.chunk_size)
+    assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(engine._SEGMENT)
 
 
 @pytest.mark.parametrize("call", ["simulate", "calibrate_shift"])
-def test_a_thread_adds_its_blocks(monkeypatch, call):
-    # A second thread holds its own blocks, and at most two chunks per
+def test_a_thread_adds_its_blocks(monkeypatch, segment, call):
+    # A second thread holds its own blocks, and at most two segments per
     # thread of finished partials or windows wait for the fold.
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7, chunk_size=100_000)
+    segment(100_000)
+    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
     model = builtin("scenarioA").model
     peaks = []
     for workers in (1, 2):
@@ -560,18 +575,18 @@ def test_a_thread_adds_its_blocks(monkeypatch, call):
             peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
         else:
             peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
-    assert peaks[1] - peaks[0] < per_thread(cfg.chunk_size)
+    assert peaks[1] - peaks[0] < per_thread(100_000)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
 def test_calibrate_rejects_target_outside_unit_interval(bad):
-    cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=50_000)
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
     with pytest.raises(ValueError, match="target_pf"):
         calibrate_shift(margin_model(), bad, cfg)
 
 
 def test_calibrate_refuses_starved_targets():
-    cfg = SimulationConfig(sample_count=200_000, master_seed=0, chunk_size=100_000)
+    cfg = SimulationConfig(sample_count=200_000, master_seed=0)
     with pytest.raises(ValueError, match="below 10"):
         calibrate_shift(margin_model(), 1e-5, cfg)
 
@@ -598,8 +613,9 @@ def nan_model():
 
 
 @pytest.mark.parametrize("model", [overflowing_model(), nan_model()], ids=["inf", "nan"])
-def test_simulate_and_calibrate_fail_on_non_finite_g(model):
-    cfg = SimulationConfig(sample_count=3_000, master_seed=0, chunk_size=1_000)
+def test_simulate_and_calibrate_fail_on_non_finite_g(segment, model):
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=3_000, master_seed=0)
     # the error names the chunk, without a raw numpy overflow warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -609,12 +625,13 @@ def test_simulate_and_calibrate_fail_on_non_finite_g(model):
             calibrate_shift(model, 0.1, cfg)
 
 
-def test_sample_variance_overflow_fails_after_the_last_chunk():
+def test_sample_variance_overflow_fails_after_the_last_chunk(segment):
     # the analytic variance, 1.69e308, is finite; the squares of values
     # near 5e154 are not, although every g is
     model = LimitStateModel(terms=(Term("x", 1.0, Normal(0.0, 1.3e154)),))
     assert math.isfinite(model_moments(model).variance)
-    cfg = SimulationConfig(sample_count=10_000, master_seed=0, chunk_size=4_000)
+    segment(4_000)
+    cfg = SimulationConfig(sample_count=10_000, master_seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="the sample variance of g overflows over 10000 finite samples"):
@@ -626,13 +643,14 @@ def test_a_zero_coefficient_other_term_draws_positive_zeros():
     # and scaled there; adding the mean, even 0.0, turns 0.0 * (a negative
     # draw) = -0.0 into 0.0, as mean + 0.0 * x gives.
     model = LimitStateModel(terms=(Term("load", 0.0, Gumbel(0.0, 1.0)),))
-    g = _chunk_g(model, 7, _LANE_MAIN, 0, 1_000)
+    g = _segment_g(model, 7, _LANE_MAIN, 0, 1_000)
     assert not np.signbit(g).any()
 
 
-def test_non_finite_g_names_the_first_chunk_that_has_it():
+def test_non_finite_g_names_the_first_chunk_that_has_it(segment):
     model = rare_overflow_model()
-    cfg = SimulationConfig(sample_count=100_000, master_seed=3, chunk_size=1_000)
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=100_000, master_seed=3)
     bad = [i for i, g in enumerate(g_chunks(model, cfg)) if not np.isfinite(g).all()]
     assert bad and bad[0] > 0
     first = bad[0]
@@ -642,15 +660,16 @@ def test_non_finite_g_names_the_first_chunk_that_has_it():
 
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_non_finite_g_after_finite_chunks_names_its_chunk(lane):
-    # finite chunks come first; the error must still name the first
-    # non-finite chunk of the lane and its stream positions
+def test_non_finite_g_after_finite_chunks_names_its_chunk(segment, lane):
+    # finite segments come first; the error must still name the first
+    # non-finite segment of the lane and its stream positions
     model = rare_overflow_model()
-    cfg = SimulationConfig(sample_count=100_500, master_seed=4, chunk_size=1_000)
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=100_500, master_seed=4)
     bad = [
         idx
-        for idx, size in _chunk_layout(cfg)
-        if not np.isfinite(_chunk_g(model, cfg.master_seed, lane, idx, size)).all()
+        for idx, size in _segments(cfg.sample_count)
+        if not np.isfinite(_segment_g(model, cfg.master_seed, lane, idx, size)).all()
     ]
     assert bad and bad[0] > 0
     first = bad[0]
@@ -666,8 +685,8 @@ def test_non_finite_g_after_finite_chunks_names_its_chunk(lane):
 
 
 def scenario_outputs(sid, tmp_path, workers):
-    # 8 chunks of two blocks each, the last chunk ragged
-    res = run(replace(builtin(sid), chunk_size=100_000), sample_count=700_003, histograms=True)
+    # in 100k segments: 8 segments of two blocks each, the last one ragged
+    res = run(builtin(sid), sample_count=700_003, histograms=True)
     path = tmp_path / f"{sid}-{workers}.json"
     export_result(res, "report-json", str(path))
     s = res.summary
@@ -677,7 +696,8 @@ def scenario_outputs(sid, tmp_path, workers):
 
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
-def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, sid):
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, segment, tmp_path, sid):
+    segment(100_000)
     outputs = []
     for workers in (1, 2, 3):
         pin_workers(monkeypatch, workers)
@@ -694,30 +714,31 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, sid):
 
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, lane):
-    # The first bad chunk waits until a later bad chunk has raised on
+def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, segment, lane):
+    # The first bad segment waits until a later bad segment has raised on
     # another thread; the error must still name the first. The rare
     # branch is ten times as likely as in rare_overflow_model, so that two
-    # bad chunks are in flight together; at seed 1 chunk 0 is finite on
+    # bad segments are in flight together; at seed 1 segment 0 is finite on
     # both lanes, so the calibration pilot does not fail first.
     rare = Mixture(((0.999, Normal(0.0, 1.0)), (0.001, Normal(1.7e308, 1e308))))
     model = LimitStateModel(terms=(Term("x", 1.0, rare),))
-    cfg = SimulationConfig(sample_count=20_000, master_seed=1, chunk_size=1_000)
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=20_000, master_seed=1)
     bad = [
         idx
-        for idx, size in _chunk_layout(cfg)
-        if not np.isfinite(_chunk_g(model, cfg.master_seed, lane, idx, size)).all()
+        for idx, size in _segments(cfg.sample_count)
+        if not np.isfinite(_segment_g(model, cfg.master_seed, lane, idx, size)).all()
     ]
     assert len(bad) >= 2 and bad[0] > 0
     first, second = bad[:2]
     assert second - first < 2 * 3  # both are in flight together on three threads
     raised = threading.Event()
 
-    def extrema(g, idx, size, config):
+    def extrema(g, idx, size):
         if idx == first:
             raised.wait(timeout=10.0)
         try:
-            return _finite_extrema(g, idx, size, config)
+            return _finite_extrema(g, idx, size)
         except ValueError:
             if idx == second:
                 raised.set()
@@ -734,12 +755,13 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, la
     assert raised.is_set()
 
 
-def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch):
-    # While chunk 0 is held, the other threads may run only the chunks
-    # already submitted: two per worker, counting chunk 0. Chunk 0 is
+def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch, segment):
+    # While segment 0 is held, the other threads may run only the segments
+    # already submitted: two per worker, counting segment 0. Segment 0 is
     # held until those five have started, and then a while longer, in
-    # which a chunk past the bound would start.
-    cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
+    # which a segment past the bound would start.
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
     submitted, beyond, released = threading.Event(), threading.Event(), threading.Event()
     ahead = []
 
@@ -755,20 +777,21 @@ def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch):
                 submitted.set()
             if idx >= 2 * 3:
                 beyond.set()
-        return _draw_chunk(*args)
+        return _draw_segment(*args)
 
     pin_workers(monkeypatch, 3)
-    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    monkeypatch.setattr(engine, "_draw_segment", draw)
     simulate(margin_model(), cfg)
     assert sorted(ahead) == list(range(1, 2 * 3))
 
 
-def test_an_error_cancels_the_chunks_not_started(monkeypatch):
-    # Chunk 0 fails at once, while every other chunk that starts is held
+def test_an_error_cancels_the_chunks_not_started(monkeypatch, segment):
+    # Segment 0 fails at once, while every other segment that starts is held
     # until the pool shuts down, which is after the error has cancelled
-    # the chunks not started. So at most one chunk per thread, in
-    # submission order, is drawn after chunk 0.
-    cfg = SimulationConfig(sample_count=100_000, master_seed=0, chunk_size=1_000)
+    # the segments not started. So at most one segment per thread, in
+    # submission order, is drawn after segment 0.
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
     closing, drawn = threading.Event(), []
 
     class Pool(ThreadPoolExecutor):
@@ -780,29 +803,22 @@ def test_an_error_cancels_the_chunks_not_started(monkeypatch):
         drawn.append(args[3])
         if args[3]:
             closing.wait(timeout=10.0)
-        return _draw_chunk(*args)
+        return _draw_segment(*args)
 
     pin_workers(monkeypatch, 3)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(engine, "_draw_chunk", draw)
+    monkeypatch.setattr(engine, "_draw_segment", draw)
     with pytest.raises(ValueError, match="not finite in chunk 0"):
         simulate(overflowing_model(), cfg)
     assert closing.is_set()
     assert 0 in drawn and set(drawn) <= {0, 1, 2, 3}
 
 
-def test_chunks_shorter_than_a_block_run_on_one_thread():
-    assert engine._workers(_chunk_layout(SimulationConfig(1_000_000, 0, _BLOCK - 1))) == 1
-    cpus = len(os.sched_getaffinity(0))
-    for chunks in (1, 3, 100):
-        layout = _chunk_layout(SimulationConfig(chunks * _BLOCK, 0, _BLOCK))
-        assert engine._workers(layout) == min(cpus, chunks)
-
-
-def test_no_thread_outlives_a_call(monkeypatch):
+def test_no_thread_outlives_a_call(monkeypatch, segment):
     pin_workers(monkeypatch, 3)
     start = threading.active_count()
-    cfg = SimulationConfig(sample_count=50_000, master_seed=0, chunk_size=1_000)
+    segment(1_000)
+    cfg = SimulationConfig(sample_count=50_000, master_seed=0)
     simulate(margin_model(), cfg, histograms=True)
     assert threading.active_count() == start
     calibrate_shift(margin_model(), 0.01, cfg)

@@ -6,7 +6,6 @@ the deficits, at the smallest width the range allows, found by counting
 up from the finest width.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -131,10 +130,11 @@ def test_all_equal_values_make_one_padded_bin():
     assert np.array_equal(d.counts, [3])
 
 
-def test_all_equal_g_run():
+def test_all_equal_g_run(segment):
     # a zero coefficient leaves g equal to the shift everywhere
     model = LimitStateModel(terms=(Term("x", 0.0, Normal(0.0, 1.0)),), shift=-2.0)
-    summary = simulate(model, SimulationConfig(5_000, 1, 1_500), histograms=True)
+    segment(1_500)
+    summary = simulate(model, SimulationConfig(5_000, 1), histograms=True)
     assert np.array_equal(summary.g_histogram.edges, [-2.5, -1.5])
     assert np.array_equal(summary.g_histogram.counts, [5_000])
     assert np.array_equal(summary.deficit_histogram.edges, [1.0, 3.0])
@@ -143,7 +143,7 @@ def test_all_equal_g_run():
 
 def test_single_sample_run():
     model = LimitStateModel(terms=(Term("margin", 1.0, Normal(-5.0, 1.0)),))
-    summary = simulate(model, SimulationConfig(1, 0, 10), histograms=True)
+    summary = simulate(model, SimulationConfig(1, 0), histograms=True)
     g = summary.min_g
     assert g < 0.0
     assert np.array_equal(summary.g_histogram.edges, [g - 0.5, g + 0.5])
@@ -152,9 +152,10 @@ def test_single_sample_run():
     assert np.array_equal(summary.deficit_histogram.counts, [1])
 
 
-def test_one_failure_run():
+def test_one_failure_run(segment):
     model = LimitStateModel(terms=(Term("margin", 1.0, Normal(3.5, 1.0)),))
-    summary = simulate(model, SimulationConfig(5_000, 1, 2_000), histograms=True)
+    segment(2_000)
+    summary = simulate(model, SimulationConfig(5_000, 1), histograms=True)
     assert summary.failure_count == 1
     d = summary.deficit_min
     assert np.array_equal(summary.deficit_histogram.edges, [0.5 * d, 1.5 * d])
@@ -218,13 +219,13 @@ def test_random_split_merged_in_order_equals_one_shot(seed):
 
 # --- in the simulation ----------------------------------------------------------
 
-N, CHUNK = 30_001, 7_000  # the chunk size does not divide n
+N, SEGMENT = 30_001, 7_000  # the segment length does not divide n
 
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
-def test_in_pass_histograms_are_exact_and_layout_free(sid):
-    scenario = dataclasses.replace(builtin(sid), chunk_size=CHUNK)
-    result = run(scenario, sample_count=N, histograms=True)
+def test_in_pass_histograms_are_exact_and_layout_free(segment, sid):
+    segment(SEGMENT)
+    result = run(builtin(sid), sample_count=N, histograms=True)
     summary = result.summary
     g = np.concatenate(list(g_chunks(result.model, result.config)))
     d = -g[g < 0.0]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sevrel import gaussian
+from sevrel import engine, gaussian
 from sevrel.distributions import Mixture, MomentReport, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
@@ -37,8 +37,10 @@ from sevrel.metrics import (
 
 
 def run(model, n=200_000, seed=0, chunk=100_000):
-    cfg = SimulationConfig(sample_count=n, master_seed=seed, chunk_size=chunk)
-    return simulate(model, cfg)
+    # the sample of `chunk`-value segments, which these tests were written for
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_SEGMENT", chunk)
+        return simulate(model, SimulationConfig(sample_count=n, master_seed=seed))
 
 
 def _summary(sub, failure_count, deficit_sum, cfg):
@@ -79,10 +81,10 @@ def test_reliability_index_domain():
 
 def test_expected_failure_deficit():
     s = _summary(np.array([1.0, 2.0, 3.0]), failure_count=4, deficit_sum=10.0,
-                 cfg=SimulationConfig(sample_count=3, master_seed=0, chunk_size=3))
+                 cfg=SimulationConfig(sample_count=3, master_seed=0))
     assert expected_failure_deficit(s) == 2.5
     s0 = _summary(np.array([1.0, 2.0, 3.0]), failure_count=0, deficit_sum=0.0,
-                  cfg=SimulationConfig(sample_count=3, master_seed=0, chunk_size=3))
+                  cfg=SimulationConfig(sample_count=3, master_seed=0))
     with pytest.raises(NoFailuresObserved):
         expected_failure_deficit(s0)
 
@@ -161,7 +163,7 @@ def test_level_labels_and_advice():
 def test_normalized_deficit_flags_infinite_analytic_variance():
     rng = np.random.default_rng(3)
     s = _summary(rng.normal(size=1_000), 10, 5.0,
-                 SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000))
+                 SimulationConfig(sample_count=1_000, master_seed=0))
     assert normalized_deficit(s, MomentReport(0.0, math.inf)) is ExtremeFlag.VARIANCE_INFINITE_OR_UNSTABLE
     # sigma_g is the analytic one; the sample variance plays no part
     assert normalized_deficit(s, MomentReport(0.0, 4.0)) == 0.5 / 2.0
@@ -238,8 +240,10 @@ def _assert_close(ci, expected, rel):
 def dense_gaussian():
     # Normal(2, 1) margin at n = 1M: ~22.8k failures
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(2.0, 1.0)),))
-    summary = run(model, n=1_000_000, chunk=250_000)
-    return summary, model_moments(model), _deficits(model, summary)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_SEGMENT", 250_000)
+        summary = run(model, n=1_000_000, chunk=250_000)
+        return summary, model_moments(model), _deficits(model, summary)
 
 
 def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
@@ -257,11 +261,12 @@ def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
     assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci == rep.ef_star_ci
 
 
-def test_ef_star_ci_covers_every_failure():
+def test_ef_star_ci_covers_every_failure(segment):
     # ~1.06M failures, more than the deficit store this interval was once
-    # drawn from could hold; the last chunk is ragged
+    # drawn from could hold; the last segment is ragged
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(0.0, 1.0)),))
-    cfg = SimulationConfig(sample_count=2_123_457, master_seed=5, chunk_size=300_000)
+    segment(300_000)
+    cfg = SimulationConfig(sample_count=2_123_457, master_seed=5)
     summary = simulate(model, cfg)
     moments = model_moments(model)
     rep = build_report(summary, moments)
@@ -338,7 +343,7 @@ def test_report_every_sample_fails():
 
     # shallow deficits: beta_S and the level are defined without beta
     sub = np.random.default_rng(4).normal(size=1_000)
-    cfg = SimulationConfig(sample_count=1_000, master_seed=0, chunk_size=1_000)
+    cfg = SimulationConfig(sample_count=1_000, master_seed=0)
     rep = build_report(_summary(sub, 1_000, 500.0, cfg), MomentReport(0.0, 1.0))
     ef_star = 0.5
     assert rep.beta is None and rep.ef_star == ef_star

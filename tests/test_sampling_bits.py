@@ -1,6 +1,6 @@
 """Bit-identity of the sampling kernel against the straightforward algorithms.
 
-The samplers and the chunk kernel work in place, block by block: the
+The samplers and the segment kernel work in place, block by block: the
 engine draws the Normal terms as one Normal straight into the block of
 g and each other term from its own substream through one reused block
 of scratch, a Mixture drawn in blocks reads its value uniforms from an
@@ -10,7 +10,7 @@ positions. The references below are the direct forms those replace: one
 expression per quantile, one whole-batch draw, a searchsorted branch
 index with a mask and gather per component, g = mean + sd * z for the
 merged Normal and then ``g += c * sample`` per other term, with slot j
-read from the stream of SeedSequence(seed, spawn_key=(lane, chunk))
+read from the stream of SeedSequence(seed, spawn_key=(lane, segment))
 advanced by j * 2**64 draws, and each block's statistics computed from
 its values. The reproducibility contract is about bits, so every
 comparison is exact. Sizes on both sides of a block edge check that
@@ -30,12 +30,11 @@ from sevrel.engine import (
     _BLOCK,
     _LANE_MAIN,
     LimitStateModel,
-    SimulationConfig,
     Term,
-    _chunk_g,
-    _chunk_partial,
     _plan,
     _Partial,
+    _segment_g,
+    _segment_partial,
     _summarize_block,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin
@@ -268,18 +267,17 @@ def assert_same_partial(got, want):
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     model = chunk_model(sid)
     g = reference_chunk_g(model, 7, _LANE_MAIN, 2, n)
-    assert np.array_equal(_chunk_g(model, 7, _LANE_MAIN, 2, n), g)
+    assert np.array_equal(_segment_g(model, 7, _LANE_MAIN, 2, n), g)
 
-    # each block reduces to its own statistics, and the chunk's partial
+    # each block reduces to its own statistics, and the segment's partial
     # is their fold in block order
-    config = SimulationConfig(sample_count=3 * n, master_seed=7, chunk_size=n)
     want = _Partial()
     for start in range(0, n, _BLOCK):
         block = g[start : start + _BLOCK]
         ref = reference_block_partial(block)
-        assert_same_partial(_summarize_block(block.copy(), 2, n, config, histograms=True), ref)
+        assert_same_partial(_summarize_block(block.copy(), 2, n, histograms=True), ref)
         want.fold(ref)
-    assert_same_partial(_chunk_partial(_plan(model), config, True, 2, n), want)
+    assert_same_partial(_segment_partial(_plan(model), 7, True, 2, n), want)
 
 
 def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
@@ -290,7 +288,7 @@ def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
     n = 3 * _BLOCK + 7
 
     def g(model):
-        return _chunk_g(model, 7, _LANE_MAIN, 2, n)
+        return _segment_g(model, 7, _LANE_MAIN, 2, n)
 
     two = LimitStateModel(terms=(Term("a", 1.0, Normal(1.0, 2.0)), Term("b", -0.5, Gumbel(8.0, 1.2))), shift=0.25)
     zeroed = tuple(replace(t, coefficient=0.0) for t in two.terms)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,9 +41,17 @@ def tiny_scenario(mean=3.5, n=50_000, expectations=()):
         description="inline scenario for structural tests",
         model=LimitStateModel(terms=(Term("margin", 1.0, Normal(mean, 1.0)),)),
         sample_count=n,
-        chunk_size=100_000,
         expectations=tuple(expectations),
     )
+
+
+def test_a_scenario_refuses_any_other_chunk_size():
+    # the old field only repeats the fixed 1M-value segment length
+    assert tiny_scenario().chunk_size == 1_000_000
+    assert replace(tiny_scenario(), chunk_size=1_000_000) == tiny_scenario()
+    for size in (100_000, 2_000_000):
+        with pytest.raises(ValueError, match="chunk_size must be 1000000"):
+            replace(tiny_scenario(), chunk_size=size)
 
 
 def test_registry_ids_and_lookup():
@@ -203,6 +212,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     assert doc["simulation"]["sampleCount"] == 200_000
     # no deficit store since schemaVersion 5, no robust subsample since 6
     assert set(doc["simulation"]) == {"sampleCount", "masterSeed", "chunkSize"}
+    assert doc["simulation"]["chunkSize"] == 1_000_000
     assert "storedDeficits" not in doc["summary"]
     assert "robustSubsampleSize" not in doc["summary"] and "robustScales" not in doc["summary"]
     assert doc["summary"]["conditionalStd"] == res.summary.conditional_std

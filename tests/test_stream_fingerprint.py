@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from sevrel.engine import _LANE_MAIN, _chunk_g
+from sevrel.engine import _LANE_MAIN, _segment_g
 from sevrel.report import SCHEMA_VERSION
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -39,7 +39,7 @@ def test_every_builtin_is_pinned():
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_stream_matches_its_schema_version(sid):
-    g = _chunk_g(builtin(sid).model, 0, _LANE_MAIN, 0, 1_000)
+    g = _segment_g(builtin(sid).model, 0, _LANE_MAIN, 0, 1_000)
     digest = hashlib.sha256(g.tobytes()).hexdigest()
     assert digest == FINGERPRINTS.get(SCHEMA_VERSION, {}).get(sid), (
         f"the g stream of {sid} is not the one pinned for schemaVersion {SCHEMA_VERSION}: "
