@@ -206,7 +206,7 @@ def _parse_simulation(value, path: str) -> SimulationConfig:
     obj = _expect_object(value, path)
     _check_keys(obj, {"sampleCount", "masterSeed", "chunkSize"}, path)
     if _integer(obj, "chunkSize", path, default=1_000_000) != 1_000_000:
-        raise ConfigError(f"{path}.chunkSize: must be 1000000, the fixed segment length")
+        raise ConfigError(f"{path}.chunkSize: must be 1000000; it sets nothing")
     try:
         return SimulationConfig(
             sample_count=_integer(obj, "sampleCount", path),

@@ -17,24 +17,18 @@ Sampling conventions, fixed so that streams are reproducible:
 * A Mixture consumes exactly two runs of uniforms per batch, in fixed
   order: first every branch selector, then every value fed through the
   selected component's quantile. The consumption pattern never depends
-  on which branch was chosen, so segmented runs merge reproducibly.
-  The heaviest-weight component's quantile is evaluated in place over
-  the value uniforms; the draws of the other branches are computed on
-  their own positions first and written over it afterwards. Each draw
+  on which branch was chosen, so the stream a batch reads is fixed by its
+  size. The heaviest-weight component's quantile is evaluated in place
+  over the value uniforms; the draws of the other branches are computed
+  on their own positions first and written over it afterwards. Each draw
   gets the same bits as if every branch had been evaluated on its own
   positions only.
 
-A batch can be drawn in blocks into arrays the caller supplies
-(``_draws``), one block per step, and no draw depends on how the batch
-is cut: the engine draws each term of a segment that is not Normal from
-its own generator, a block at a time, through one reused block of
-scratch, so the terms of a block of g are drawn together. Scalar
-families fill each block in place (``_fill``). A Mixture drawn in more
-than one block reads its value uniforms from a copy of its generator
-advanced past the batch's branch uniforms, so each block reads both of
-its runs and nothing is kept from one block to the next. ``sample``
-draws a batch as one block in a new array. Samplers and the private
-``_inverse_cdf`` make no full-length temporaries.
+Each family fills an array the caller supplies with one batch of draws
+(``_fill``): the engine draws every term of a block of g that is not
+Normal as one batch, from the term's own generator, through one reused
+block of scratch. ``sample`` draws a batch into a new array. Samplers
+and the private ``_inverse_cdf`` make no full-length temporaries.
 """
 
 from __future__ import annotations
@@ -94,26 +88,13 @@ def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 class _Sampled:
-    """Sampling shared by the families.
-
-    A scalar family defines ``_fill(rng, out)``, which overwrites out
-    with its next out.size draws. A Mixture defines ``_draws`` itself.
-    """
-
-    def _draws(self, rng: np.random.Generator, blocks: list[np.ndarray]):
-        """Fill each array of `blocks` in turn with the next draws and yield it.
-
-        The blocks together hold one batch of draws: the stream consumed,
-        and the bits of every draw, are those of one batch of their total
-        size, whatever the cut. A caller may reuse one buffer for every
-        block, since each is yielded before the next is filled.
-        """
-        for out in blocks:
-            yield self._fill(rng, out)
+    """Sampling shared by the families, each of which defines
+    ``_fill(rng, out)``: overwrite out with its next out.size draws, as
+    one batch, and return it."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws, in a new array: one block that holds the whole batch."""
-        return next(self._draws(rng, [np.empty(n)]))
+        """n draws, in a new array."""
+        return self._fill(rng, np.empty(n))
 
 
 def _match(p, values):
@@ -344,12 +325,9 @@ class Mixture(_Sampled):
             acc = acc + w * np.asarray(d.cdf(arr))
         return _match(x, acc)
 
-    def _draws(self, rng: np.random.Generator, blocks: list[np.ndarray]):
+    def _fill(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
         # Two stream consumptions per batch, fixed order: every branch
-        # uniform of the batch, then every value uniform. Over more than
-        # one block the value uniforms come from a copy of the generator
-        # advanced past the branch uniforms, so each block draws both of
-        # its runs at once.
+        # uniform, then every value uniform.
         weights = [w for w, _ in self.components]
         cuts = np.cumsum(weights)[:-1]
         heavy = weights.index(max(weights))
@@ -359,24 +337,19 @@ class Mixture(_Sampled):
         # branch.
         lower = cuts[heavy - 1] if heavy > 0 else -math.inf
         upper = cuts[heavy] if heavy < cuts.size else math.inf
-        heaviest = self.components[heavy][1]
-        values = rng if len(blocks) == 1 else _ahead(rng, sum(u.size for u in blocks))
-        for u in blocks:
-            rng.random(out=u)
-            mask = u < lower
-            mask |= u >= upper
-            pos = np.flatnonzero(mask)
-            branch = np.searchsorted(cuts, u[pos], side="right")
-            _uniform(values, u)
-            minority = u[pos]
-            heaviest._inverse_cdf(u)
-            for k, (_, d) in enumerate(self.components):
-                sel = branch == k
-                if k != heavy and sel.any():
-                    u[pos[sel]] = d._inverse_cdf(minority[sel])
-            yield u
-        if values is not rng:
-            rng.bit_generator.state = values.bit_generator.state
+        rng.random(out=u)
+        mask = u < lower
+        mask |= u >= upper
+        pos = np.flatnonzero(mask)
+        branch = np.searchsorted(cuts, u[pos], side="right")
+        _uniform(rng, u)
+        minority = u[pos]
+        self.components[heavy][1]._inverse_cdf(u)
+        for k, (_, d) in enumerate(self.components):
+            sel = branch == k
+            if k != heavy and sel.any():
+                u[pos[sel]] = d._inverse_cdf(minority[sel])
+        return u
 
 
 class _Blank(ISeedSequence):

@@ -1,44 +1,41 @@
-"""Limit state models and the segmented Monte Carlo engine.
+"""Limit state models and the block-keyed Monte Carlo engine.
 
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
-Each lane of the stream is cut into segments of _SEGMENT values, the
-last one ragged, and each term of a segment has its own substream slot:
-segment i on a lane has the stream of SeedSequence(master_seed,
-spawn_key=(lane, i)), and slot j reads it from its (j * 2**64)-th draw
-on. The Normal terms are drawn as one Normal, their sum, with the
-coefficients and the shift folded into its mean and sd, from the slot
-of the first Normal term; every other term j draws from slot j. So the
-draws of a term that is not Normal do not depend on the other terms,
-and the terms of a segment can be drawn together a block at a time. The
-draw plan (see `_Plan`) is fixed once per call. The segment length is a
-constant, so the sample depends on the master seed and the sample count
-alone.
+Each lane of the stream is cut into blocks of _BLOCK values, the last
+one ragged, and each term of a block has its own substream slot: block
+i on a lane has the stream of SeedSequence(master_seed, spawn_key=(lane,
+i)), and slot j reads it from its (j * 2**64)-th draw on. The Normal
+terms are drawn as one Normal, their sum, with the coefficients and the
+shift folded into its mean and sd, from the slot of the first Normal
+term; every other term j draws from slot j. So the draws of a term that
+is not Normal do not depend on the other terms. The draw plan (see
+`_Plan`) is fixed once per call. The block length is a constant, so the
+sample depends on the master seed and the sample count alone, and the
+full blocks of a run are those of every longer run with the same seed.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
-and the count, sum, M2 and extrema of the failure deficits. A segment is
-built one block of _BLOCK values at a time: the merged Normal drawn
-into it (or, without one, the first other term, scaled and shifted),
-then each other term's next block drawn through one block of scratch,
-scaled and added. The block is reduced while it is in cache (extrema
-and finiteness, failure deficits, bins, moments), and the block
-partials fold in order, with the pairwise update, into one partial per
-segment. So memory is a few blocks per thread, never a segment. Segments
-are the units of work of a small thread pool, one thread per usable
-CPU, and their partials fold in ascending segment order, so the result
-is bit-identical for a fixed master seed and sample count whatever the
-number of threads. `g_chunks` runs the same draw on a new array per
-segment, for callers that keep them. A segment whose g is not finite
-(NaN, or an overflow to inf) stops the run with an error that names
-the first such segment as a chunk; a sample variance of g that
-overflows, although every g is finite, stops it after the last segment.
+and the count, sum, M2 and extrema of the failure deficits. A block is
+drawn (the merged Normal straight into it or, without one, the first
+other term, scaled and shifted; then each other term through one block
+of scratch, scaled and added) and reduced while it is in cache (extrema
+and finiteness, failure deficits, bins, moments). Tasks of _TASK blocks
+run on a small thread pool, one thread per usable CPU, and return their
+block partials unfolded; the calling thread folds them one at a time,
+in block order, with the pairwise update. So memory is a few blocks per
+thread, and the result is bit-identical for a fixed master seed and
+sample count whatever the task size or the number of threads. A block
+whose g is not finite (NaN, or an overflow to inf) stops the run with an
+error that names the first such block; a sample variance of g that
+overflows, although every g is finite, stops it after the last block.
 
-On request, each block is also binned while it is held, and the
-ordered merge adds the integer counts (see `histogram`), so the
-histograms of a run need no second pass over the stream.
+On request, each block is also binned while it is held. Bin counts are
+exact integers, so a task merges its own blocks' bins and the fold adds
+those of the tasks (see `histogram`): the histograms of a run need no
+second pass over the stream.
 
-`calibrate_shift` reads its own lane segment by segment in the same way
-and keeps, of its whole sample, a count and a window around the target
+`calibrate_shift` reads its own lane block by block in the same way and
+keeps, of its whole sample, a count and a window around the target
 rank, which the ordered fold re-centres each time it has seen twice as
 many values (see `quantile`). So its memory grows with the square root
 of the sample count, not with the count, and the shift is still the
@@ -85,13 +82,14 @@ _LANE_CALIBRATION = 3
 # pass when it misses.
 _PILOT_Z = 10.0
 
-# Values per segment of a lane. Segment i draws the stream seeded by
-# (lane, i), so changing this changes the sample of every longer run.
-_SEGMENT = 1_000_000
-
-# Values per block of the in-segment passes: a term's draws, the deficit
-# gather and the calibration filter.
+# Values per block of a lane. Block i draws the stream seeded by (lane, i),
+# so changing this changes the sample of every run longer than a block.
 _BLOCK = 1 << 16
+
+# Blocks per task of the thread pool. The block partials fold one at a
+# time, in block order, so the task size, like the thread count, changes
+# no bit of a result.
+_TASK = 16
 
 
 _T = TypeVar("_T")
@@ -168,9 +166,9 @@ class SimulationConfig:
 
     @property
     def chunk_size(self) -> int:
-        # the segment length under its old name, read by the report and
-        # perfbench/tracing.py; it goes with the next benchmark change
-        return _SEGMENT
+        # read only by perfbench/tracing.py, until the next benchmark
+        # change; it no longer describes the stream, which is keyed per block
+        return 1_000_000
 
 
 @dataclass
@@ -208,40 +206,45 @@ class SimulationSummary:
         return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
-def _segments(sample_count: int) -> list[tuple[int, int]]:
-    """(index, size) of each segment of a lane's first `sample_count` values."""
-    return [(idx, min(_SEGMENT, sample_count - start)) for idx, start in enumerate(range(0, sample_count, _SEGMENT))]
+def _tasks(sample_count: int) -> list[range]:
+    """The block indices of each task over a lane's first `sample_count` values."""
+    blocks = -(-sample_count // _BLOCK)
+    return [range(i, min(i + _TASK, blocks)) for i in range(0, blocks, _TASK)]
 
 
-def _workers(layout: list[tuple[int, int]]) -> int:
-    """Threads for the segments of `layout`: one per usable CPU, at most
-    one per segment."""
+def _size(idx: int, sample_count: int) -> int:
+    """The number of values in block `idx` of a lane's first `sample_count`."""
+    return min(_BLOCK, sample_count - idx * _BLOCK)
+
+
+def _workers(tasks: list[range]) -> int:
+    """Threads for `tasks`: one per usable CPU, at most one per task."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, len(layout))
+    return min(cpus, len(tasks))
 
 
-def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> Iterator[_T]:
-    """work(idx, size) for each segment of `layout`, yielded in index order.
+def _ordered(work: Callable[[range], _T], tasks: list[range]) -> Iterator[_T]:
+    """work(task) for each of `tasks`, yielded in order.
 
-    The segments run on `_workers` threads, with at most two segments per
+    The tasks run on `_workers` threads, with at most two tasks per
     worker started ahead of the one read next, so finished results
-    cannot pile up. An error in a segment is raised when that segment is
-    read, so the first failing segment in index order is the one reported;
-    the segments not yet started are then cancelled. No thread outlives
-    the generator. With one worker the segments run in the calling thread.
+    cannot pile up. An error in a task is raised when that task is read,
+    so the first failing task in order is the one reported; the tasks not
+    yet started are then cancelled. No thread outlives the generator.
+    With one worker the tasks run in the calling thread.
     """
-    workers = _workers(layout)
+    workers = _workers(tasks)
     if workers == 1:
-        for idx, size in layout:
-            yield work(idx, size)
+        for task in tasks:
+            yield work(task)
         return
-    jobs = iter(layout)
+    jobs = iter(tasks)
     with ThreadPoolExecutor(workers, thread_name_prefix="sevrel") as pool:
-        pending = deque(pool.submit(work, *job) for job in itertools.islice(jobs, 2 * workers))
+        pending = deque(pool.submit(work, job) for job in itertools.islice(jobs, 2 * workers))
         try:
             while pending:
                 result = pending.popleft().result()
-                pending.extend(pool.submit(work, *job) for job in itertools.islice(jobs, 1))
+                pending.extend(pool.submit(work, job) for job in itertools.islice(jobs, 1))
                 yield result
         finally:
             for future in pending:
@@ -250,7 +253,7 @@ def _ordered(work: Callable[[int, int], _T], layout: list[tuple[int, int]]) -> I
 
 @dataclass(frozen=True)
 class _Plan:
-    """How every segment of one call draws g, fixed before the first one.
+    """How every block of one call draws g, fixed before the first one.
 
     The Normal terms merge into one Normal with the coefficients and the
     shift folded in: mean = shift + sum(a * mu) and sd = hypot(a * sigma),
@@ -287,8 +290,8 @@ def _plan(model: LimitStateModel) -> _Plan:
 
 
 def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
-    """One generator per slot of segment `idx` of `lane`: slot j reads
-    the segment's stream, SeedSequence(master_seed; lane, idx), from its
+    """One generator per slot of block `idx` of `lane`: slot j reads the
+    block's stream, SeedSequence(master_seed; lane, idx), from its
     (j * 2**64)-th draw on. No slot, no seeding.
 
     A term draws at most a few values per sample, so the substreams
@@ -301,82 +304,63 @@ def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) ->
     return [rng if j == 0 else _ahead(rng, j << 64) for j in slots]
 
 
-def _reused_blocks(size: int) -> list[np.ndarray]:
-    """The blocks of a segment of `size` values, in order, all views of one
-    new block-sized buffer."""
-    buffer = np.empty(min(_BLOCK, size))
-    return [buffer[: min(_BLOCK, size - start)] for start in range(0, size, _BLOCK)]
+def _buffers(plan: _Plan, sample_count: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A block of g for a lane's first `sample_count` values and, when a
+    term is drawn through it, a block of scratch, both reused by a task."""
+    g = np.empty(min(_BLOCK, sample_count))
+    return g, np.empty(g.size) if len(plan.others) > (plan.sd == 0.0) else None
 
 
-def _draw_segment(
-    plan: _Plan, master_seed: int, lane: int, idx: int, g_blocks: list[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Draw segment `idx` of `lane` into the arrays of g_blocks in turn, and
-    yield each block as soon as it holds its values of g.
+def _draw_block(
+    plan: _Plan, master_seed: int, lane: int, idx: int, g: np.ndarray, scratch: np.ndarray | None
+) -> np.ndarray:
+    """Draw block `idx` of `lane` into g, whose size is the block's, and
+    return g.
 
-    The merged Normal is drawn straight into the block of g (see
-    `_Plan`); each other term draws from its own slot (see `_term_rngs`)
-    into one block of scratch, which is scaled and added (a coefficient
-    of 1 skips the scaling, one of -1 subtracts). Without a Normal term,
-    the first other term is drawn straight into g, scaled there and
-    shifted by the mean, with the bits that filling g with the mean and
-    adding the term give. No draw depends on how the segment is cut into
-    blocks, and the draws of a term that is not Normal do not depend on
-    the other terms. The blocks may share one buffer, since each is
-    yielded before the next is drawn.
+    The merged Normal is drawn straight into g (see `_Plan`); each other
+    term draws from its own slot (see `_term_rngs`) into `scratch`, which
+    is scaled and added (a coefficient of 1 skips the scaling, one of -1
+    subtracts). Without a Normal term, the first other term is drawn
+    straight into g, scaled there and shifted by the mean, with the bits
+    that filling g with the mean and adding the term give. Each term
+    draws the block as one batch (see `distributions`).
     Overflow is left to _finite_extrema, under the caller's np.errstate.
     """
     rngs = _term_rngs(master_seed, lane, idx, plan.slots)
-    normal = rngs.pop(0) if plan.sd > 0.0 else None
-    others = list(zip(plan.others, rngs))
-    # Without a Normal, the first other term draws straight into g and is
-    # scaled there: a * x + mean has the bits of mean + a * x.
-    first = None
-    if normal is None and others:
+    others = list(zip(plan.others, rngs[1:] if plan.sd > 0.0 else rngs))
+    if plan.sd > 0.0:
+        rngs[0].standard_normal(out=g)
+        g *= plan.sd
+        g += plan.mean
+    elif others:
+        # a * x + mean has the bits of mean + a * x
         t, rng = others.pop(0)
-        first = t.coefficient, t.distribution._draws(rng, g_blocks)
-    draws = []
-    if others:
-        scratch = np.empty(g_blocks[0].size)
-        x_blocks = [scratch[: g.size] for g in g_blocks]
-        draws = [(t.coefficient, t.distribution._draws(rng, x_blocks)) for t, rng in others]
-    for g in g_blocks:
-        if first is not None:
-            a, draw = first
-            next(draw)
-            if a != 1.0:
-                g *= a
-            g += plan.mean  # also when 0.0, which turns a -0.0 into 0.0
-        elif normal is None:
-            g.fill(plan.mean)
-        else:
-            normal.standard_normal(out=g)
-            g *= plan.sd
-            g += plan.mean
-        for a, draw in draws:
-            x = next(draw)
-            if a == -1.0:
-                g -= x
-                continue
-            if a != 1.0:
-                x *= a
-            g += x
-        yield g
-
-
-def _segment_g(model: LimitStateModel, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
-    """Segment `idx` of `lane`, in a new array."""
-    g = np.empty(size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in _draw_segment(_plan(model), master_seed, lane, idx, np.split(g, range(_BLOCK, size, _BLOCK))):
-            pass
+        t.distribution._fill(rng, g)
+        if t.coefficient != 1.0:
+            g *= t.coefficient
+        g += plan.mean  # also when 0.0, which turns a -0.0 into 0.0
+    else:
+        g.fill(plan.mean)
+    for t, rng in others:
+        x = t.distribution._fill(rng, scratch[: g.size])
+        if t.coefficient == -1.0:
+            g -= x
+            continue
+        if t.coefficient != 1.0:
+            x *= t.coefficient
+        g += x
     return g
 
 
-def _finite_extrema(g: np.ndarray, idx: int, size: int) -> tuple[float, float]:
-    """Min and max of g, a block of segment `idx` of `size` values, or
-    ValueError if g is not finite. The error names the segment as a
-    chunk, with its stream positions, from idx * _SEGMENT.
+def _block_g(plan: _Plan, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
+    """Block `idx` of `lane`, of `size` values, in a new array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _draw_block(plan, master_seed, lane, idx, *_buffers(plan, size))
+
+
+def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
+    """Min and max of g, block `idx` of its lane, or ValueError if g is not
+    finite. The error names the block and its stream positions.
 
     NaN propagates through min and max, so the extrema catch every
     non-finite value; unchecked, NaN would fail no `g < 0` test and
@@ -384,24 +368,26 @@ def _finite_extrema(g: np.ndarray, idx: int, size: int) -> tuple[float, float]:
     """
     lo, hi = float(g.min()), float(g.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        start = idx * _SEGMENT
+        start = idx * _BLOCK
         raise ValueError(
-            f"g is not finite in chunk {idx} (stream positions {start} to "
-            f"{start + size - 1}); a coefficient or parameter overflows"
+            f"g is not finite in block {idx} (stream positions {start} to "
+            f"{start + g.size - 1}); a coefficient or parameter overflows"
         )
     return lo, hi
 
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Regenerate the exact g stream of simulate(), segment by segment,
-    each in a new array that the caller may keep."""
-    for idx, size in _segments(config.sample_count):
-        yield _segment_g(model, config.master_seed, _LANE_MAIN, idx, size)
+    """Regenerate the exact g stream of simulate(), block by block, each in
+    a new array that the caller may keep."""
+    plan, n = _plan(model), config.sample_count
+    for task in _tasks(n):
+        for idx in task:
+            yield _block_g(plan, config.master_seed, _LANE_MAIN, idx, _size(idx, n))
 
 
 @dataclass
 class _Partial:
-    """Statistics of consecutive samples of g: a block, a segment or a run.
+    """Statistics of consecutive samples of g: a block or a run.
 
     The empty partial folds into anything; `fold` appends the samples of
     the next partial with the pairwise update.
@@ -473,15 +459,15 @@ def _gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return g.compress(mask) if 2 * np.count_nonzero(mask) <= g.size else g[mask]
 
 
-def _summarize_block(g: np.ndarray, idx: int, size: int, histograms: bool) -> _Partial:
-    """The partial statistics of g, a block of segment `idx` of `size` values.
+def _summarize_block(g: np.ndarray, idx: int, histograms: bool) -> _Partial:
+    """The partial statistics of g, block `idx` of its lane.
 
     Works on g in place and leaves it overwritten with the squares of
     its centred values. Finite values near the float limit can overflow
     the sums and squares under the caller's np.errstate; the folded M2
-    is checked once, after the last segment (see simulate).
+    is checked once, after the last block (see simulate).
     """
-    min_g, max_g = _finite_extrema(g, idx, size)
+    min_g, max_g = _finite_extrema(g, idx)
     part = _Partial(n=g.size, min_g=min_g, max_g=max_g)
     if histograms:
         part.g_bins = histogram.linear(g, min_g, max_g)
@@ -502,34 +488,46 @@ def _summarize_block(g: np.ndarray, idx: int, size: int, histograms: bool) -> _P
     return part
 
 
-def _segment_partial(plan: _Plan, master_seed: int, histograms: bool, idx: int, size: int) -> _Partial:
-    """Segment `idx` drawn and reduced block by block, its blocks folded in order."""
-    part = _Partial()
+def _task_partials(plan: _Plan, config: SimulationConfig, histograms: bool, task: range) -> list[_Partial]:
+    """The partials of the blocks of `task`, drawn and reduced in order.
+
+    Bin counts are exact, so the task merges its blocks' bins into its
+    last partial; the float statistics are left for the ordered fold.
+    """
+    n, parts = config.sample_count, []
+    g, scratch = _buffers(plan, n)
+    g_bins = deficit_bins = None
     # np.errstate is per thread; non-finite g is reported by _finite_extrema
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in _draw_segment(plan, master_seed, _LANE_MAIN, idx, _reused_blocks(size)):
-            part.fold(_summarize_block(g, idx, size, histograms))
-    return part
+        for idx in task:
+            block = _draw_block(plan, config.master_seed, _LANE_MAIN, idx, g[: _size(idx, n)], scratch)
+            part = _summarize_block(block, idx, histograms)
+            g_bins, deficit_bins = histogram.merge(g_bins, part.g_bins), histogram.merge(deficit_bins, part.deficit_bins)
+            part.g_bins = part.deficit_bins = None
+            parts.append(part)
+    parts[-1].g_bins, parts[-1].deficit_bins = g_bins, deficit_bins
+    return parts
 
 
 def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool = False) -> SimulationSummary:
-    """Run the segmented Monte Carlo estimate of the g distribution.
+    """Run the block-keyed Monte Carlo estimate of the g distribution.
 
-    Segments run in parallel (see `_ordered`) and their partials are
-    folded in index order, so the bits do not depend on the number of
-    threads. A sample variance of g that overflows raises ValueError
-    after the last segment.
+    Tasks of blocks run in parallel (see `_ordered`) and every block
+    partial is folded in block order, so the bits depend on neither the
+    task size nor the number of threads. A sample variance of g that
+    overflows raises ValueError after the last block.
 
     With `histograms`, each block is binned while it is held, and the
     summary carries `g_histogram` and `deficit_histogram`. Binning reads
     each block once more, which costs far less than regenerating it.
     """
     acc = _Partial()
-    work = functools.partial(_segment_partial, _plan(model), config.master_seed, histograms)
-    for part in _ordered(work, _segments(config.sample_count)):
-        acc.fold(part)
+    work = functools.partial(_task_partials, _plan(model), config, histograms)
+    for parts in _ordered(work, _tasks(config.sample_count)):
+        for part in parts:
+            acc.fold(part)
     if not math.isfinite(acc.m2):
-        # every g is finite, or a segment would have stopped the run
+        # every g is finite, or a block would have stopped the run
         raise ValueError(
             f"the sample variance of g overflows over {acc.n} finite samples; "
             "a coefficient or parameter is too large"
@@ -538,10 +536,9 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
 
 
 def _pilot(plan: _Plan, master_seed: int, size: int) -> np.ndarray:
-    """The first block of segment 0, of `size` values, on the calibration lane."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pilot = next(_draw_segment(plan, master_seed, _LANE_CALIBRATION, 0, _reused_blocks(size)))
-        _finite_extrema(pilot, 0, size)
+    """Block 0, of `size` values, of the calibration lane."""
+    pilot = _block_g(plan, master_seed, _LANE_CALIBRATION, 0, size)
+    _finite_extrema(pilot, 0)
     return pilot
 
 
@@ -585,23 +582,23 @@ def calibrate_shift(
     k = ceil(target_pf * n). On the calibration sample itself the shifted
     failure fraction then matches target_pf to within 1/n.
 
-    The sample is read segment by segment, block by block. The first
-    block of segment 0 is a pilot: it brackets the k-th smallest value in
-    a window [lo, hi] (see `_pilot_window`). Every segment then counts its
-    values below lo and keeps its values inside the window, the segments
-    run in parallel and their pairs fold in index order (see
-    `quantile.Window`), and the answer is the (k - below)-th smallest of the window. Each
-    time the fold has seen twice as many values as when the window was
-    last centred, the window is re-centred on the same ranks of the
-    values seen so far, p * seen -/+ (_PILOT_Z * sqrt(p * (1 - p) * seen) + 1)
-    for p = k / n, in the manner of Floyd and Rivest's sample-then-narrow
-    selection (CACM 18(3), 1975). So the window holds about
+    The sample is read block by block. Block 0 is a pilot: it brackets
+    the k-th smallest value in a window [lo, hi] (see `_pilot_window`).
+    Every block then counts its values below lo and keeps its values
+    inside the window; tasks of blocks run in parallel and their parts
+    fold in order (see `quantile.Window`), and the answer is the
+    (k - below)-th smallest of the window. Each time the fold has seen
+    twice as many values as when the window was last centred, the window
+    is re-centred on the same ranks of the values seen so far,
+    p * seen -/+ (_PILOT_Z * sqrt(p * (1 - p) * seen) + 1) for p = k / n,
+    in the manner of Floyd and Rivest's sample-then-narrow selection
+    (CACM 18(3), 1975). So the window holds about
     4 * _PILOT_Z * sqrt(p * (1 - p) * n) values at most, and memory is a
-    few blocks per thread, the windows of the segments in flight and the
+    few blocks per thread, the windows of the tasks in flight and the
     window: it grows with sqrt(n), not n. When the window misses, one
     more pass keeps only the side the rank fell on, cut to the values
     that can still be the answer. Every path gives the k-th smallest
-    value exactly.
+    value exactly, whatever the task size or the number of threads.
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -613,33 +610,35 @@ def calibrate_shift(
             f"target_pf * sample_count = {expected_failures:.3g} is below 10; "
             "the order statistic would be too noisy to calibrate against"
         )
-    plan = _plan(model.with_shift(0.0))
+    plan, n = _plan(model.with_shift(0.0)), config.sample_count
     k = math.ceil(expected_failures - 1e-9)
-    p = k / config.sample_count
+    p = k / n
 
-    def segment_window(win: Window, idx: int, size: int) -> tuple[tuple[float, float], int, list[np.ndarray]]:
-        # the bounds read when segment idx starts, how many of its values lie
+    def task_window(win: Window, task: range) -> tuple[tuple[float, float], int, list[np.ndarray]]:
+        # the bounds read when the task starts, how many of its values lie
         # below lo, and its values in [lo, hi], one array per block
         bounds = lo, hi = win.bounds
         below, inside = 0, []
+        g, scratch = _buffers(plan, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            for g in _draw_segment(plan, config.master_seed, _LANE_CALIBRATION, idx, _reused_blocks(size)):
-                _finite_extrema(g, idx, size)
-                below += int(np.count_nonzero(g < lo))
-                mask = lo <= g
-                mask &= g <= hi
-                inside.append(_gather(g, mask))
+            for idx in task:
+                block = _draw_block(plan, config.master_seed, _LANE_CALIBRATION, idx, g[: _size(idx, n)], scratch)
+                _finite_extrema(block, idx)
+                below += int(np.count_nonzero(block < lo))
+                mask = lo <= block
+                mask &= block <= hi
+                inside.append(_gather(block, mask))
         return bounds, below, inside
 
-    layout = _segments(config.sample_count)
+    tasks = _tasks(n)
     # Cutting only past twice what the rank still needs spares the window
     # a join and a partition at every fold.
-    win = Window(*_pilot_window(_pilot(plan, config.master_seed, layout[0][1]), p), k, slack=2)
-    seen, centred = 0, min(_BLOCK, layout[0][1])
-    for (_, size), part in zip(layout, _ordered(functools.partial(segment_window, win), layout)):
+    win = Window(*_pilot_window(_pilot(plan, config.master_seed, _size(0, n)), p), k, slack=2)
+    centred = _size(0, n)
+    for task, part in zip(tasks, _ordered(functools.partial(task_window, win), tasks)):
         win.fold(*part)
-        seen += size
-        if 2 * centred <= seen < config.sample_count:
+        seen = min(task.stop * _BLOCK, n)
+        if 2 * centred <= seen < n:
             win.narrow(*_ranks(seen, p))
             centred = seen
     value = win.select()
@@ -650,7 +649,7 @@ def calibrate_shift(
         # it holds more than the rank needs.
         lo, hi = win.bounds
         win = Window(*((-math.inf, lo) if k <= win.below else (hi, math.inf)), k, slack=1)
-        for part in _ordered(functools.partial(segment_window, win), layout):
+        for part in _ordered(functools.partial(task_window, win), tasks):
             win.fold(*part)
         value = win.select()
     return -value

@@ -6,7 +6,7 @@ drops what can no longer be the k-th smallest of the whole sample. Its
 caller narrows the bounds as it sees more of the sample, in the manner
 of Floyd and Rivest's sample-then-narrow selection (CACM 18(3), 1975),
 so the values kept need not grow with the sample. `engine.calibrate_shift`
-folds each segment of its calibration sample into one window.
+folds each task of its calibration sample into one window.
 """
 
 from __future__ import annotations

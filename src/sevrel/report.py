@@ -20,7 +20,7 @@ from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
 from .metrics import SeverityReport, WorkflowDecision
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -82,7 +82,6 @@ def _config_document(config: SimulationConfig) -> dict:
     return {
         "sampleCount": config.sample_count,
         "masterSeed": config.master_seed,
-        "chunkSize": config.chunk_size,
     }
 
 

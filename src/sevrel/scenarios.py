@@ -98,13 +98,13 @@ class Scenario:
     calibrate_pf: float | None = None
     beta_target: float | None = None
     default_seed: int = 0
-    # the segment length under its old name, which the benchmark harness
-    # sets; it goes with the next benchmark change
+    # no longer describes the stream, which is keyed per block; kept only
+    # because the benchmark harness sets it
     chunk_size: int = 1_000_000
 
     def __post_init__(self):
         if self.chunk_size != 1_000_000:
-            raise ValueError(f"chunk_size must be 1000000, the fixed segment length; got {self.chunk_size!r}")
+            raise ValueError(f"chunk_size must be 1000000; got {self.chunk_size!r}")
 
     def config(
         self, master_seed: int | None = None, sample_count: int | None = None

@@ -5,15 +5,14 @@ from sevrel.scenarios import builtin, run
 
 
 @pytest.fixture
-def segment(monkeypatch):
-    """Cut every stream into segments of the given length for one test.
+def task(monkeypatch):
+    """Run every call in tasks of the given number of blocks, for one test.
 
-    Segment i of a lane draws SeedSequence(seed; lane, i) whatever its
-    length, so a short segment gives a test many segments, threads or a
-    named failing segment cheaply, and the sample of the chunk size the
-    test was written for.
+    Block partials fold in block order whatever the task size, so no
+    result changes; a small task gives a test many tasks, and so many
+    threads at work and many folds, cheaply.
     """
-    return lambda size: monkeypatch.setattr(engine, "_SEGMENT", size)
+    return lambda blocks: monkeypatch.setattr(engine, "_TASK", blocks)
 
 
 @pytest.fixture(scope="session")

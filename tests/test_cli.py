@@ -143,7 +143,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 8
+    assert doc["schemaVersion"] == 9
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1
@@ -330,22 +330,22 @@ def test_simulate_bad_config(tmp_path, capsys):
 
 
 def test_simulate_refuses_a_chunk_size_other_than_the_segment(tmp_path, capsys):
-    # every stream is cut into fixed 1M-value segments; the old key is
-    # accepted only with that value, so no config can pick another sample
+    # the stream is keyed per block; the old key is accepted only with the
+    # value the benchmark harness writes, and sets nothing
     cfg = make_config(tmp_path, simulation={"sampleCount": 100000, "masterSeed": 7, "chunkSize": 50000})
     assert main(["simulate", cfg]) == 2
     assert f"error: {cfg}.simulation.chunkSize: must be 1000000" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
     cfg = make_config(tmp_path, simulation={"sampleCount": 1000, "chunkSize": 1000000})
     assert main(["simulate", cfg]) == 0
-    assert json.loads((tmp_path / "report.json").read_text())["simulation"]["chunkSize"] == 1000000
+    assert "chunkSize" not in json.loads((tmp_path / "report.json").read_text())["simulation"]
 
 
 def test_simulate_rejects_non_finite_g(tmp_path, capsys):
     # a finite coefficient whose product with the samples overflows to inf;
     # g is never below 0, so this used to read as "no failures". The
     # Pareto variance is infinite (alpha <= 2), so the analytic check
-    # passes and only the chunk check can catch it.
+    # passes and only the block check can catch it.
     model = {
         "terms": [
             {
@@ -361,7 +361,7 @@ def test_simulate_rejects_non_finite_g(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["simulate", cfg]) == 2
     err = capsys.readouterr().err
-    assert "error: g is not finite in chunk 0" in err
+    assert "error: g is not finite in block 0 (stream positions 0 to 19999)" in err
     assert not (tmp_path / "report.json").exists()
 
 

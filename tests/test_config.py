@@ -280,8 +280,8 @@ def test_invalid_simulation_values_are_wrapped():
 
 @pytest.mark.parametrize("value", [50_000, 0, 2_000_000])
 def test_chunk_size_other_than_the_segment_is_refused(value):
-    # the stream is cut into fixed 1M-value segments, so the old key may
-    # only repeat that length
+    # the stream is keyed per block; the old key takes only the value the
+    # benchmark harness writes
     data = base_config()
     data["simulation"]["chunkSize"] = value
     with pytest.raises(ConfigError, match=r"^config\.simulation\.chunkSize: "):

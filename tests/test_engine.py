@@ -28,11 +28,11 @@ from sevrel.engine import (
     _BLOCK,
     _LANE_CALIBRATION,
     _LANE_MAIN,
-    _draw_segment,
+    _block_g,
+    _draw_block,
     _finite_extrema,
     _pilot_window,
-    _segment_g,
-    _segments,
+    _plan,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
@@ -53,11 +53,38 @@ def failure_heavy_model():
 
 
 def pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(engine, "_workers", lambda layout: min(workers, len(layout)))
+    monkeypatch.setattr(engine, "_workers", lambda tasks: min(workers, len(tasks)))
 
 
 def full_g(model, config):
     return np.concatenate(list(g_chunks(model, config)))
+
+
+def blocks(config):
+    return -(-config.sample_count // _BLOCK)
+
+
+def block_g(model, config, lane, idx):
+    # block idx of the lane's first sample_count values
+    size = min(_BLOCK, config.sample_count - idx * _BLOCK)
+    return _block_g(_plan(model), config.master_seed, lane, idx, size)
+
+
+def poison(monkeypatch, lane, bad):
+    # Block idx of the lane gets the value bad[idx] at its 7th position,
+    # after it is drawn: a non-finite g in the blocks chosen, whatever the
+    # sample.
+    def draw(plan, master_seed, on, idx, g, scratch):
+        _draw_block(plan, master_seed, on, idx, g, scratch)
+        if on == lane and idx in bad:
+            g[7] = bad[idx]
+        return g
+
+    monkeypatch.setattr(engine, "_draw_block", draw)
+
+
+def positions(idx):
+    return rf"block {idx} \(stream positions {idx * _BLOCK} to {idx * _BLOCK + _BLOCK - 1}\)"
 
 
 # --- model ---------------------------------------------------------------
@@ -152,31 +179,28 @@ def test_sample_count_below_chunk_size_is_fine():
     assert s.n == 1000
 
 
-# --- segmenting and reproducibility ----------------------------------------
+# --- blocks and reproducibility --------------------------------------------
 
 
-def test_chunk_layout_covers_remainder(segment):
-    segment(100_000)
-    cfg = SimulationConfig(sample_count=250_000, master_seed=7)
+def test_chunk_layout_covers_remainder():
+    cfg = SimulationConfig(sample_count=2 * _BLOCK + 50_000, master_seed=7)
     sizes = [c.size for c in g_chunks(failure_heavy_model(), cfg)]
-    assert sizes == [100_000, 100_000, 50_000]
+    assert sizes == [_BLOCK, _BLOCK, 50_000]
 
 
-def test_g_chunks_yields_fresh_arrays(segment):
-    # simulate reuses one g buffer; g_chunks must not, since its callers keep every segment
-    segment(100_000)
-    cfg = SimulationConfig(sample_count=250_000, master_seed=9)
+def test_g_chunks_yields_fresh_arrays():
+    # a task reuses one g buffer; g_chunks must not, since its callers keep every block
+    cfg = SimulationConfig(sample_count=2 * _BLOCK + 50_000, master_seed=9)
     m = failure_heavy_model()
     chunks = list(g_chunks(m, cfg))
     for a, b in itertools.combinations(chunks, 2):
         assert not np.shares_memory(a, b)
-    for (idx, size), g in zip(_segments(cfg.sample_count), chunks):
-        assert np.array_equal(g, _segment_g(m, cfg.master_seed, _LANE_MAIN, idx, size))
+    for idx, g in enumerate(chunks):
+        assert np.array_equal(g, block_g(m, cfg, _LANE_MAIN, idx))
 
 
-def test_g_chunks_deterministic(segment):
-    segment(10_000)
-    cfg = SimulationConfig(sample_count=30_000, master_seed=42)
+def test_g_chunks_deterministic():
+    cfg = SimulationConfig(sample_count=150_000, master_seed=42)
     m = margin_model()
     a = full_g(m, cfg)
     b = full_g(m, cfg)
@@ -184,15 +208,20 @@ def test_g_chunks_deterministic(segment):
 
 
 def test_the_sample_depends_on_the_seed_and_the_sample_count_alone():
-    # every lane is cut into fixed 1M-value segments; no caller picks the cut
+    # every lane is keyed per block; no caller picks the cut, and the full
+    # blocks of a run are those of a longer one (a Mixture's ragged last
+    # block is not a prefix of the full block: its value uniforms start
+    # after its branch uniforms)
     assert [f.name for f in fields(SimulationConfig)] == ["sample_count", "master_seed"]
     with pytest.raises(TypeError):
         SimulationConfig(sample_count=1000, master_seed=5, chunk_size=500)
-    assert _segments(2_500_000) == [(0, 1_000_000), (1, 1_000_000), (2, 500_000)]
+    model = builtin("case-study").model
+    short, long = (full_g(model, SimulationConfig(n, 5)) for n in (2 * _BLOCK + 5, 3 * _BLOCK))
+    assert np.array_equal(short[: 2 * _BLOCK], long[: 2 * _BLOCK])
 
 
-def test_merge_matches_two_pass_statistics(segment):
-    segment(100_000)
+def test_merge_matches_two_pass_statistics(task):
+    task(1)
     cfg = SimulationConfig(sample_count=250_000, master_seed=3)
     m = failure_heavy_model()
     s = simulate(m, cfg)
@@ -208,13 +237,12 @@ def test_merge_matches_two_pass_statistics(segment):
     assert s.failure_count == deficits.size
     assert math.isclose(s.deficit_sum, float(deficits.sum()), rel_tol=1e-12)
     assert math.isclose(s.deficit_m2, float(np.square(deficits - deficits.mean()).sum()), rel_tol=1e-12)
-    # extrema are global, over every segment
+    # extrema are global, over every block
     assert s.deficit_min == float(deficits.min())
     assert s.deficit_max == float(deficits.max())
 
 
-def test_pf_property(segment):
-    segment(10_000)
+def test_pf_property():
     cfg = SimulationConfig(sample_count=50_000, master_seed=1)
     s = simulate(failure_heavy_model(), cfg)
     assert s.pf == s.failure_count / s.n
@@ -224,9 +252,8 @@ def test_pf_property(segment):
 # --- deficit spread -----------------------------------------------------
 
 
-def test_conditional_std_on_standard_normal(segment):
+def test_conditional_std_on_standard_normal():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    segment(100_000)
     cfg = SimulationConfig(sample_count=200_000, master_seed=6)
     s = simulate(model, cfg)
     # deficits of a centered normal are half-normal
@@ -245,7 +272,7 @@ def test_conditional_std_needs_two_failures():
 # --- the Normal terms drawn as one Normal -----------------------------------
 
 
-def test_merged_normals_keep_the_law_of_g(segment):
+def test_merged_normals_keep_the_law_of_g():
     # Three Normal terms of mixed sign draw as one Normal, around a Gumbel
     # that keeps its own draws; the sample mean and variance of g must
     # match the term-by-term moments.
@@ -253,7 +280,6 @@ def test_merged_normals_keep_the_law_of_g(segment):
     load = Term("load", -0.8, Gumbel(4.0, 1.1))
     terms = [Term(f"x{i}", a, d) for i, (a, d) in enumerate(normals)]
     model = LimitStateModel(terms=(terms[0], load, *terms[1:]), shift=0.5)
-    segment(250_000)
     cfg = SimulationConfig(sample_count=1_000_000, master_seed=11)
     s = simulate(model, cfg)
     exact = model_moments(model)
@@ -279,9 +305,8 @@ def test_example1_pf_matches_the_closed_form():
 # --- calibration ----------------------------------------------------------
 
 
-def test_calibrate_shift_hits_target(segment):
+def test_calibrate_shift_hits_target():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    segment(100_000)
     cfg = SimulationConfig(sample_count=200_000, master_seed=13)
     c = calibrate_shift(model, 0.05, cfg)
     # P(z + c < 0) = 0.05 wants c near the upper 5% point
@@ -293,9 +318,8 @@ def test_calibrate_shift_hits_target(segment):
     assert abs(s.pf - 0.05) < 4.0 * se
 
 
-def test_calibrate_shift_ignores_existing_shift(segment):
+def test_calibrate_shift_ignores_existing_shift():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
-    segment(50_000)
     cfg = SimulationConfig(sample_count=100_000, master_seed=13)
     a = calibrate_shift(model, 0.05, cfg)
     b = calibrate_shift(model.with_shift(123.0), 0.05, cfg)
@@ -305,9 +329,7 @@ def test_calibrate_shift_ignores_existing_shift(segment):
 def calibration_reference(model, target_pf, config):
     # the whole calibration sample in memory at once, then one partition
     base = model.with_shift(0.0)
-    g = np.concatenate(
-        [_segment_g(base, config.master_seed, _LANE_CALIBRATION, idx, size) for idx, size in _segments(config.sample_count)]
-    )
+    g = np.concatenate([block_g(base, config, _LANE_CALIBRATION, idx) for idx in range(blocks(config))])
     k = math.ceil(target_pf * config.sample_count - 1e-9)
     return -float(np.partition(g, k - 1)[k - 1])
 
@@ -315,24 +337,22 @@ def calibration_reference(model, target_pf, config):
 @pytest.mark.parametrize(
     "target_pf, n",
     [
-        (0.05, 100_000),  # k = 5 000 below the segment length, ragged last segment
-        (0.5, 100_000),  # k = 50 000 above the segment length, ragged last segment
-        (0.3, 90_000),  # k = 27 000, segments of equal size
-        (0.0001, 100_000),  # k = 10, most segments filter to nothing
+        (0.05, 100_000),  # k = 5 000, a ragged second block
+        (0.5, 100_000),  # k = 50 000, more than the ragged block holds
+        (0.3, 90_000),  # k = 27 000
+        (0.0001, 100_000),  # k = 10, a window of a few dozen values
     ],
 )
-def test_calibrate_shift_streams_to_the_same_bits(segment, target_pf, n):
-    segment(30_000)
+def test_calibrate_shift_streams_to_the_same_bits(task, target_pf, n):
+    task(1)
     cfg = SimulationConfig(sample_count=n, master_seed=21)
     m = failure_heavy_model()
     assert calibrate_shift(m, target_pf, cfg) == calibration_reference(m, target_pf, cfg)
 
 
 def pilot_window(model, target_pf, config):
-    # the window calibrate_shift draws from the first block of segment 0 of
-    # the calibration lane
-    size = min(engine._SEGMENT, config.sample_count)
-    pilot = _segment_g(model.with_shift(0.0), config.master_seed, _LANE_CALIBRATION, 0, size)[:_BLOCK]
+    # the window calibrate_shift draws from block 0 of the calibration lane
+    pilot = block_g(model.with_shift(0.0), config, _LANE_CALIBRATION, 0)
     k = math.ceil(target_pf * config.sample_count - 1e-9)
     return _pilot_window(pilot, k / config.sample_count)
 
@@ -345,9 +365,8 @@ def pilot_window(model, target_pf, config):
         (0.0, 3, "above"),
     ],
 )
-def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, segment, z, seed, side):
+def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, side):
     monkeypatch.setattr(engine, "_PILOT_Z", z)
-    segment(30_000)
     cfg = SimulationConfig(sample_count=100_003, master_seed=seed)
     m = failure_heavy_model()
     expected = calibration_reference(m, 0.25, cfg)
@@ -360,24 +379,25 @@ def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, segment, z
 
 
 @pytest.mark.parametrize(
-    "model, target_pf, n, chunk, window",
+    "model, target_pf, n, blocks_a_task, window",
     [
-        # a single segment is its own pilot
-        (failure_heavy_model(), 0.25, 100_000, 100_000, "finite"),
-        (failure_heavy_model(), 0.25, 100_000, 250_000, "finite"),
-        # a ragged last segment
-        (failure_heavy_model(), 0.25, 100_003, 30_000, "finite"),
+        # a single block is its own pilot
+        (failure_heavy_model(), 0.25, _BLOCK, 16, "finite"),
+        # one task, shorter than the task size
+        (failure_heavy_model(), 0.25, 100_000, 16, "finite"),
+        # a ragged last block
+        (failure_heavy_model(), 0.25, 100_003, 1, "finite"),
         # hi clips at the pilot's last value
-        (failure_heavy_model(), 0.999, 100_000, 30_000, "hi=+inf"),
+        (failure_heavy_model(), 0.999, 100_000, 1, "hi=+inf"),
         # k = 10: lo clips at the pilot's first value
-        (failure_heavy_model(), 0.0001, 100_000, 30_000, "lo=-inf"),
+        (failure_heavy_model(), 0.0001, 100_000, 1, "lo=-inf"),
         # every g is 0.0
-        (LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)),)), 0.25, 100_000, 30_000, "lo==hi"),
+        (LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)),)), 0.25, 100_000, 1, "lo==hi"),
     ],
     ids=["one-chunk", "chunk-above-n", "ragged", "hi-inf", "lo-inf", "all-equal"],
 )
-def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, segment, model, target_pf, n, chunk, window):
-    segment(chunk)
+def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, task, model, target_pf, n, blocks_a_task, window):
+    task(blocks_a_task)
     cfg = SimulationConfig(sample_count=n, master_seed=21)
     expected = calibration_reference(model, target_pf, cfg)
     lo, hi = pilot_window(model, target_pf, cfg)
@@ -388,10 +408,10 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, segment, model
         "lo==hi": lo == hi,
     }[window]
     draws = []
-    monkeypatch.setattr(engine, "_draw_segment", lambda *args: draws.append(args) or _draw_segment(*args))
+    monkeypatch.setattr(engine, "_draw_block", lambda *args: draws.append(args) or _draw_block(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
-    # the pilot, then every segment once: the window did not miss
-    assert len(draws) == 1 + len(_segments(cfg.sample_count))
+    # the pilot, then every block once: the window did not miss
+    assert len(draws) == 1 + blocks(cfg)
 
 
 def spy_on_the_window(monkeypatch):
@@ -419,7 +439,7 @@ def spy_on_the_window(monkeypatch):
 @pytest.mark.parametrize(
     "z, seed, missed",
     [
-        # 1k-value pilot, re-centred at 2k, 4k, ... 64k values seen
+        # 64k-value pilot, re-centred at 128k, 256k, 512k and 1M values seen
         (10.0, 1, []),
         # a window too narrow to hold the rank, narrowed before it misses
         (0.5, 1, ["below"]),
@@ -427,19 +447,19 @@ def spy_on_the_window(monkeypatch):
     ],
     ids=["narrowed", "missed-below", "missed-above"],
 )
-def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, segment, workers, z, seed, missed):
-    # On two threads segments start ahead of the fold, so some may be
+def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, task, workers, z, seed, missed):
+    # On two threads blocks start ahead of the fold, so some may be
     # filtered with bounds that a re-centring has narrowed since (the
-    # test below folds such a segment deterministically).
+    # test below folds such a block deterministically).
     monkeypatch.setattr(engine, "_PILOT_Z", z)
     pin_workers(monkeypatch, workers)
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=100_003, master_seed=seed)
+    task(1)
+    cfg = SimulationConfig(sample_count=1_100_003, master_seed=seed)
     m = failure_heavy_model()
     expected = calibration_reference(m, 0.25, cfg)
     events = spy_on_the_window(monkeypatch)
     assert calibrate_shift(m, 0.25, cfg) == expected
-    assert events["moved"] >= (6 if z == 10.0 else 1)
+    assert events["moved"] >= (4 if z == 10.0 else 1)
     assert events["missed"] == missed
 
 
@@ -489,30 +509,30 @@ def traced_peak(call):
 
 
 @pytest.mark.parametrize(
-    "target_pf, chunk, z, missed, bound",
+    "target_pf, blocks_a_task, z, missed, bound",
     [
         # One block of g, one of scratch and the window, which holds at
         # most ~24k values here once narrowed (the pilot window would hold
         # ~67k) and is joined to be narrowed, cut or read; the block
         # filter's boolean masks, a byte per value, come on top.
-        (0.25, 100_000, 10.0, False, lambda k, block, chunks, window: 8 * (window + 2 * block) + 4 * block),
-        # At 1k segments the window is cut to twice the k smallest values at
-        # most. The (idx, size) layout of 2 000 segments takes up to ~110
-        # bytes a segment, less when tuples come from the interpreter's free
-        # list; gc.collect() empties that list, so it is counted in full.
-        (0.001, 1_000, 10.0, False, lambda k, block, chunks, window: 8 * 2 * (k + block) + 128 * chunks),
+        (0.25, 2, 10.0, False, lambda k, tasks, window: 8 * (window + 2 * _BLOCK) + 4 * _BLOCK),
+        # In one-block tasks the window is cut to twice the k smallest
+        # values at most; the masks come on top as above. Each task's
+        # range and window take ~100 bytes; counted at 128.
+        (0.001, 1, 10.0, False, lambda k, tasks, window: 8 * 2 * (k + _BLOCK) + 4 * _BLOCK + 128 * tasks),
         # The second pass keeps the side of the window the rank fell on,
         # cut to the k smallest values, not that whole side.
-        (0.25, 100_000, 0.0, True, lambda k, block, chunks, window: 8 * 2 * (k + block)),
+        (0.25, 2, 0.0, True, lambda k, tasks, window: 8 * 2 * (k + _BLOCK)),
     ],
     ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
 )
-def test_calibrate_shift_memory_is_bounded(monkeypatch, segment, target_pf, chunk, z, missed, bound):
-    # On one thread no term grows with the segment length; each further
-    # thread adds its own blocks (see test_a_thread_adds_its_blocks).
+def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_a_task, z, missed, bound):
+    # On one thread no term grows with the sample count but the window;
+    # each further thread adds its own blocks (see
+    # test_a_thread_adds_its_blocks).
     monkeypatch.setattr(engine, "_PILOT_Z", z)
     pin_workers(monkeypatch, 1)
-    segment(chunk)
+    task(blocks_a_task)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
     model = builtin("scenarioA").model
     window = narrowed_window(target_pf, cfg.sample_count, z)
@@ -520,14 +540,13 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, segment, target_pf, chun
 
     def counted(*args):
         next(draws)
-        return _draw_segment(*args)
+        return _draw_block(*args)
 
-    monkeypatch.setattr(engine, "_draw_segment", counted)
+    monkeypatch.setattr(engine, "_draw_block", counted)
     peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
-    chunks = len(_segments(cfg.sample_count))
-    assert (next(draws) > 1 + chunks) == missed
+    assert (next(draws) > 1 + blocks(cfg)) == missed
     k = math.ceil(target_pf * cfg.sample_count)
-    assert peak < bound(k, min(_BLOCK, chunk), chunks, window)
+    assert peak < bound(k, len(engine._tasks(cfg.sample_count)), window)
 
 
 def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
@@ -550,22 +569,22 @@ def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
     ids=["case-study", "scenarioA-pf-0.25"],
 )
 def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
-    # Each thread draws and reduces its segment one block at a time, so
-    # memory is a few blocks per thread: here a segment alone would take
+    # Each thread draws and reduces its task one block at a time, so
+    # memory is a few blocks per thread: here a task of g alone would take
     # 8 MB.
     pin_workers(monkeypatch, 2)
     cfg = SimulationConfig(sample_count=4_000_000, master_seed=5)
     model = builtin(sid).model
     if target_pf is not None:
         model = model.with_shift(calibrate_shift(model, target_pf, cfg))
-    assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(engine._SEGMENT)
+    assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(_BLOCK)
 
 
 @pytest.mark.parametrize("call", ["simulate", "calibrate_shift"])
-def test_a_thread_adds_its_blocks(monkeypatch, segment, call):
-    # A second thread holds its own blocks, and at most two segments per
+def test_a_thread_adds_its_blocks(monkeypatch, task, call):
+    # A second thread holds its own blocks, and at most two tasks per
     # thread of finished partials or windows wait for the fold.
-    segment(100_000)
+    task(2)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
     model = builtin("scenarioA").model
     peaks = []
@@ -575,7 +594,7 @@ def test_a_thread_adds_its_blocks(monkeypatch, segment, call):
             peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
         else:
             peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
-    assert peaks[1] - peaks[0] < per_thread(100_000)
+    assert peaks[1] - peaks[0] < per_thread(_BLOCK)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
@@ -613,28 +632,27 @@ def nan_model():
 
 
 @pytest.mark.parametrize("model", [overflowing_model(), nan_model()], ids=["inf", "nan"])
-def test_simulate_and_calibrate_fail_on_non_finite_g(segment, model):
-    segment(1_000)
+def test_simulate_and_calibrate_fail_on_non_finite_g(model):
     cfg = SimulationConfig(sample_count=3_000, master_seed=0)
-    # the error names the chunk, without a raw numpy overflow warning first
+    # the error names the block, without a raw numpy overflow warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=r"not finite in chunk 0 \(stream positions 0 to 999\)"):
+        with pytest.raises(ValueError, match=r"not finite in block 0 \(stream positions 0 to 2999\)"):
             simulate(model, cfg)
-        with pytest.raises(ValueError, match="not finite in chunk 0"):
+        with pytest.raises(ValueError, match="not finite in block 0"):
             calibrate_shift(model, 0.1, cfg)
 
 
-def test_sample_variance_overflow_fails_after_the_last_chunk(segment):
+def test_sample_variance_overflow_fails_after_the_last_chunk(task):
     # the analytic variance, 1.69e308, is finite; the squares of values
-    # near 5e154 are not, although every g is
+    # near 5e154 are not, although every g is; three one-block tasks fold
     model = LimitStateModel(terms=(Term("x", 1.0, Normal(0.0, 1.3e154)),))
     assert math.isfinite(model_moments(model).variance)
-    segment(4_000)
-    cfg = SimulationConfig(sample_count=10_000, master_seed=0)
+    task(1)
+    cfg = SimulationConfig(sample_count=2 * _BLOCK + 10_000, master_seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="the sample variance of g overflows over 10000 finite samples"):
+        with pytest.raises(ValueError, match=f"the sample variance of g overflows over {cfg.sample_count} finite samples"):
             simulate(model, cfg)
 
 
@@ -643,51 +661,41 @@ def test_a_zero_coefficient_other_term_draws_positive_zeros():
     # and scaled there; adding the mean, even 0.0, turns 0.0 * (a negative
     # draw) = -0.0 into 0.0, as mean + 0.0 * x gives.
     model = LimitStateModel(terms=(Term("load", 0.0, Gumbel(0.0, 1.0)),))
-    g = _segment_g(model, 7, _LANE_MAIN, 0, 1_000)
+    g = block_g(model, SimulationConfig(1_000, 7), _LANE_MAIN, 0)
     assert not np.signbit(g).any()
 
 
-def test_non_finite_g_names_the_first_chunk_that_has_it(segment):
-    model = rare_overflow_model()
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=100_000, master_seed=3)
-    bad = [i for i, g in enumerate(g_chunks(model, cfg)) if not np.isfinite(g).all()]
-    assert bad and bad[0] > 0
-    first = bad[0]
-    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
-    with pytest.raises(ValueError, match=message):
-        simulate(model, cfg)
+def test_non_finite_g_names_the_first_chunk_that_has_it(monkeypatch, task):
+    # blocks 2 and 4 hold a non-finite g, found by g_chunks as by simulate
+    task(1)
+    poison(monkeypatch, _LANE_MAIN, {2: math.inf, 4: math.nan})
+    cfg = SimulationConfig(sample_count=6 * _BLOCK + 100, master_seed=3)
+    assert [i for i, g in enumerate(g_chunks(failure_heavy_model(), cfg)) if not np.isfinite(g).all()] == [2, 4]
+    with pytest.raises(ValueError, match=positions(2)):
+        simulate(failure_heavy_model(), cfg)
 
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_non_finite_g_after_finite_chunks_names_its_chunk(segment, lane):
-    # finite segments come first; the error must still name the first
-    # non-finite segment of the lane and its stream positions
-    model = rare_overflow_model()
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=100_500, master_seed=4)
-    bad = [
-        idx
-        for idx, size in _segments(cfg.sample_count)
-        if not np.isfinite(_segment_g(model, cfg.master_seed, lane, idx, size)).all()
-    ]
-    assert bad and bad[0] > 0
-    first = bad[0]
-    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
-    with pytest.raises(ValueError, match=message):
+def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task, lane):
+    # finite blocks come first, in tasks of two; the error must still name
+    # the first non-finite block of the lane and its stream positions
+    task(2)
+    poison(monkeypatch, lane, {3: -math.inf, 5: math.nan})
+    cfg = SimulationConfig(sample_count=5 * _BLOCK + 500, master_seed=4)
+    with pytest.raises(ValueError, match=positions(3)):
         if lane == _LANE_MAIN:
-            simulate(model, cfg, histograms=True)
+            simulate(failure_heavy_model(), cfg, histograms=True)
         else:
-            calibrate_shift(model, 0.25, cfg)
+            calibrate_shift(failure_heavy_model(), 0.25, cfg)
 
 
-# --- threads --------------------------------------------------------------
+# --- threads and tasks ----------------------------------------------------
 
 
-def scenario_outputs(sid, tmp_path, workers):
-    # in 100k segments: 8 segments of two blocks each, the last one ragged
-    res = run(builtin(sid), sample_count=700_003, histograms=True)
-    path = tmp_path / f"{sid}-{workers}.json"
+def scenario_outputs(sid, tmp_path, label):
+    # six blocks, the last one ragged
+    res = run(builtin(sid), sample_count=330_000, histograms=True)
+    path = tmp_path / f"{sid}-{label}.json"
     export_result(res, "report-json", str(path))
     s = res.summary
     scalars = {k: v for k, v in vars(s).items() if k not in ("g_histogram", "deficit_histogram", "failure_deficits")}
@@ -696,12 +704,14 @@ def scenario_outputs(sid, tmp_path, workers):
 
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
-def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, segment, tmp_path, sid):
-    segment(100_000)
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, task, tmp_path, sid):
+    # nor on the task size: tasks of 1, 3 and 16 blocks on 1 to 3 workers
     outputs = []
-    for workers in (1, 2, 3):
-        pin_workers(monkeypatch, workers)
-        outputs.append(scenario_outputs(sid, tmp_path, workers))
+    for blocks_a_task in (1, 3, 16):
+        task(blocks_a_task)
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            outputs.append(scenario_outputs(sid, tmp_path, f"{blocks_a_task}-{workers}"))
     (scalars, hists, doc, shift) = outputs[0]
     assert hists
     for other_scalars, other_hists, other_doc, other_shift in outputs[1:]:
@@ -714,31 +724,22 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, segment, tmp_pat
 
 
 @pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, segment, lane):
-    # The first bad segment waits until a later bad segment has raised on
-    # another thread; the error must still name the first. The rare
-    # branch is ten times as likely as in rare_overflow_model, so that two
-    # bad segments are in flight together; at seed 1 segment 0 is finite on
-    # both lanes, so the calibration pilot does not fail first.
-    rare = Mixture(((0.999, Normal(0.0, 1.0)), (0.001, Normal(1.7e308, 1e308))))
-    model = LimitStateModel(terms=(Term("x", 1.0, rare),))
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=20_000, master_seed=1)
-    bad = [
-        idx
-        for idx, size in _segments(cfg.sample_count)
-        if not np.isfinite(_segment_g(model, cfg.master_seed, lane, idx, size)).all()
-    ]
-    assert len(bad) >= 2 and bad[0] > 0
-    first, second = bad[:2]
-    assert second - first < 2 * 3  # both are in flight together on three threads
+def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, task, lane):
+    # The first bad block waits until a later bad block has raised on
+    # another thread; the error must still name the first. Blocks 2 and 4
+    # are in flight together on three threads, and block 0, the
+    # calibration pilot, is finite.
+    task(1)
+    first, second = 2, 4
+    poison(monkeypatch, lane, {first: math.nan, second: math.inf})
+    cfg = SimulationConfig(sample_count=8 * _BLOCK, master_seed=1)
     raised = threading.Event()
 
-    def extrema(g, idx, size):
+    def extrema(g, idx):
         if idx == first:
             raised.wait(timeout=10.0)
         try:
-            return _finite_extrema(g, idx, size)
+            return _finite_extrema(g, idx)
         except ValueError:
             if idx == second:
                 raised.set()
@@ -746,22 +747,21 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, se
 
     pin_workers(monkeypatch, 3)
     monkeypatch.setattr(engine, "_finite_extrema", extrema)
-    message = rf"chunk {first} \(stream positions {first * 1_000} to {first * 1_000 + 999}\)"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=positions(first)):
         if lane == _LANE_MAIN:
-            simulate(model, cfg)
+            simulate(failure_heavy_model(), cfg)
         else:
-            calibrate_shift(model, 0.25, cfg)
+            calibrate_shift(failure_heavy_model(), 0.25, cfg)
     assert raised.is_set()
 
 
-def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch, segment):
-    # While segment 0 is held, the other threads may run only the segments
-    # already submitted: two per worker, counting segment 0. Segment 0 is
-    # held until those five have started, and then a while longer, in
-    # which a segment past the bound would start.
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
+def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch, task):
+    # While task 0 is held, the other threads may run only the tasks
+    # already submitted: two per worker, counting task 0. Task 0 is held
+    # until those five have started, and then a while longer, in which a
+    # task past the bound would start.
+    task(1)
+    cfg = SimulationConfig(sample_count=10 * _BLOCK, master_seed=0)
     submitted, beyond, released = threading.Event(), threading.Event(), threading.Event()
     ahead = []
 
@@ -777,21 +777,21 @@ def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch, segment):
                 submitted.set()
             if idx >= 2 * 3:
                 beyond.set()
-        return _draw_segment(*args)
+        return _draw_block(*args)
 
     pin_workers(monkeypatch, 3)
-    monkeypatch.setattr(engine, "_draw_segment", draw)
+    monkeypatch.setattr(engine, "_draw_block", draw)
     simulate(margin_model(), cfg)
     assert sorted(ahead) == list(range(1, 2 * 3))
 
 
-def test_an_error_cancels_the_chunks_not_started(monkeypatch, segment):
-    # Segment 0 fails at once, while every other segment that starts is held
+def test_an_error_cancels_the_chunks_not_started(monkeypatch, task):
+    # Task 0 fails at once, while every other task that starts is held
     # until the pool shuts down, which is after the error has cancelled
-    # the segments not started. So at most one segment per thread, in
-    # submission order, is drawn after segment 0.
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
+    # the tasks not started. So at most one task per thread, in
+    # submission order, is drawn after task 0.
+    task(1)
+    cfg = SimulationConfig(sample_count=10 * _BLOCK, master_seed=0)
     closing, drawn = threading.Event(), []
 
     class Pool(ThreadPoolExecutor):
@@ -803,22 +803,22 @@ def test_an_error_cancels_the_chunks_not_started(monkeypatch, segment):
         drawn.append(args[3])
         if args[3]:
             closing.wait(timeout=10.0)
-        return _draw_segment(*args)
+        return _draw_block(*args)
 
     pin_workers(monkeypatch, 3)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(engine, "_draw_segment", draw)
-    with pytest.raises(ValueError, match="not finite in chunk 0"):
+    monkeypatch.setattr(engine, "_draw_block", draw)
+    with pytest.raises(ValueError, match="not finite in block 0"):
         simulate(overflowing_model(), cfg)
     assert closing.is_set()
     assert 0 in drawn and set(drawn) <= {0, 1, 2, 3}
 
 
-def test_no_thread_outlives_a_call(monkeypatch, segment):
+def test_no_thread_outlives_a_call(monkeypatch, task):
     pin_workers(monkeypatch, 3)
     start = threading.active_count()
-    segment(1_000)
-    cfg = SimulationConfig(sample_count=50_000, master_seed=0)
+    task(1)
+    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=0)
     simulate(margin_model(), cfg, histograms=True)
     assert threading.active_count() == start
     calibrate_shift(margin_model(), 0.01, cfg)

@@ -14,6 +14,7 @@ import pytest
 from sevrel import histogram
 from sevrel.distributions import Normal
 from sevrel.engine import (
+    _BLOCK,
     LimitStateModel,
     SimulationConfig,
     Term,
@@ -130,15 +131,17 @@ def test_all_equal_values_make_one_padded_bin():
     assert np.array_equal(d.counts, [3])
 
 
-def test_all_equal_g_run(segment):
-    # a zero coefficient leaves g equal to the shift everywhere
+def test_all_equal_g_run(task):
+    # a zero coefficient leaves g equal to the shift everywhere; two blocks,
+    # one a task, merge their one-bin histograms in the fold
     model = LimitStateModel(terms=(Term("x", 0.0, Normal(0.0, 1.0)),), shift=-2.0)
-    segment(1_500)
-    summary = simulate(model, SimulationConfig(5_000, 1), histograms=True)
+    task(1)
+    n = _BLOCK + 5_000
+    summary = simulate(model, SimulationConfig(n, 1), histograms=True)
     assert np.array_equal(summary.g_histogram.edges, [-2.5, -1.5])
-    assert np.array_equal(summary.g_histogram.counts, [5_000])
+    assert np.array_equal(summary.g_histogram.counts, [n])
     assert np.array_equal(summary.deficit_histogram.edges, [1.0, 3.0])
-    assert np.array_equal(summary.deficit_histogram.counts, [5_000])
+    assert np.array_equal(summary.deficit_histogram.counts, [n])
 
 
 def test_single_sample_run():
@@ -152,10 +155,13 @@ def test_single_sample_run():
     assert np.array_equal(summary.deficit_histogram.counts, [1])
 
 
-def test_one_failure_run(segment):
+def test_one_failure_run():
+    # the margin shifted to halfway between its two smallest values, so
+    # that exactly one fails
     model = LimitStateModel(terms=(Term("margin", 1.0, Normal(3.5, 1.0)),))
-    segment(2_000)
-    summary = simulate(model, SimulationConfig(5_000, 1), histograms=True)
+    cfg = SimulationConfig(5_000, 1)
+    lowest = np.partition(np.concatenate(list(g_chunks(model, cfg))), 1)[:2]
+    summary = simulate(model.with_shift(-float(lowest.mean())), cfg, histograms=True)
     assert summary.failure_count == 1
     d = summary.deficit_min
     assert np.array_equal(summary.deficit_histogram.edges, [0.5 * d, 1.5 * d])
@@ -219,12 +225,13 @@ def test_random_split_merged_in_order_equals_one_shot(seed):
 
 # --- in the simulation ----------------------------------------------------------
 
-N, SEGMENT = 30_001, 7_000  # the segment length does not divide n
+N = 2 * _BLOCK + 7_001  # three blocks, the last ragged
 
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
-def test_in_pass_histograms_are_exact_and_layout_free(segment, sid):
-    segment(SEGMENT)
+def test_in_pass_histograms_are_exact_and_layout_free(task, sid):
+    # a task merges the bins of its two blocks; the fold merges the tasks'
+    task(2)
     result = run(builtin(sid), sample_count=N, histograms=True)
     summary = result.summary
     g = np.concatenate(list(g_chunks(result.model, result.config)))

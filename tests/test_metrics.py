@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sevrel import engine, gaussian
+from sevrel import gaussian
 from sevrel.distributions import Mixture, MomentReport, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
@@ -36,11 +36,8 @@ from sevrel.metrics import (
 )
 
 
-def run(model, n=200_000, seed=0, chunk=100_000):
-    # the sample of `chunk`-value segments, which these tests were written for
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_SEGMENT", chunk)
-        return simulate(model, SimulationConfig(sample_count=n, master_seed=seed))
+def run(model, n=200_000, seed=0):
+    return simulate(model, SimulationConfig(sample_count=n, master_seed=seed))
 
 
 def _summary(sub, failure_count, deficit_sum, cfg):
@@ -240,10 +237,8 @@ def _assert_close(ci, expected, rel):
 def dense_gaussian():
     # Normal(2, 1) margin at n = 1M: ~22.8k failures
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(2.0, 1.0)),))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_SEGMENT", 250_000)
-        summary = run(model, n=1_000_000, chunk=250_000)
-        return summary, model_moments(model), _deficits(model, summary)
+    summary = run(model, n=1_000_000)
+    return summary, model_moments(model), _deficits(model, summary)
 
 
 def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
@@ -261,11 +256,10 @@ def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
     assert build_report(summary, moments, bootstrap_resamples=0).ef_star_ci == rep.ef_star_ci
 
 
-def test_ef_star_ci_covers_every_failure(segment):
+def test_ef_star_ci_covers_every_failure():
     # ~1.06M failures, more than the deficit store this interval was once
-    # drawn from could hold; the last segment is ragged
+    # drawn from could hold; the last block is ragged
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(0.0, 1.0)),))
-    segment(300_000)
     cfg = SimulationConfig(sample_count=2_123_457, master_seed=5)
     summary = simulate(model, cfg)
     moments = model_moments(model)
@@ -302,14 +296,14 @@ def test_ef_star_ci_coverage_on_a_gaussian_margin():
     exact = gaussian.deficit(b)
     covered = 0
     for seed in range(400):
-        lo, hi = build_report(run(model, n=100_000, seed=seed, chunk=100_000), moments).ef_star_ci
+        lo, hi = build_report(run(model, n=100_000, seed=seed), moments).ef_star_ci
         covered += lo <= exact <= hi
     assert 369 <= covered <= 391
 
 
 def test_report_zero_failures():
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(30.0, 1.0)),))
-    summary = run(model, n=1_000, chunk=1_000)
+    summary = run(model, n=1_000)
     rep = build_report(summary, model_moments(model))
     assert summary.failure_count == 0
     assert rep.pf == 0.0 and rep.pf_se == 0.0
@@ -323,7 +317,7 @@ def test_report_zero_failures():
 
 def test_report_every_sample_fails():
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(-10.0, 1.0)),))
-    summary = run(model, n=10_000, chunk=4_000)
+    summary = run(model, n=10_000)
     moments = model_moments(model)
     rep = build_report(summary, moments)
     assert summary.failure_count == summary.n == 10_000
@@ -352,7 +346,7 @@ def test_report_every_sample_fails():
 
     # one failing sample: sigma_g is exact, so E_f* and the level exist;
     # one deficit gives no interval
-    summary = run(model, n=1, chunk=1)
+    summary = run(model, n=1)
     rep = build_report(summary, moments)
     assert rep.beta is None and rep.ef == -summary.min_g
     assert rep.ef_star == rep.ef / math.sqrt(moments.variance) and rep.ef_star_ci is None
@@ -365,7 +359,7 @@ def test_report_every_sample_fails():
 def test_report_infinite_variance_flag():
     # alpha < 2 makes the analytic variance infinite while failures abound
     model = LimitStateModel(terms=(Term("load", -1.0, Pareto(1.0, 1.5)),), shift=3.0)
-    summary = run(model, n=20_000, chunk=10_000)
+    summary = run(model, n=20_000)
     moments = model_moments(model)
     assert not moments.variance_finite
     rep = build_report(summary, moments)
@@ -381,7 +375,7 @@ def test_report_deficit_beyond_endpoint():
     # that no Gaussian margin could produce the normalized deficit
     crash = Mixture(((0.999, Normal(5.0, 1.0)), (0.001, Normal(-200.0, 1.0))))
     model = LimitStateModel(terms=(Term("m", 1.0, crash),))
-    summary = run(model, n=50_000, seed=8, chunk=25_000)
+    summary = run(model, n=50_000, seed=8)
     moments = model_moments(model)
     assert moments.variance_finite
     rep = build_report(summary, moments)

@@ -1,20 +1,19 @@
 """Bit-identity of the sampling kernel against the straightforward algorithms.
 
-The samplers and the segment kernel work in place, block by block: the
-engine draws the Normal terms as one Normal straight into the block of
-g and each other term from its own substream through one reused block
-of scratch, a Mixture drawn in blocks reads its value uniforms from an
-advanced copy of its generator, and a Mixture evaluates its heaviest
-branch over each block before the other branches overwrite their
-positions. The references below are the direct forms those replace: one
-expression per quantile, one whole-batch draw, a searchsorted branch
-index with a mask and gather per component, g = mean + sd * z for the
-merged Normal and then ``g += c * sample`` per other term, with slot j
-read from the stream of SeedSequence(seed, spawn_key=(lane, segment))
-advanced by j * 2**64 draws, and each block's statistics computed from
-its values. The reproducibility contract is about bits, so every
-comparison is exact. Sizes on both sides of a block edge check that
-cutting a batch into blocks changes no draw.
+The samplers and the block kernel work in place: the engine draws the
+Normal terms as one Normal straight into the block of g and each other
+term as one batch from its own substream through one reused block of
+scratch, and a Mixture evaluates its heaviest branch over the batch
+before the other branches overwrite their positions. The references
+below are the direct forms those replace: one expression per quantile,
+one whole-batch draw, a searchsorted branch index with a mask and gather
+per component, g = mean + sd * z for the merged Normal and then
+``g += c * sample`` per other term, with slot j read from the stream of
+SeedSequence(seed, spawn_key=(lane, block)) advanced by j * 2**64 draws,
+and each block's statistics computed from its values. The
+reproducibility contract is about bits, so every comparison is exact.
+Run lengths on both sides of a block edge check that block i reads its
+own key, whatever came before it.
 """
 
 import math
@@ -25,17 +24,17 @@ import pytest
 from scipy.special import ndtri
 
 from sevrel import histogram
-from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
+from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto, _ahead
 from sevrel.engine import (
     _BLOCK,
     _LANE_MAIN,
     LimitStateModel,
+    SimulationConfig,
     Term,
-    _plan,
     _Partial,
-    _segment_g,
-    _segment_partial,
     _summarize_block,
+    g_chunks,
+    simulate,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -81,7 +80,12 @@ def reference_sample(d, rng, n):
     return out
 
 
-def reference_chunk_g(model, master_seed, lane, idx, size):
+def run_g(model, master_seed, n):
+    # the g of a run of n values, block by block
+    return np.concatenate(list(g_chunks(model, SimulationConfig(n, master_seed))))
+
+
+def reference_block_g(model, master_seed, lane, idx, size):
     def slot(j):
         bits = np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx)))
         bits.advance(j * 2**64)
@@ -116,9 +120,6 @@ HEAVY_LAST = Mixture(((0.3, Gumbel(2.0, 0.6)), (0.7, Normal(0.0, 1.0))))
 TIED = Mixture(((0.4, Normal(0.0, 1.0)), (0.4, Gumbel(2.0, 0.6)), (0.2, Pareto(1.0, 3.0))))
 # the first branch counts as the heaviest, so half the draws are overwritten
 HALF = Mixture(((0.5, Normal(0.0, 1.0)), (0.5, Gumbel(2.0, 0.6))))
-# a seed whose HALF draws overwrite the first and last position of every
-# block of a 3 * _BLOCK + 7 batch (see test_half_mixture_minority_on_block_edges)
-HALF_SEED = 287
 
 
 def _builtin_distributions():
@@ -131,13 +132,6 @@ def _builtin_distributions():
 
 
 DISTRIBUTIONS = FAMILIES + [FOUR_WAY, HEAVY_LAST, TIED] + _builtin_distributions() + [HALF]
-
-
-def blocked_sample(dist, rng, n):
-    # the engine's way: every block of the batch drawn into one reused scratch
-    scratch = np.empty(min(_BLOCK, n))
-    blocks = [scratch[: min(_BLOCK, n - start)] for start in range(0, n, _BLOCK)]
-    return np.concatenate([x.copy() for x in dist._draws(rng, blocks)])
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -153,24 +147,15 @@ def test_sample_matches_reference_bits(dist, n):
 @pytest.mark.parametrize("n", EDGES)
 @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
 def test_blocked_draws_match_reference_bits(dist, n):
+    # g = X over a run of n values: block i is one batch of X drawn from the
+    # stream of SeedSequence(seed; 0, i), whatever the blocks before it drew
     seed = 1000 + n
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = blocked_sample(dist, got_rng, n)
-    want = reference_sample(dist, want_rng, n)
-    assert np.array_equal(got, want)
-    # and the stream is left where one whole-batch draw leaves it
-    assert got_rng.random() == want_rng.random()
-
-
-def test_half_mixture_minority_on_block_edges():
-    n = 3 * _BLOCK + 7
-    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK - 1, 3 * _BLOCK, n - 1]
-    # the branch uniforms come first in the stream; the minority is u >= 0.5
-    assert (np.random.default_rng(HALF_SEED).random(n)[edges] >= 0.5).all()
-    got = blocked_sample(HALF, np.random.default_rng(HALF_SEED), n)
-    want = reference_sample(HALF, np.random.default_rng(HALF_SEED), n)
-    assert np.array_equal(got, want)
-    assert np.array_equal(HALF.sample(np.random.default_rng(HALF_SEED), n), want)
+    model = LimitStateModel(terms=(Term("x", 1.0, dist),))
+    want = [
+        reference_sample(dist, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_LANE_MAIN, i))), size)
+        for i, size in enumerate(np.diff([*range(0, n, _BLOCK), n]))
+    ]
+    assert np.array_equal(run_g(model, seed, n), np.concatenate(want))
 
 
 def test_four_way_mixture_draws_every_branch():
@@ -224,7 +209,7 @@ ZERO_NORMAL = LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)), Term("loa
 MODELS = {"mixtures": MIXTURES, "normals": NORMALS, "zero-normal": ZERO_NORMAL}
 
 
-def chunk_model(sid):
+def block_model(sid):
     return MODELS[sid] if sid in MODELS else builtin(sid).model.with_shift(0.25)
 
 
@@ -265,19 +250,49 @@ def assert_same_partial(got, want):
 @pytest.mark.parametrize("n", SIZES + EDGES)
 @pytest.mark.parametrize("sid", [*SCENARIO_IDS, *MODELS])
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
-    model = chunk_model(sid)
-    g = reference_chunk_g(model, 7, _LANE_MAIN, 2, n)
-    assert np.array_equal(_segment_g(model, 7, _LANE_MAIN, 2, n), g)
+    model = block_model(sid)
+    blocks = [reference_block_g(model, 7, _LANE_MAIN, i, min(_BLOCK, n - start)) for i, start in enumerate(range(0, n, _BLOCK))]
+    assert np.array_equal(run_g(model, 7, n), np.concatenate(blocks))
 
-    # each block reduces to its own statistics, and the segment's partial
-    # is their fold in block order
+    # each block reduces to its own statistics, and the run's are their fold
+    # in block order
     want = _Partial()
-    for start in range(0, n, _BLOCK):
-        block = g[start : start + _BLOCK]
+    for i, block in enumerate(blocks):
         ref = reference_block_partial(block)
-        assert_same_partial(_summarize_block(block.copy(), 2, n, histograms=True), ref)
+        assert_same_partial(_summarize_block(block.copy(), i, histograms=True), ref)
         want.fold(ref)
-    assert_same_partial(_segment_partial(_plan(model), 7, True, 2, n), want)
+    cfg = SimulationConfig(n, 7)
+    got, want = simulate(model, cfg, histograms=True), want.summary(cfg)
+    for name, value in vars(want).items():
+        mine = getattr(got, name)
+        if name.endswith("histogram") and value is not None:
+            assert np.array_equal(mine.edges, value.edges) and np.array_equal(mine.counts, value.counts), name
+        elif name != "failure_deficits":
+            assert mine == value or (math.isnan(value) and math.isnan(mine)), name  # var_g is NaN at n = 1
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_every_block_of_a_builtin_reads_its_own_key(sid):
+    # Block i of a run is drawn from SeedSequence(seed; 0, i) alone: slot j
+    # is that generator advanced by j * 2**64 draws (_ahead), and each
+    # term is one batch of Distribution.sample, with the Normal terms
+    # merged into one Normal drawn from the slot of the first of them.
+    model, seed, n = builtin(sid).model, 5, 3 * _BLOCK + 7
+    got = run_g(model, seed, n)
+    normals = [j for j, t in enumerate(model.terms) if isinstance(t.distribution, Normal)]
+    mean = model.shift
+    for j in normals:
+        mean += model.terms[j].coefficient * model.terms[j].distribution.mean
+    sd = math.hypot(*(model.terms[j].coefficient * model.terms[j].distribution.stddev for j in normals))
+    for i, start in enumerate(range(0, n, _BLOCK)):
+        size = min(_BLOCK, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_LANE_MAIN, i)))
+        slots = [rng] + [_ahead(rng, j << 64) for j in range(1, len(model.terms))]
+        want = Normal(mean, sd).sample(slots[normals[0]], size) if sd > 0.0 else np.full(size, mean)
+        for j, t in enumerate(model.terms):
+            if j not in normals:
+                want += t.coefficient * t.distribution.sample(slots[j], size)
+        assert np.array_equal(got[start : start + size], want), i
 
 
 def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
@@ -288,7 +303,7 @@ def test_adding_a_term_leaves_the_other_terms_draws_unchanged():
     n = 3 * _BLOCK + 7
 
     def g(model):
-        return _segment_g(model, 7, _LANE_MAIN, 2, n)
+        return run_g(model, 7, n)
 
     two = LimitStateModel(terms=(Term("a", 1.0, Normal(1.0, 2.0)), Term("b", -0.5, Gumbel(8.0, 1.2))), shift=0.25)
     zeroed = tuple(replace(t, coefficient=0.0) for t in two.terms)

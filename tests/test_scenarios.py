@@ -46,7 +46,7 @@ def tiny_scenario(mean=3.5, n=50_000, expectations=()):
 
 
 def test_a_scenario_refuses_any_other_chunk_size():
-    # the old field only repeats the fixed 1M-value segment length
+    # the old field takes only the value the benchmark harness sets
     assert tiny_scenario().chunk_size == 1_000_000
     assert replace(tiny_scenario(), chunk_size=1_000_000) == tiny_scenario()
     for size in (100_000, 2_000_000):
@@ -207,12 +207,12 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 8
+    assert doc["schemaVersion"] == 9
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
-    # no deficit store since schemaVersion 5, no robust subsample since 6
-    assert set(doc["simulation"]) == {"sampleCount", "masterSeed", "chunkSize"}
-    assert doc["simulation"]["chunkSize"] == 1_000_000
+    # no deficit store since schemaVersion 5, no robust subsample since 6,
+    # no chunk size since 9
+    assert set(doc["simulation"]) == {"sampleCount", "masterSeed"}
     assert "storedDeficits" not in doc["summary"]
     assert "robustSubsampleSize" not in doc["summary"] and "robustScales" not in doc["summary"]
     assert doc["summary"]["conditionalStd"] == res.summary.conditional_std
