@@ -50,11 +50,6 @@ def _positive_finite(value: float, flag: str) -> bool:
 
 
 def _cmd_solve(args) -> int:
-    if args.f is not None:
-        if not _positive_finite(args.f, "--f"):
-            return 2
-        print(f"{deficit(args.f):.12g}")
-        return 0
     if args.inverse is not None:
         if not _positive_finite(args.inverse, "--inverse"):
             return 2
@@ -63,9 +58,11 @@ def _cmd_solve(args) -> int:
             return 0
         print(f"{invert_deficit(args.inverse):.12g}")
         return 0
-    if not _positive_finite(args.closed_form, "--closed-form"):
+    # --f and --closed-form both ask for the deficit map at an index
+    flag, index = ("--f", args.f) if args.f is not None else ("--closed-form", args.closed_form)
+    if not _positive_finite(index, flag):
         return 2
-    print(f"{deficit(args.closed_form):.12g}")
+    print(f"{deficit(index):.12g}")
     return 0
 
 

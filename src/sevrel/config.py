@@ -207,14 +207,11 @@ def _parse_simulation(value, path: str) -> SimulationConfig:
     _check_keys(obj, {"sampleCount", "masterSeed", "chunkSize"}, path)
     if _integer(obj, "chunkSize", path, default=1_000_000) != 1_000_000:
         raise ConfigError(f"{path}.chunkSize: must be 1000000; it sets nothing")
+    sample_count = _integer(obj, "sampleCount", path)
+    master_seed = _integer(obj, "masterSeed", path, default=0)
     try:
-        return SimulationConfig(
-            sample_count=_integer(obj, "sampleCount", path),
-            master_seed=_integer(obj, "masterSeed", path, default=0),
-        )
+        return SimulationConfig(sample_count=sample_count, master_seed=master_seed)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 

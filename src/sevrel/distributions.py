@@ -88,13 +88,18 @@ def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 class _Sampled:
-    """Sampling shared by the families, each of which defines
-    ``_fill(rng, out)``: overwrite out with its next out.size draws, as
-    one batch, and return it."""
+    """Sampling and quantiles shared by the families, each of which
+    defines ``_fill(rng, out)``: overwrite out with its next out.size
+    draws, as one batch, and return it; and, unless it overrides
+    ``quantile``, ``_inverse_cdf(q)``: overwrite q, which must lie in
+    (0, 1), with its quantiles, and return it."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws, in a new array."""
         return self._fill(rng, np.empty(n))
+
+    def quantile(self, p):
+        return _match(p, self._inverse_cdf(_check_probability(p)))
 
 
 def _match(p, values):
@@ -116,9 +121,6 @@ class Normal(_Sampled):
 
     def moments(self) -> MomentReport:
         return MomentReport(self.mean, self.stddev**2)
-
-    def quantile(self, p):
-        return _match(p, self._inverse_cdf(_check_probability(p)))
 
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)
@@ -153,9 +155,6 @@ class Lognormal(_Sampled):
     def moments(self) -> MomentReport:
         m, s2 = self.log_mean, self.log_std**2
         return MomentReport(math.exp(m + 0.5 * s2), math.expm1(s2) * math.exp(2.0 * m + s2))
-
-    def quantile(self, p):
-        return _match(p, self._inverse_cdf(_check_probability(p)))
 
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)
@@ -208,9 +207,6 @@ class Gumbel(_Sampled):
             (math.pi**2 / 6.0) * self.scale**2,
         )
 
-    def quantile(self, p):
-        return _match(p, self._inverse_cdf(_check_probability(p)))
-
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)
         np.log(q, out=q)
@@ -253,9 +249,6 @@ class Pareto(_Sampled):
         else:
             variance = math.inf
         return MomentReport(mean, variance)
-
-    def quantile(self, p):
-        return _match(p, self._inverse_cdf(_check_probability(p)))
 
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)

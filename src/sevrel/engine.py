@@ -30,16 +30,20 @@ error that names the first such block; a sample variance of g that
 overflows, although every g is finite, stops it after the last block.
 
 On request, each block is also binned while it is held. Bin counts are
-exact integers, so a task merges its own blocks' bins and the fold adds
-those of the tasks (see `histogram`): the histograms of a run need no
-second pass over the stream.
+exact integers, which the fold adds block by block (see `histogram`):
+the histograms of a run need no second pass over the stream.
 
-`calibrate_shift` reads its own lane block by block in the same way and
-keeps, of its whole sample, a count and a window around the target
-rank, which the ordered fold re-centres each time it has seen twice as
+`calibrate_shift` reads its own lane block by block in the same way,
+each block drawn once, and keeps, of its whole sample, a count and a
+window around the target rank. Block 0 folds whole and centres the
+window; the ordered fold re-centres it each time it has seen twice as
 many values (see `quantile`). So its memory grows with the square root
 of the sample count, not with the count, and the shift is still the
 exact order statistic.
+
+Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
+alike, draws its blocks through `_task`, which hands each block to a
+per-block reduction.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ _LANE_MAIN = 0
 _LANE_CALIBRATION = 3
 
 # Half-width of calibrate_shift's window, in standard deviations of the
-# rank count of the values it is centred on (the pilot, then the values
+# rank count of the values it is centred on (block 0, then the values
 # folded so far); a wider window costs memory, a narrower one a second
 # pass when it misses.
 _PILOT_Z = 10.0
@@ -206,10 +210,11 @@ class SimulationSummary:
         return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
-def _tasks(sample_count: int) -> list[range]:
-    """The block indices of each task over a lane's first `sample_count` values."""
+def _tasks(sample_count: int, first: int = 0) -> list[range]:
+    """The block indices of each task over a lane's first `sample_count`
+    values, from block `first` on."""
     blocks = -(-sample_count // _BLOCK)
-    return [range(i, min(i + _TASK, blocks)) for i in range(0, blocks, _TASK)]
+    return [range(i, min(i + _TASK, blocks)) for i in range(first, blocks, _TASK)]
 
 
 def _size(idx: int, sample_count: int) -> int:
@@ -304,13 +309,6 @@ def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) ->
     return [rng if j == 0 else _ahead(rng, j << 64) for j in slots]
 
 
-def _buffers(plan: _Plan, sample_count: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """A block of g for a lane's first `sample_count` values and, when a
-    term is drawn through it, a block of scratch, both reused by a task."""
-    g = np.empty(min(_BLOCK, sample_count))
-    return g, np.empty(g.size) if len(plan.others) > (plan.sd == 0.0) else None
-
-
 def _draw_block(
     plan: _Plan, master_seed: int, lane: int, idx: int, g: np.ndarray, scratch: np.ndarray | None
 ) -> np.ndarray:
@@ -324,7 +322,7 @@ def _draw_block(
     straight into g, scaled there and shifted by the mean, with the bits
     that filling g with the mean and adding the term give. Each term
     draws the block as one batch (see `distributions`).
-    Overflow is left to _finite_extrema, under the caller's np.errstate.
+    Overflow is left to _finite_extrema, under `_task`'s np.errstate.
     """
     rngs = _term_rngs(master_seed, lane, idx, plan.slots)
     others = list(zip(plan.others, rngs[1:] if plan.sd > 0.0 else rngs))
@@ -352,10 +350,25 @@ def _draw_block(
     return g
 
 
-def _block_g(plan: _Plan, master_seed: int, lane: int, idx: int, size: int) -> np.ndarray:
-    """Block `idx` of `lane`, of `size` values, in a new array."""
+def _task(
+    plan: _Plan, master_seed: int, lane: int, sample_count: int, reduce: Callable[[np.ndarray, int], _T], task: range
+) -> list[_T]:
+    """reduce(block, idx) for each block `idx` of `task`, in order, over
+    `lane`'s first `sample_count` values.
+
+    Every pass over a lane draws its blocks here. One block of g and, when
+    a term is drawn through it, one of scratch are allocated per call and
+    reused by its blocks, so `reduce` may overwrite the block but must copy
+    what it keeps of it, unless the task is one block.
+    """
+    g = np.empty(_size(task.start, sample_count))
+    scratch = np.empty(g.size) if len(plan.others) > (plan.sd == 0.0) else None
+    # np.errstate is per thread; non-finite g is reported by _finite_extrema
     with np.errstate(over="ignore", invalid="ignore"):
-        return _draw_block(plan, master_seed, lane, idx, *_buffers(plan, size))
+        return [
+            reduce(_draw_block(plan, master_seed, lane, idx, g[: _size(idx, sample_count)], scratch), idx)
+            for idx in task
+        ]
 
 
 def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
@@ -378,11 +391,11 @@ def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
     """Regenerate the exact g stream of simulate(), block by block, each in
-    a new array that the caller may keep."""
+    a new array that the caller may keep (a one-block `_task`)."""
     plan, n = _plan(model), config.sample_count
     for task in _tasks(n):
         for idx in task:
-            yield _block_g(plan, config.master_seed, _LANE_MAIN, idx, _size(idx, n))
+            yield _task(plan, config.master_seed, _LANE_MAIN, n, lambda block, _: block, range(idx, idx + 1))[0]
 
 
 @dataclass
@@ -488,27 +501,6 @@ def _summarize_block(g: np.ndarray, idx: int, histograms: bool) -> _Partial:
     return part
 
 
-def _task_partials(plan: _Plan, config: SimulationConfig, histograms: bool, task: range) -> list[_Partial]:
-    """The partials of the blocks of `task`, drawn and reduced in order.
-
-    Bin counts are exact, so the task merges its blocks' bins into its
-    last partial; the float statistics are left for the ordered fold.
-    """
-    n, parts = config.sample_count, []
-    g, scratch = _buffers(plan, n)
-    g_bins = deficit_bins = None
-    # np.errstate is per thread; non-finite g is reported by _finite_extrema
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx in task:
-            block = _draw_block(plan, config.master_seed, _LANE_MAIN, idx, g[: _size(idx, n)], scratch)
-            part = _summarize_block(block, idx, histograms)
-            g_bins, deficit_bins = histogram.merge(g_bins, part.g_bins), histogram.merge(deficit_bins, part.deficit_bins)
-            part.g_bins = part.deficit_bins = None
-            parts.append(part)
-    parts[-1].g_bins, parts[-1].deficit_bins = g_bins, deficit_bins
-    return parts
-
-
 def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool = False) -> SimulationSummary:
     """Run the block-keyed Monte Carlo estimate of the g distribution.
 
@@ -522,7 +514,8 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     each block once more, which costs far less than regenerating it.
     """
     acc = _Partial()
-    work = functools.partial(_task_partials, _plan(model), config, histograms)
+    reduce = functools.partial(_summarize_block, histograms=histograms)
+    work = functools.partial(_task, _plan(model), config.master_seed, _LANE_MAIN, config.sample_count, reduce)
     for parts in _ordered(work, _tasks(config.sample_count)):
         for part in parts:
             acc.fold(part)
@@ -535,13 +528,6 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     return acc.summary(config)
 
 
-def _pilot(plan: _Plan, master_seed: int, size: int) -> np.ndarray:
-    """Block 0, of `size` values, of the calibration lane."""
-    pilot = _block_g(plan, master_seed, _LANE_CALIBRATION, 0, size)
-    _finite_extrema(pilot, 0)
-    return pilot
-
-
 def _ranks(m: int, p: float) -> tuple[int, int]:
     """The ranks m*p -/+ (Z*sqrt(m*p*(1-p)) + 1) of m values, rounded
     outwards: the rank-p quantile of a larger sample falls between them
@@ -551,23 +537,21 @@ def _ranks(m: int, p: float) -> tuple[int, int]:
     return math.floor(centre - half), math.ceil(centre + half)
 
 
-def _pilot_window(pilot: np.ndarray, p: float) -> tuple[float, float]:
-    """The pilot's order statistics at its `_ranks`, clipped to the pilot;
-    a bound whose rank clips to the pilot's first or last value is -inf
-    or +inf. Partitions `pilot` in place.
-    """
-    m = pilot.size
-    lo_rank, hi_rank = _ranks(m, p)
-    lo_rank = min(max(lo_rank, 0), m - 1)
-    # keeps lo <= hi when the half-width is negative, so the three sides
-    # g < lo, lo <= g <= hi and g > hi never overlap
-    hi_rank = min(max(hi_rank, lo_rank), m - 1)
-    kth = [r for r, used in ((lo_rank, lo_rank > 0), (hi_rank, hi_rank < m - 1)) if used]
-    if kth:
-        pilot.partition(kth)
-    lo = float(pilot[lo_rank]) if lo_rank > 0 else -math.inf
-    hi = float(pilot[hi_rank]) if hi_rank < m - 1 else math.inf
-    return lo, hi
+def _checked(block: np.ndarray, idx: int) -> np.ndarray:
+    """`block`, block `idx` of its lane, once `_finite_extrema` passes it."""
+    _finite_extrema(block, idx)
+    return block
+
+
+def _window_part(win: Window, block: np.ndarray, idx: int) -> tuple[tuple[float, float], int, np.ndarray]:
+    """The window's bounds as read now, the count of the values of
+    `block`, block `idx` of its lane, below lo, and its values in
+    [lo, hi], in a new array: one part for `Window.fold`."""
+    bounds = lo, hi = win.bounds
+    _finite_extrema(block, idx)
+    mask = lo <= block
+    mask &= block <= hi
+    return bounds, int(np.count_nonzero(block < lo)), _gather(block, mask)
 
 
 def calibrate_shift(
@@ -582,9 +566,10 @@ def calibrate_shift(
     k = ceil(target_pf * n). On the calibration sample itself the shifted
     failure fraction then matches target_pf to within 1/n.
 
-    The sample is read block by block. Block 0 is a pilot: it brackets
-    the k-th smallest value in a window [lo, hi] (see `_pilot_window`).
-    Every block then counts its values below lo and keeps its values
+    The sample is read block by block, each block drawn once. Block 0
+    folds whole into the window, which is then centred on its ranks
+    (see `_ranks`) and so brackets the k-th smallest value in [lo, hi].
+    Every later block counts its values below lo and keeps its values
     inside the window; tasks of blocks run in parallel and their parts
     fold in order (see `quantile.Window`), and the answer is the
     (k - below)-th smallest of the window. Each time the fold has seen
@@ -596,9 +581,10 @@ def calibrate_shift(
     4 * _PILOT_Z * sqrt(p * (1 - p) * n) values at most, and memory is a
     few blocks per thread, the windows of the tasks in flight and the
     window: it grows with sqrt(n), not n. When the window misses, one
-    more pass keeps only the side the rank fell on, cut to the values
-    that can still be the answer. Every path gives the k-th smallest
-    value exactly, whatever the task size or the number of threads.
+    more pass over every block keeps only the side the rank fell on, cut
+    to the values that can still be the answer. Every path gives the k-th
+    smallest value exactly, whatever the task size or the number of
+    threads.
 
     Refuses targets that would rest on fewer than 10 expected failures.
     """
@@ -614,42 +600,36 @@ def calibrate_shift(
     k = math.ceil(expected_failures - 1e-9)
     p = k / n
 
-    def task_window(win: Window, task: range) -> tuple[tuple[float, float], int, list[np.ndarray]]:
-        # the bounds read when the task starts, how many of its values lie
-        # below lo, and its values in [lo, hi], one array per block
-        bounds = lo, hi = win.bounds
-        below, inside = 0, []
-        g, scratch = _buffers(plan, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx in task:
-                block = _draw_block(plan, config.master_seed, _LANE_CALIBRATION, idx, g[: _size(idx, n)], scratch)
-                _finite_extrema(block, idx)
-                below += int(np.count_nonzero(block < lo))
-                mask = lo <= block
-                mask &= block <= hi
-                inside.append(_gather(block, mask))
-        return bounds, below, inside
+    def parts(win: Window, tasks: list[range]) -> Iterator[list]:
+        # the parts of the blocks of each of `tasks`, filtered by `win`
+        reduce = functools.partial(_window_part, win)
+        return _ordered(functools.partial(_task, plan, config.master_seed, _LANE_CALIBRATION, n, reduce), tasks)
 
-    tasks = _tasks(n)
-    # Cutting only past twice what the rank still needs spares the window
-    # a join and a partition at every fold.
-    win = Window(*_pilot_window(_pilot(plan, config.master_seed, _size(0, n)), p), k, slack=2)
+    # Block 0 folds whole and centres the window on its ranks. Cutting
+    # only past twice what the rank still needs spares the window a join
+    # and a partition at every fold.
+    win = Window(-math.inf, math.inf, k, slack=2)
+    win.fold(win.bounds, 0, *_task(plan, config.master_seed, _LANE_CALIBRATION, n, _checked, range(1)))
     centred = _size(0, n)
-    for task, part in zip(tasks, _ordered(functools.partial(task_window, win), tasks)):
-        win.fold(*part)
+    win.narrow(*_ranks(centred, p))
+    tasks = _tasks(n, first=1)
+    for task, done in zip(tasks, parts(win, tasks)):
+        for part in done:
+            win.fold(*part)
         seen = min(task.stop * _BLOCK, n)
         if 2 * centred <= seen < n:
             win.narrow(*_ranks(seen, p))
             centred = seen
     value = win.select()
     if value is None:
-        # The window missed: pass again, keeping only the side the rank
-        # fell on and its bound. That pass holds the rank and cannot miss;
-        # it can hold a whole side of the sample, so it is cut as soon as
-        # it holds more than the rank needs.
+        # The window missed: pass again over every block, keeping only the
+        # side the rank fell on and its bound. That pass holds the rank and
+        # cannot miss; it can hold a whole side of the sample, so it is cut
+        # as soon as it holds more than the rank needs.
         lo, hi = win.bounds
         win = Window(*((-math.inf, lo) if k <= win.below else (hi, math.inf)), k, slack=1)
-        for part in _ordered(functools.partial(task_window, win), tasks):
-            win.fold(*part)
+        for done in parts(win, _tasks(n)):
+            for part in done:
+                win.fold(*part)
         value = win.select()
     return -value

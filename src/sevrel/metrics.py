@@ -244,78 +244,41 @@ def build_report(
     A run in which every sample fails only bounds p_f from below, by
     1 - 1/N, so beta is None; the deficit metrics are still computed.
     """
-    n = summary.n
-    pf = summary.failure_count / n
-    pf_se = math.sqrt(pf * (1.0 - pf) / n)
+    n, k = summary.n, summary.failure_count
+    pf = k / n
     beta_moment = None
-    if summary.n > 1 and summary.var_g > 0.0:
+    if n > 1 and summary.var_g > 0.0:
         beta_moment = summary.mean_g / math.sqrt(summary.var_g)
 
-    if summary.failure_count == 0:
-        note = f"no failures at N={n}; p_f < {1.0 / n:.6g} (1/N bound)"
-        return SeverityReport(
-            n=n,
-            failure_count=0,
-            pf=0.0,
-            pf_se=0.0,
-            beta=None,
-            beta_moment=beta_moment,
-            ef=None,
-            ef_star=None,
-            ef_star_ci=None,
-            beta_s=None,
-            extreme_flag=None,
-            level=None,
-            gaussian_benchmark=None,
-            notes=(note,),
-        )
-
+    beta = benchmark = ef = ef_star = ci = beta_s = flag = level = None
     notes: list[str] = []
-    if summary.failure_count == n:
-        beta = None
-        notes.append(f"every sample fails at N={n}; p_f > {1.0 - 1.0 / n:.6g} (1/N bound)")
+    if k == 0:
+        notes.append(f"no failures at N={n}; p_f < {1.0 / n:.6g} (1/N bound)")
     else:
-        beta = reliability_index(pf)
-    benchmark = gaussian.deficit(beta) if beta is not None and beta > 0.0 else None
-    ef = expected_failure_deficit(summary)
-
-    nd = normalized_deficit(summary, moments)
-    if isinstance(nd, ExtremeFlag):
-        notes.append("analytic variance of g is infinite; sigma-normalized metrics withheld")
-        return SeverityReport(
-            n=n,
-            failure_count=summary.failure_count,
-            pf=pf,
-            pf_se=pf_se,
-            beta=beta,
-            beta_moment=beta_moment,
-            ef=ef,
-            ef_star=None,
-            ef_star_ci=None,
-            beta_s=None,
-            extreme_flag=nd,
-            level=SeverityLevel.EXTREME,
-            gaussian_benchmark=benchmark,
-            notes=tuple(notes),
-        )
-
-    ef_star = nd
-    level = classify(ef_star)
-    si = severity_index(ef_star)
-    if isinstance(si, ExtremeFlag):
-        flag: ExtremeFlag | None = si
-        beta_s = None
-        notes.append("normalized deficit is at or beyond the Gaussian endpoint")
-    else:
-        flag = None
-        beta_s = si
-    sigma = math.sqrt(moments.variance)
-    ci = _ef_star_ci(summary.failure_count, summary.deficit_sum, summary.deficit_m2, sigma)
+        if k == n:
+            notes.append(f"every sample fails at N={n}; p_f > {1.0 - 1.0 / n:.6g} (1/N bound)")
+        else:
+            beta = reliability_index(pf)
+        benchmark = gaussian.deficit(beta) if beta is not None and beta > 0.0 else None
+        ef = expected_failure_deficit(summary)
+        nd = normalized_deficit(summary, moments)
+        if isinstance(nd, ExtremeFlag):
+            notes.append("analytic variance of g is infinite; sigma-normalized metrics withheld")
+            flag, level = nd, SeverityLevel.EXTREME
+        else:
+            ef_star, level = nd, classify(nd)
+            si = severity_index(ef_star)
+            if isinstance(si, ExtremeFlag):
+                flag = si
+                notes.append("normalized deficit is at or beyond the Gaussian endpoint")
+            else:
+                beta_s = si
+            ci = _ef_star_ci(k, summary.deficit_sum, summary.deficit_m2, math.sqrt(moments.variance))
     return SeverityReport(
         n=n,
-        failure_count=summary.failure_count,
+        failure_count=k,
         pf=pf,
-        pf_se=pf_se,
+        pf_se=math.sqrt(pf * (1.0 - pf) / n),
         beta=beta,
         beta_moment=beta_moment,
         ef=ef,

@@ -6,7 +6,7 @@ drops what can no longer be the k-th smallest of the whole sample. Its
 caller narrows the bounds as it sees more of the sample, in the manner
 of Floyd and Rivest's sample-then-narrow selection (CACM 18(3), 1975),
 so the values kept need not grow with the sample. `engine.calibrate_shift`
-folds each task of its calibration sample into one window.
+folds each block of its calibration sample into one window.
 """
 
 from __future__ import annotations
@@ -38,16 +38,18 @@ class Window:
         self.below, self.kept = 0, 0
         self.pieces: list[np.ndarray] = []
 
-    def fold(self, bounds: tuple[float, float], below: int, pieces: list[np.ndarray]) -> None:
+    def fold(self, bounds: tuple[float, float], below: int, values: np.ndarray) -> None:
         """Add the next part: its count below bounds[0] and its values in
-        `bounds`, one array per piece."""
+        `bounds`, an array that the window keeps, and may reorder, without
+        a copy."""
         if bounds != self.bounds:
             lo, hi = self.bounds
-            below += sum(int(np.count_nonzero(x < lo)) for x in pieces)
-            pieces = [x[(lo <= x) & (x <= hi)] for x in pieces]
+            below += int(np.count_nonzero(values < lo))
+            values = values[(lo <= values) & (values <= hi)]
         self.below += below
-        self.pieces += [x for x in pieces if x.size]
-        self.kept += sum(x.size for x in pieces)
+        if values.size:
+            self.pieces.append(values)
+            self.kept += values.size
         need = self.k - self.below
         if self.kept > self.slack * need:
             self._cut(need)
@@ -55,9 +57,10 @@ class Window:
             self._join()
 
     def _join(self) -> np.ndarray:
-        values = np.concatenate(self.pieces) if self.pieces else np.empty(0)
-        self.pieces = [values]
-        return values
+        # a lone piece is kept as it is, not copied
+        if len(self.pieces) != 1:
+            self.pieces = [np.concatenate(self.pieces) if self.pieces else np.empty(0)]
+        return self.pieces[0]
 
     def _cut(self, count: int) -> None:
         values = self._join()

@@ -28,11 +28,11 @@ from sevrel.engine import (
     _BLOCK,
     _LANE_CALIBRATION,
     _LANE_MAIN,
-    _block_g,
     _draw_block,
     _finite_extrema,
-    _pilot_window,
     _plan,
+    _ranks,
+    _task,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
@@ -66,8 +66,7 @@ def blocks(config):
 
 def block_g(model, config, lane, idx):
     # block idx of the lane's first sample_count values
-    size = min(_BLOCK, config.sample_count - idx * _BLOCK)
-    return _block_g(_plan(model), config.master_seed, lane, idx, size)
+    return _task(_plan(model), config.master_seed, lane, config.sample_count, lambda g, _: g, range(idx, idx + 1))[0]
 
 
 def poison(monkeypatch, lane, bad):
@@ -351,10 +350,13 @@ def test_calibrate_shift_streams_to_the_same_bits(task, target_pf, n):
 
 
 def pilot_window(model, target_pf, config):
-    # the window calibrate_shift draws from block 0 of the calibration lane
-    pilot = block_g(model.with_shift(0.0), config, _LANE_CALIBRATION, 0)
+    # the window calibrate_shift centres on block 0 of the calibration lane
+    first = block_g(model.with_shift(0.0), config, _LANE_CALIBRATION, 0)
     k = math.ceil(target_pf * config.sample_count - 1e-9)
-    return _pilot_window(pilot, k / config.sample_count)
+    win = quantile.Window(-math.inf, math.inf, k, slack=2)
+    win.fold(win.bounds, 0, first)
+    win.narrow(*_ranks(first.size, k / config.sample_count))
+    return win.bounds
 
 
 @pytest.mark.parametrize(
@@ -410,8 +412,8 @@ def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, task, model, t
     draws = []
     monkeypatch.setattr(engine, "_draw_block", lambda *args: draws.append(args) or _draw_block(*args))
     assert calibrate_shift(model, target_pf, cfg) == expected
-    # the pilot, then every block once: the window did not miss
-    assert len(draws) == 1 + blocks(cfg)
+    # every block once, block 0 too: the window did not miss
+    assert len(draws) == blocks(cfg)
 
 
 def spy_on_the_window(monkeypatch):
@@ -470,10 +472,10 @@ def test_a_window_filtered_with_wider_bounds_folds_as_if_filtered_with_the_curre
     def folded(late_bounds):
         # re-centred on ranks 1 900-2 100 of 4 000, not cut
         win = quantile.Window(-math.inf, math.inf, k=2_600, slack=2)
-        win.fold((-math.inf, math.inf), 0, [first.copy()])
+        win.fold((-math.inf, math.inf), 0, first.copy())
         win.narrow(1_900, 2_100)
         lo, hi = win.bounds if late_bounds is None else late_bounds
-        win.fold((lo, hi), int(np.count_nonzero(late < lo)), [late[(lo <= late) & (late <= hi)]])
+        win.fold((lo, hi), int(np.count_nonzero(late < lo)), late[(lo <= late) & (late <= hi)])
         return win.bounds, win.below, np.sort(np.concatenate(win.pieces))
 
     bounds, below, values = folded(None)
@@ -544,7 +546,7 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_
 
     monkeypatch.setattr(engine, "_draw_block", counted)
     peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
-    assert (next(draws) > 1 + blocks(cfg)) == missed
+    assert (next(draws) > blocks(cfg)) == missed
     k = math.ceil(target_pf * cfg.sample_count)
     assert peak < bound(k, len(engine._tasks(cfg.sample_count)), window)
 

@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from sevrel.engine import _LANE_MAIN, _block_g, _plan
+from sevrel.engine import _BLOCK, _LANE_MAIN, _plan, _task
 from sevrel.report import SCHEMA_VERSION
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -84,7 +84,8 @@ def test_every_builtin_is_pinned():
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_stream_matches_its_schema_version(sid):
     plan = _plan(builtin(sid).model)
-    digests = tuple(hashlib.sha256(_block_g(plan, 0, _LANE_MAIN, idx, 1_000).tobytes()).hexdigest() for idx in (0, 1))
+    blocks = [_task(plan, 0, _LANE_MAIN, idx * _BLOCK + 1_000, lambda g, _: g, range(idx, idx + 1))[0] for idx in (0, 1)]
+    digests = tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in blocks)
     assert digests == FINGERPRINTS.get(SCHEMA_VERSION, {}).get(sid), (
         f"the g stream of {sid} is not the one pinned for schemaVersion {SCHEMA_VERSION}: "
         "a change to the stream bumps SCHEMA_VERSION and pins the new digests"
