@@ -3,7 +3,9 @@
 Four subcommands: `solve` answers analytic deficit-map queries,
 `classify` maps a severity measure to its level, `simulate` runs a
 config-driven study and writes the JSON report, `scenario` reruns a
-builtin study and grades its expectations.
+builtin study and grades its expectations. Both studies go through one
+pipeline, `scenarios.run` then `scenarios.write_outputs`: a config file
+is a study without an id or expectations.
 
 Exit codes are machine-consumable: 0 success/accept, 2 bad invocation,
 bad config or a model whose g is not finite, 3 frequency rejection,
@@ -17,23 +19,22 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
-from . import report as rep
-from .config import ConfigError, load_config
-from .engine import model_moments, simulate
+from .config import ConfigError, OutputPaths, load_config
 from .gaussian import DEFICIT_ENDPOINT, deficit, invert_deficit
 from .metrics import (
     DEFAULT_MAX_LEVEL,
     SeverityReport,
     Verdict,
     WorkflowDecision,
-    assess,
-    build_report,
     classify,
     classify_index,
 )
-from .scenarios import builtin, collect_histograms, export_result, run
+from .scenarios import Scenario, builtin, run, write_outputs
+
+# not called here: perfbench/tracing.py wraps these names in this module,
+# until the next benchmark change
+from .scenarios import build_report, collect_histograms, model_moments, simulate  # noqa: F401
 
 __all__ = ["main", "entry"]
 
@@ -130,63 +131,34 @@ def _cmd_simulate(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return 2
-    sim = cfg.simulation
-    try:
-        if args.seed is not None:
-            sim = replace(sim, master_seed=args.seed)
-        if args.n is not None:
-            sim = replace(sim, sample_count=args.n)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    try:
-        # an overflowing variance fails here, before any sampling
-        moments = model_moments(cfg.model)
-        binned = bool(cfg.output.histogram_csv or cfg.output.deficit_csv)
-        summary = simulate(cfg.model, sim, histograms=binned)
-    except ValueError as exc:  # the variance of g or g itself overflows
-        _err(str(exc))
-        return 2
-    report = build_report(summary, moments)
-    max_level = cfg.max_acceptable_level if cfg.max_acceptable_level is not None else DEFAULT_MAX_LEVEL
-    decision = None
-    if cfg.beta_target is not None and report.failure_count:
-        decision = assess(report, cfg.beta_target, max_acceptable_level=max_level)
-
-    doc = rep.simulation_document(
-        cfg.model,
-        sim,
-        moments,
-        summary,
-        report,
-        decision=decision,
+    study = Scenario(
+        scenario_id=None,
+        title=args.config,
+        description="",
+        model=cfg.model,
+        sample_count=cfg.simulation.sample_count,
+        expectations=(),
         beta_target=cfg.beta_target,
-        max_acceptable_level=max_level if decision is not None else None,
+        max_acceptable_level=cfg.max_acceptable_level or DEFAULT_MAX_LEVEL,
+        default_seed=cfg.simulation.master_seed,
     )
+    out = cfg.output
+    binned = bool(out.histogram_csv or out.deficit_csv)
     try:
-        rep.write_text(cfg.output.report_json, rep.render_json(doc))
-        if cfg.output.histogram_csv or cfg.output.deficit_csv:
-            g_hist, d_hist = collect_histograms(summary)
-            if cfg.output.histogram_csv:
-                rep.write_text(cfg.output.histogram_csv, rep.histogram_csv(g_hist))
-            if cfg.output.deficit_csv:
-                rep.write_text(cfg.output.deficit_csv, rep.histogram_csv(d_hist))
-        if cfg.output.fcurve_csv:
-            rep.write_text(cfg.output.fcurve_csv, rep.fcurve_csv())
+        result = run(study, master_seed=args.seed, sample_count=args.n, histograms=binned)
+    except ValueError as exc:  # a bad --seed or --n, or the variance of g or g itself overflows
+        _err(str(exc))
+        return 2
+    try:
+        write_outputs(result, out)
     except OSError as exc:
         _err(f"cannot write output: {exc}")
         return 1
 
-    _print_report_table(report, decision)
-    print(f"report: {cfg.output.report_json}")
-    if decision is None:
-        return 0
-    if decision.verdict is Verdict.REJECT_FREQUENCY:
-        return 3
-    if decision.verdict is Verdict.EXTREME_REDESIGN:
-        return 4
-    return 0
+    _print_report_table(result.report, result.decision)
+    print(f"report: {out.report_json}")
+    verdict = result.decision.verdict if result.decision is not None else None
+    return {Verdict.REJECT_FREQUENCY: 3, Verdict.EXTREME_REDESIGN: 4}.get(verdict, 0)
 
 
 def _cmd_scenario(args) -> int:
@@ -214,13 +186,15 @@ def _cmd_scenario(args) -> int:
         )
 
     if args.export is not None:
+        prefix = os.path.join(args.export, scenario.scenario_id)
+        paths = OutputPaths(
+            report_json=f"{prefix}-report.json",
+            histogram_csv=f"{prefix}-g-histogram.csv",
+            deficit_csv=f"{prefix}-deficit-histogram.csv",
+            fcurve_csv=os.path.join(args.export, "deficit-curve.csv"),
+        )
         try:
-            os.makedirs(args.export, exist_ok=True)
-            sid = scenario.scenario_id
-            export_result(result, "report-json", os.path.join(args.export, f"{sid}-report.json"))
-            export_result(result, "histogram-csv", os.path.join(args.export, f"{sid}-g-histogram.csv"))
-            export_result(result, "deficit-csv", os.path.join(args.export, f"{sid}-deficit-histogram.csv"))
-            export_result(result, "fcurve-csv", os.path.join(args.export, "deficit-curve.csv"))
+            write_outputs(result, paths)
         except OSError as exc:
             _err(f"cannot export: {exc}")
             return 1

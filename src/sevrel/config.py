@@ -56,7 +56,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OutputPaths:
-    report_json: str = "report.json"
+    report_json: str | None = "report.json"
     histogram_csv: str | None = None
     deficit_csv: str | None = None
     fcurve_csv: str | None = None

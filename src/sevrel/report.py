@@ -18,7 +18,7 @@ from . import gaussian
 from .distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
-from .metrics import SeverityReport, WorkflowDecision
+from .metrics import SeverityReport
 
 SCHEMA_VERSION = 9
 
@@ -118,40 +118,30 @@ def _metrics_document(report: SeverityReport) -> dict:
     }
 
 
-def simulation_document(
-    model: LimitStateModel,
-    config: SimulationConfig,
-    moments,
-    summary: SimulationSummary,
-    report: SeverityReport,
-    decision: WorkflowDecision | None = None,
-    beta_target: float | None = None,
-    max_acceptable_level=None,
-    scenario_id: str | None = None,
-    calibrated_shift: float | None = None,
-) -> dict:
+def simulation_document(result) -> dict:
+    """The report of a `scenarios.ScenarioResult`. A study with an id gets
+    a "scenario" block; one with a decision gets its "assessment"."""
+    study, moments, decision = result.scenario, result.moments, result.decision
     doc = {
         "schemaVersion": SCHEMA_VERSION,
-        "model": model_document(model),
-        "simulation": _config_document(config),
+        "model": model_document(result.model),
+        "simulation": _config_document(result.config),
         "analyticMoments": {
             "mean": _num(moments.mean),
             "variance": _num(moments.variance),
             "varianceFinite": moments.variance_finite,
         },
-        "summary": _summary_document(summary),
-        "metrics": _metrics_document(report),
+        "summary": _summary_document(result.summary),
+        "metrics": _metrics_document(result.report),
         "assessment": None,
-        "notes": list(report.notes),
+        "notes": list(result.report.notes),
     }
-    if scenario_id is not None:
-        doc["scenario"] = {"id": scenario_id, "calibratedShift": _num(calibrated_shift)}
+    if study.scenario_id is not None:
+        doc["scenario"] = {"id": study.scenario_id, "calibratedShift": _num(result.calibrated_shift)}
     if decision is not None:
         doc["assessment"] = {
-            "betaTarget": _num(beta_target),
-            "maxAcceptableLevel": max_acceptable_level.label
-            if max_acceptable_level is not None
-            else None,
+            "betaTarget": _num(study.beta_target),
+            "maxAcceptableLevel": study.max_acceptable_level.label,
             "frequencyPass": decision.frequency_pass,
             "severityLevel": decision.severity_level.label
             if decision.severity_level is not None

@@ -1,14 +1,16 @@
-"""Canned reliability studies with reference expectations.
+"""Reliability studies, and the one pipeline that runs them.
 
-Each study bundles a limit-state model, simulation defaults, and the
-values its result is checked against: reported reference numbers,
-closed-form values of the chosen parameterization, or calibration
-targets. Running a study executes the full pipeline (optional shift
-calibration, simulation, severity metrics, classification) and grades
-every expectation. The histograms of the limit-state samples and the
-failure deficits are binned during the simulation when `run` is asked
-for them, as `sevrel scenario --export` does; a result that was not
-binned refuses to hand out or export histograms.
+A study bundles a limit-state model, simulation defaults, an optional
+assessment and the values its result is checked against: reported
+reference numbers, closed-form values of the chosen parameterization,
+or calibration targets. `run` executes the pipeline (optional shift
+calibration, analytic moments, simulation, severity metrics, assessment)
+and grades every expectation; `write_outputs` renders and writes the
+report JSON and the CSVs. `sevrel scenario` runs a built-in study, and
+`sevrel simulate` a config file: a study without an id or expectations.
+The histograms of g and of the failure deficits are binned during the
+simulation when `run` is asked for them; a result that was not binned
+refuses to hand out or export histograms.
 
 The three "figure-grid" studies exist to emit histogram data for the
 classic three-row picture (Gaussian, mild non-Gaussian, heavy-tailed);
@@ -37,9 +39,12 @@ from .engine import (
     model_moments,
     simulate,
 )
+from . import report as rep
+from .config import OutputPaths
 from .gaussian import deficit, invert_deficit, norm_cdf
 from .histogram import Histogram
 from .metrics import (
+    DEFAULT_MAX_LEVEL,
     MomentReport,
     SeverityLevel,
     SeverityReport,
@@ -58,6 +63,7 @@ __all__ = [
     "builtin",
     "run",
     "collect_histograms",
+    "write_outputs",
     "export_result",
 ]
 
@@ -89,7 +95,9 @@ class ExpectationCheck:
 
 @dataclass(frozen=True)
 class Scenario:
-    scenario_id: str
+    """A study; scenario_id is None for a config file, which has no expectations."""
+
+    scenario_id: str | None
     title: str
     description: str
     model: LimitStateModel
@@ -97,6 +105,7 @@ class Scenario:
     expectations: tuple[Expectation, ...]
     calibrate_pf: float | None = None
     beta_target: float | None = None
+    max_acceptable_level: SeverityLevel = DEFAULT_MAX_LEVEL
     default_seed: int = 0
     # no longer describes the stream, which is keyed per block; kept only
     # because the benchmark harness sets it
@@ -201,19 +210,20 @@ def run(
     histograms: bool = False,
 ) -> ScenarioResult:
     """Run the study and grade it; `histograms` bins g and the deficits
-    during the simulation, for a caller that will export them."""
+    during the simulation, for a caller that will write them. A variance
+    of g that overflows or is 0 raises ValueError before `simulate`."""
     config = scenario.config(master_seed=master_seed, sample_count=sample_count)
     model = scenario.model
     shift = None
     if scenario.calibrate_pf is not None:
         shift = calibrate_shift(model, scenario.calibrate_pf, config)
         model = model.with_shift(shift)
-    summary = simulate(model, config, histograms=histograms)
     moments = model_moments(model)
+    summary = simulate(model, config, histograms=histograms)
     report = build_report(summary, moments)
     decision = None
     if scenario.beta_target is not None and report.failure_count:
-        decision = assess(report, scenario.beta_target)
+        decision = assess(report, scenario.beta_target, scenario.max_acceptable_level)
     checks = tuple(_grade(e, report, moments) for e in scenario.expectations)
     return ScenarioResult(
         scenario=scenario,
@@ -228,31 +238,27 @@ def run(
     )
 
 
-def export_result(result: ScenarioResult, fmt: str, path: str) -> None:
-    """Write one artifact: report-json, histogram-csv, deficit-csv, or fcurve-csv."""
-    from . import report as rep
+def write_outputs(result: ScenarioResult, paths: OutputPaths) -> None:
+    """Write every output `paths` names, the report JSON first; a None
+    path is skipped. The histogram CSVs need a binned result."""
+    if paths.report_json is not None:
+        rep.write_text(paths.report_json, rep.render_json(rep.simulation_document(result)))
+    if paths.histogram_csv or paths.deficit_csv:
+        g_hist, d_hist = collect_histograms(result.summary)
+        if paths.histogram_csv:
+            rep.write_text(paths.histogram_csv, rep.histogram_csv(g_hist))
+        if paths.deficit_csv:
+            rep.write_text(paths.deficit_csv, rep.histogram_csv(d_hist))
+    if paths.fcurve_csv:
+        rep.write_text(paths.fcurve_csv, rep.fcurve_csv())
 
-    if fmt == "report-json":
-        doc = rep.simulation_document(
-            result.model,
-            result.config,
-            result.moments,
-            result.summary,
-            result.report,
-            decision=result.decision,
-            beta_target=result.scenario.beta_target,
-            scenario_id=result.scenario.scenario_id,
-            calibrated_shift=result.calibrated_shift,
-        )
-        rep.write_text(path, rep.render_json(doc))
-    elif fmt == "histogram-csv":
-        rep.write_text(path, rep.histogram_csv(result.g_histogram))
-    elif fmt == "deficit-csv":
-        rep.write_text(path, rep.histogram_csv(result.deficit_histogram))
-    elif fmt == "fcurve-csv":
-        rep.write_text(path, rep.fcurve_csv())
-    else:
+
+def export_result(result: ScenarioResult, fmt: str, path: str) -> None:
+    """Write one output: report-json, histogram-csv, deficit-csv or fcurve-csv,
+    each named for the OutputPaths field it sets."""
+    if fmt not in ("report-json", "histogram-csv", "deficit-csv", "fcurve-csv"):
         raise ValueError(f"unknown export format {fmt!r}")
+    write_outputs(result, OutputPaths(**{"report_json": None, fmt.replace("-", "_"): path}))
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,29 @@ def test_traced_simulate_counts_read_the_config():
     counts = load("tracing")._simulate_counts({"config": cfg}, summary)
     assert counts["samples"] == 2_500_000 and counts["chunks"] == 3
     assert counts["failures"] == summary.failure_count and counts["stored_deficits"] == 0
+
+
+# The gated workloads call the program through these entry points; each
+# is run here through the harness's own code, at a small sample count.
+
+
+def test_gaussian_20m_gets_one_result_from_the_cli_run(tmp_path):
+    # the study wraps cli.run and needs exactly one result from
+    # cli.main(["scenario", ...]); at 70 000 samples seed 0 passes the
+    # scenario's own checks, so the exit code is 0
+    wl = load("workloads").Gaussian20m(str(tmp_path), 70_000 / 20_000_000)
+    wl.prepare()
+    code, _text, results = handle = wl.study(0)
+    assert code == 0 and len(results) == 1
+    assert wl.check(0, handle).ok
+
+
+def test_dense_calibrated_runs_and_exports_a_replaced_scenario(tmp_path):
+    # dataclasses.replace on scenarioA (chunk_size, calibrate_pf, ...), then
+    # scenarios.run and export_result(result, "report-json", path)
+    wl = load("workloads").DenseCalibrated(str(tmp_path), 0.01)
+    wl.prepare()
+    assert wl.scenario.chunk_size == 1_000_000 and wl.scenario.calibrate_pf == 0.25
+    result = wl.study(0)
+    assert result.calibrated_shift is not None
+    assert wl.check(0, result).ok

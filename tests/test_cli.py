@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sevrel
-from sevrel import cli
 from sevrel import report as rep
+from sevrel import scenarios
 from sevrel.cli import main
 from sevrel.gaussian import DEFICIT_ENDPOINT, deficit
 
@@ -372,7 +372,7 @@ def test_simulate_rejects_variance_overflow(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("simulate ran although the variance overflows")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(scenarios, "simulate", never)
     for coefficient in (1e200, 1e308):
         model = {
             "terms": [
@@ -396,7 +396,7 @@ def test_simulate_rejects_constant_g(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("simulate ran although g is constant")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(scenarios, "simulate", never)
     model = {
         "shift": -1.0,
         "terms": [
@@ -475,6 +475,35 @@ def test_simulate_unwritable_output(tmp_path, capsys):
     assert main(["simulate", cfg]) == 1
     assert "cannot write" in capsys.readouterr().err
     assert not (tmp_path / "isdir.json.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "sid", [sid for sid in scenarios.SCENARIO_IDS if scenarios.builtin(sid).calibrate_pf is None]
+)
+def test_simulate_and_scenario_agree(sid, tmp_path, capsys):
+    # a built-in written as a config runs the same pipeline as `sevrel scenario`
+    study = scenarios.builtin(sid)
+    files = {"reportJson": "r.json", "histogramCsv": "g.csv", "deficitCsv": "d.csv", "fcurveCsv": "c.csv"}
+    cfg = make_config(
+        tmp_path,
+        model=rep.model_document(study.model),
+        simulation={"sampleCount": 330_000, "masterSeed": study.default_seed},
+        output={key: str(tmp_path / "sim" / name) for key, name in files.items()},
+    )
+    assert main(["simulate", cfg]) == 0
+    main(["scenario", sid, "--export", str(tmp_path / "scn"), "--n", "330000"])
+    capsys.readouterr()
+    sim, scn = tmp_path / "sim", tmp_path / "scn"
+    config_doc = json.loads((sim / "r.json").read_text())
+    scenario_doc = json.loads((scn / f"{sid}-report.json").read_text())
+    for key in ("model", "simulation", "analyticMoments", "summary", "metrics", "notes"):
+        assert config_doc[key] == scenario_doc[key], key
+    for config_csv, scenario_csv in (
+        ("g.csv", f"{sid}-g-histogram.csv"),
+        ("d.csv", f"{sid}-deficit-histogram.csv"),
+        ("c.csv", "deficit-curve.csv"),
+    ):
+        assert (sim / config_csv).read_bytes() == (scn / scenario_csv).read_bytes(), scenario_csv
 
 
 def test_write_text_cleans_up_when_the_rename_fails(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from sevrel import scenarios
 from sevrel.distributions import Normal
 from sevrel.engine import LimitStateModel, Term
 from sevrel.histogram import HISTOGRAM_BINS
-from sevrel.metrics import classify
+from sevrel.metrics import DEFAULT_MAX_LEVEL, classify
 from sevrel.scenarios import (
     SCENARIO_IDS,
     Expectation,
@@ -219,6 +219,17 @@ def test_export_report_json(tmp_path, scenario_cache):
     assert doc["summary"]["failureCount"] == res.summary.failure_count
     names = [t["name"] for t in doc["model"]["terms"]]
     assert names == ["capacity", "demand"]
+
+
+def test_export_names_the_level_its_assessment_applied(tmp_path):
+    # a library study with a beta target is assessed at the default
+    # ceiling, and its report names the level that was applied
+    res = run(replace(builtin("example1-gaussian"), beta_target=3.0), sample_count=200_000)
+    path = tmp_path / "report.json"
+    export_result(res, "report-json", str(path))
+    assessment = json.loads(path.read_text())["assessment"]
+    assert assessment["verdict"] == "RejectFrequency"
+    assert assessment["maxAcceptableLevel"] == DEFAULT_MAX_LEVEL.label
 
 
 def test_export_histograms(tmp_path, scenario_cache):
