@@ -2,9 +2,11 @@
 
 Five families: Normal, Lognormal, Gumbel (largest value), Pareto, and a
 finite Mixture of the scalar families. Each is an immutable spec object
-exposing analytic moments, quantiles, cdf, and seeded vectorized
-sampling. Heavy tails are first-class: moments report infinite variance
-(or mean) honestly instead of raising, and downstream code keys off
+exposing analytic moments, quantiles, cdf, sf (1 - cdf), pdf, and seeded
+vectorized sampling. ``cdf`` and ``sf`` are each computed directly in
+their own tail, never as 1 minus the other, which cancels there. Heavy
+tails are first-class: moments report infinite variance (or mean)
+honestly instead of raising, and downstream code keys off
 ``MomentReport.variance_finite``.
 
 Sampling conventions, fixed so that streams are reproducible:
@@ -88,11 +90,12 @@ def _uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 class _Sampled:
-    """Sampling and quantiles shared by the families, each of which
-    defines ``_fill(rng, out)``: overwrite out with its next out.size
-    draws, as one batch, and return it; and, unless it overrides
-    ``quantile``, ``_inverse_cdf(q)``: overwrite q, which must lie in
-    (0, 1), with its quantiles, and return it."""
+    """Sampling, quantiles and tail functions shared by the families,
+    each of which defines ``_fill(rng, out)``: overwrite out with its next
+    out.size draws, as one batch, and return it; ``_tails(x, upper)``:
+    the cdf at the float array x, or the sf if ``upper``, and the pdf;
+    and, unless it overrides ``quantile``, ``_inverse_cdf(q)``: overwrite
+    q, which must lie in (0, 1), with its quantiles, and return it."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws, in a new array."""
@@ -100,6 +103,21 @@ class _Sampled:
 
     def quantile(self, p):
         return _match(p, self._inverse_cdf(_check_probability(p)))
+
+    def cdf(self, x):
+        return _match(x, self._tails(np.asarray(x, dtype=float), upper=False)[0])
+
+    def sf(self, x):
+        return _match(x, self._tails(np.asarray(x, dtype=float), upper=True)[0])
+
+    def pdf(self, x):
+        return _match(x, self._tails(np.asarray(x, dtype=float), upper=False)[1])
+
+
+def _phi(z):
+    """The standard normal density at z; 0 where z * z overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _match(p, values):
@@ -129,8 +147,9 @@ class Normal(_Sampled):
         q += self.mean
         return q
 
-    def cdf(self, x):
-        return _match(x, ndtr((np.asarray(x, dtype=float) - self.mean) / self.stddev))
+    def _tails(self, x, upper):
+        z = (x - self.mean) / self.stddev
+        return ndtr(-z if upper else z), _phi(z) / self.stddev
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         # the arithmetic of rng.normal: mean + stddev * z
@@ -163,11 +182,15 @@ class Lognormal(_Sampled):
         q += self.log_mean
         return np.exp(q, out=q)
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(arr, where=arr > 0.0, out=np.full(arr.shape, -np.inf)) - self.log_mean) / self.log_std
-        return _match(x, np.where(arr > 0.0, ndtr(z), 0.0))
+    def _tails(self, x, upper):
+        # z = -inf for x <= 0, where the density is 0
+        positive = x > 0.0
+        z = np.log(x, where=positive, out=np.full(x.shape, -np.inf))
+        z -= self.log_mean
+        z /= self.log_std
+        density = np.divide(_phi(z), x, where=positive, out=np.zeros(x.shape))
+        density /= self.log_std
+        return ndtr(-z if upper else z), density
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         rng.standard_normal(out=out)
@@ -215,9 +238,17 @@ class Gumbel(_Sampled):
         q *= self.scale
         return np.subtract(self.location, q, out=q)
 
-    def cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.location) / self.scale
-        return _match(x, np.exp(-np.exp(-z)))
+    def _tails(self, x, upper):
+        # exp(-z) overflows to inf far below the location, where every
+        # tail function still takes its limit: no warning is due. -z is
+        # capped past that point, so that -z - exp(-z) is -inf at x = -inf.
+        minus_z = np.minimum((self.location - x) / self.scale, 1000.0)
+        with np.errstate(over="ignore"):
+            e = np.exp(minus_z)
+        tail = -np.expm1(-e) if upper else np.exp(-e)
+        density = np.exp(minus_z - e)
+        density /= self.scale
+        return tail, density
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         return self._inverse_cdf(_uniform(rng, out))
@@ -257,10 +288,15 @@ class Pareto(_Sampled):
         q *= self.x_min
         return q
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        ratio = np.where(arr >= self.x_min, self.x_min / np.maximum(arr, self.x_min), 1.0)
-        return _match(x, 1.0 - np.power(ratio, self.alpha))
+    def _tails(self, x, upper):
+        # log sf = -alpha * log1p((x - x_min) / x_min), 0 for x <= x_min:
+        # x - x_min is exact near x_min, where rounding x_min / x would
+        # leave 1e-3 of a 1e-13 cdf. An overflow is to the tails' limits.
+        with np.errstate(over="ignore"):
+            log_sf = -self.alpha * np.log1p(np.maximum(x - self.x_min, 0.0) / self.x_min)
+        sf = np.exp(log_sf)
+        density = np.where(x >= self.x_min, sf * self.alpha / np.maximum(x, self.x_min), 0.0)
+        return (sf if upper else -np.expm1(log_sf)), density
 
     def _fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         _uniform(rng, out)
@@ -311,12 +347,14 @@ class Mixture(_Sampled):
     def quantile(self, p):
         raise NotImplementedError("mixture quantiles are not supported; sample instead")
 
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        acc = np.zeros(arr.shape)
+    def _tails(self, x, upper):
+        # the weighted sums of the components' tails
+        tail, density = np.zeros(x.shape), np.zeros(x.shape)
         for w, d in self.components:
-            acc = acc + w * np.asarray(d.cdf(arr))
-        return _match(x, acc)
+            t, f = d._tails(x, upper)
+            tail += w * t
+            density += w * f
+        return tail, density
 
     def _fill(self, rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
         # Two stream consumptions per batch, fixed order: every branch

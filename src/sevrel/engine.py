@@ -33,13 +33,11 @@ On request, each block is also binned while it is held. Bin counts are
 exact integers, which the fold adds block by block (see `histogram`):
 the histograms of a run need no second pass over the stream.
 
-`calibrate_shift` reads its own lane block by block in the same way,
-each block drawn once, and keeps, of its whole sample, a count and a
-window around the target rank. Block 0 folds whole and centres the
-window; the ordered fold re-centres it each time it has seen twice as
-many values (see `quantile`). So its memory grows with the square root
-of the sample count, not with the count, and the shift is still the
-exact order statistic.
+`calibrate_shift` reads its own lane in the same way. It conditions on
+one term of g and solves for the shift at which the failure probability
+given the other terms, averaged over block 0 and then over as many
+blocks as its precision needs, equals the target. Each block is drawn
+once, and its sums fold in block order.
 
 Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
 alike, draws its blocks through `_task`, which hands each block to a
@@ -61,7 +59,6 @@ import numpy as np
 
 from . import histogram
 from .distributions import Distribution, MomentReport, Normal, _ahead
-from .quantile import Window
 
 __all__ = [
     "Term",
@@ -80,12 +77,6 @@ __all__ = [
 _LANE_MAIN = 0
 _LANE_CALIBRATION = 3
 
-# Half-width of calibrate_shift's window, in standard deviations of the
-# rank count of the values it is centred on (block 0, then the values
-# folded so far); a wider window costs memory, a narrower one a second
-# pass when it misses.
-_PILOT_Z = 10.0
-
 # Values per block of a lane. Block i draws the stream seeded by (lane, i),
 # so changing this changes the sample of every run longer than a block.
 _BLOCK = 1 << 16
@@ -94,6 +85,10 @@ _BLOCK = 1 << 16
 # time, in block order, so the task size, like the thread count, changes
 # no bit of a result.
 _TASK = 16
+
+# Values per step of calibrate_shift's sums: each temporary takes 64 KiB,
+# under malloc's 128 KiB threshold for fresh pages (see `histogram`).
+_STEP = 1 << 13
 
 
 _T = TypeVar("_T")
@@ -236,10 +231,10 @@ def _ordered(work: Callable[[range], _T], tasks: list[range]) -> Iterator[_T]:
     cannot pile up. An error in a task is raised when that task is read,
     so the first failing task in order is the one reported; the tasks not
     yet started are then cancelled. No thread outlives the generator.
-    With one worker the tasks run in the calling thread.
+    With one worker, or no task, the tasks run in the calling thread.
     """
     workers = _workers(tasks)
-    if workers == 1:
+    if workers <= 1:
         for task in tasks:
             yield work(task)
         return
@@ -528,30 +523,124 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     return acc.summary(config)
 
 
-def _ranks(m: int, p: float) -> tuple[int, int]:
-    """The ranks m*p -/+ (Z*sqrt(m*p*(1-p)) + 1) of m values, rounded
-    outwards: the rank-p quantile of a larger sample falls between them
-    but for a miss ~_PILOT_Z standard deviations of the rank count away."""
-    centre = m * p
-    half = _PILOT_Z * math.sqrt(centre * (1.0 - p)) + 1.0
-    return math.floor(centre - half), math.ceil(centre + half)
+@dataclass(frozen=True)
+class _Candidate:
+    """A term of g to condition on: X, with coefficient a, and the plan
+    that draws the rest of g, r = g - a * X.
+
+    Given r, the shifted model fails with probability P(a * X < -(r + c)):
+    the cdf of X at -(r + c) / a for a > 0, and its sf for a < 0. That
+    falls as c grows, at the rate pdf(-(r + c) / a) / |a|, its density.
+    """
+
+    a: float
+    x: Distribution
+    rest: _Plan
+
+    def sums(self, r: np.ndarray, c: float) -> np.ndarray:
+        """The sums over r of P(a * X < -(r + c)), of its density and of
+        its square, taken in steps of _STEP values."""
+        acc = np.zeros(3)
+        for i in range(0, r.size, _STEP):
+            acc += self._step(r[i : i + _STEP] + c)
+        return acc
+
+    def _step(self, x: np.ndarray) -> tuple[float, float, float]:
+        # `sums` over x = r + c, which it overwrites; a step's temporaries
+        # go before the next step's are made
+        x /= -self.a
+        tail, density = self.x._tails(x, upper=self.a < 0.0)
+        return tail.sum(), density.sum() / abs(self.a), tail @ tail
 
 
-def _checked(block: np.ndarray, idx: int) -> np.ndarray:
-    """`block`, block `idx` of its lane, once `_finite_extrema` passes it."""
-    _finite_extrema(block, idx)
-    return block
+def _candidates(plan: _Plan) -> list[_Candidate]:
+    """The terms of `plan` to condition on, in term order: the merged
+    Normal (see `_Plan`), whose mean stays in r, and each other term with
+    a nonzero coefficient. r is drawn without the term's slot, so every
+    other term keeps its draws."""
+    normal = plan.sd > 0.0
+    found = []
+    if normal:
+        rest = replace(plan, sd=0.0, slots=plan.slots[1:])
+        found.append((plan.slots[0], _Candidate(1.0, Normal(0.0, plan.sd), rest)))
+    for i, t in enumerate(plan.others):
+        at = i + normal
+        if t.coefficient != 0.0:
+            slots, others = plan.slots[:at] + plan.slots[at + 1 :], plan.others[:i] + plan.others[i + 1 :]
+            rest = replace(plan, slots=slots, others=others)
+            found.append((plan.slots[at], _Candidate(t.coefficient, t.distribution, rest)))
+    return [cand for _, cand in sorted(found, key=lambda found: found[0])]
 
 
-def _window_part(win: Window, block: np.ndarray, idx: int) -> tuple[tuple[float, float], int, np.ndarray]:
-    """The window's bounds as read now, the count of the values of
-    `block`, block `idx` of its lane, below lo, and its values in
-    [lo, hi], in a new array: one part for `Window.fold`."""
-    bounds = lo, hi = win.bounds
-    _finite_extrema(block, idx)
-    mask = lo <= block
-    mask &= block <= hi
-    return bounds, int(np.count_nonzero(block < lo)), _gather(block, mask)
+def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) -> float:
+    """The c at which mean(c)[0] = p, where mean(c) gives a probability
+    that falls from 1 to 0 as c grows and its rate of fall.
+
+    Newton's method from c, kept inside the bracket of the points seen:
+    a step that would leave it, or a rate of 0, bisects the bracket or,
+    while one side is still open, moves `step` towards that side and
+    doubles `step`. Stops once a step is below 1e-13 of the first `step`.
+    """
+    lo, hi, tol = -math.inf, math.inf, 1e-13 * step
+    for _ in range(200):
+        value, rate = mean(c)
+        nxt = c + (value - p) / rate if rate > 0.0 else math.nan
+        if abs(nxt - c) <= tol:
+            return nxt
+        if value > p:
+            lo = c
+        else:
+            hi = c
+        if not lo < nxt < hi:
+            if math.isinf(lo) or math.isinf(hi):
+                nxt = c + math.copysign(step, value - p)
+                step *= 2.0
+            else:
+                nxt = 0.5 * (lo + hi)
+        if abs(nxt - c) <= tol:
+            return nxt
+        c = nxt
+    return c
+
+
+def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate, float, int, np.ndarray]:
+    """calibrate_shift's pilot, on block 0 of the calibration lane of the
+    first n values: the candidate conditioned on, the root c0 on the
+    block, the number m of values the root must rest on, and the block's
+    `sums` at c0.
+
+    Block 0 of g is checked, and its ceil(p * size)-th smallest value is
+    -c_s. Of the candidates whose density does not sum to 0 at c_s, the
+    one whose conditional p_f there has the least variance v wins, the
+    first on a tie. m = n * v / (p * (1 - p)), rounded up to whole blocks,
+    at least one and at most n (Rao-Blackwell gives v <= p * (1 - p)).
+    When r is constant (every term Normal, or one term), v is 0 and c0
+    is exact.
+    """
+
+    def block0(rest: _Plan) -> tuple[np.ndarray, tuple[float, float]]:
+        # block 0 drawn with `rest`, in a new array, and its extrema once it is finite
+        block = _task(rest, seed, _LANE_CALIBRATION, n, lambda block, _: block, range(1))[0]
+        return block, _finite_extrema(block, 0)
+
+    g, (lo, hi) = block0(plan)
+    k = max(1, math.ceil(p * g.size))
+    g.partition(k - 1)
+    start = -float(g[k - 1])
+    del g
+    best = None
+    for cand in _candidates(plan):
+        r, _ = block0(cand.rest)
+        mean, slope, square = cand.sums(r, start) / r.size
+        v = square - mean * mean
+        if slope > 0.0 and (best is None or v < best[0]):
+            best = v, cand, r
+    if best is None:
+        raise ValueError("no term of g has a density at the target quantile; g is constant there")
+    v, cand, r = best
+    c0 = _root(lambda c: (cand.sums(r, c) / r.size)[:2], p, start, hi - lo)
+    m = min(n, _BLOCK * max(1, math.ceil(n * v / (p * (1.0 - p)) / _BLOCK)))
+    return cand, c0, m, cand.sums(r, c0)
 
 
 def calibrate_shift(
@@ -559,34 +648,29 @@ def calibrate_shift(
     target_pf: float,
     config: SimulationConfig,
 ) -> float:
-    """Shift c such that the model with shift c hits target_pf empirically.
+    """Shift c at which the model with shift c fails with probability
+    target_pf, estimated on the calibration lane.
 
-    Draws one calibration sample of g with shift forced to zero on a
-    dedicated substream lane, then returns c = -(k-th smallest g) with
-    k = ceil(target_pf * n). On the calibration sample itself the shifted
-    failure fraction then matches target_pf to within 1/n.
+    For a term X of g with coefficient a, and the rest r = g - a * X
+    (shift forced to zero), the shifted model fails with probability
+    E[P(a * X < -(r + c))]. c is the root of its mean over m values of r:
+    conditional Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab.
+    38(2), 2006) solved as a sample-average approximation (Shapiro,
+    Dentcheva and Ruszczyński, "Lectures on Stochastic Programming",
+    SIAM 2009, ch. 5). The pilot (see `_pilot`) picks X and m, which give
+    the realised p_f the standard error sqrt(p * (1 - p) / n) of the
+    n-value order statistic, and finds the root c0 on block 0. One pass
+    over blocks 1 and on of the m values adds their sums at c0 to block
+    0's in block order, and one Newton step from c0 gives c. So memory is
+    a few blocks per thread, and the bits depend on neither the task size
+    nor the number of threads.
 
-    The sample is read block by block, each block drawn once. Block 0
-    folds whole into the window, which is then centred on its ranks
-    (see `_ranks`) and so brackets the k-th smallest value in [lo, hi].
-    Every later block counts its values below lo and keeps its values
-    inside the window; tasks of blocks run in parallel and their parts
-    fold in order (see `quantile.Window`), and the answer is the
-    (k - below)-th smallest of the window. Each time the fold has seen
-    twice as many values as when the window was last centred, the window
-    is re-centred on the same ranks of the values seen so far,
-    p * seen -/+ (_PILOT_Z * sqrt(p * (1 - p) * seen) + 1) for p = k / n,
-    in the manner of Floyd and Rivest's sample-then-narrow selection
-    (CACM 18(3), 1975). So the window holds about
-    4 * _PILOT_Z * sqrt(p * (1 - p) * n) values at most, and memory is a
-    few blocks per thread, the windows of the tasks in flight and the
-    window: it grows with sqrt(n), not n. When the window misses, one
-    more pass over every block keeps only the side the rank fell on, cut
-    to the values that can still be the answer. Every path gives the k-th
-    smallest value exactly, whatever the task size or the number of
-    threads.
+    c is rounded to 32 significant bits, ~1e-6 of its standard error: a
+    last-bit difference between numpy's SIMD kernels, which depend on the
+    CPU, then changes c only where it lies that close to a rounding edge.
 
-    Refuses targets that would rest on fewer than 10 expected failures.
+    Refuses targets outside (0, 1) and targets that would rest on fewer
+    than 10 expected failures.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError(f"target_pf must be inside (0, 1), got {target_pf!r}")
@@ -594,42 +678,20 @@ def calibrate_shift(
     if expected_failures < 10.0:
         raise ValueError(
             f"target_pf * sample_count = {expected_failures:.3g} is below 10; "
-            "the order statistic would be too noisy to calibrate against"
+            "too few failures are expected to calibrate against"
         )
-    plan, n = _plan(model.with_shift(0.0)), config.sample_count
-    k = math.ceil(expected_failures - 1e-9)
-    p = k / n
+    n, p, seed = config.sample_count, target_pf, config.master_seed
+    cand, c0, m, acc = _pilot(_plan(model.with_shift(0.0)), p, n, seed)
 
-    def parts(win: Window, tasks: list[range]) -> Iterator[list]:
-        # the parts of the blocks of each of `tasks`, filtered by `win`
-        reduce = functools.partial(_window_part, win)
-        return _ordered(functools.partial(_task, plan, config.master_seed, _LANE_CALIBRATION, n, reduce), tasks)
+    def block_sums(block: np.ndarray, idx: int) -> np.ndarray:
+        _finite_extrema(block, idx)
+        return cand.sums(block, c0)
 
-    # Block 0 folds whole and centres the window on its ranks. Cutting
-    # only past twice what the rank still needs spares the window a join
-    # and a partition at every fold.
-    win = Window(-math.inf, math.inf, k, slack=2)
-    win.fold(win.bounds, 0, *_task(plan, config.master_seed, _LANE_CALIBRATION, n, _checked, range(1)))
-    centred = _size(0, n)
-    win.narrow(*_ranks(centred, p))
-    tasks = _tasks(n, first=1)
-    for task, done in zip(tasks, parts(win, tasks)):
-        for part in done:
-            win.fold(*part)
-        seen = min(task.stop * _BLOCK, n)
-        if 2 * centred <= seen < n:
-            win.narrow(*_ranks(seen, p))
-            centred = seen
-    value = win.select()
-    if value is None:
-        # The window missed: pass again over every block, keeping only the
-        # side the rank fell on and its bound. That pass holds the rank and
-        # cannot miss; it can hold a whole side of the sample, so it is cut
-        # as soon as it holds more than the rank needs.
-        lo, hi = win.bounds
-        win = Window(*((-math.inf, lo) if k <= win.below else (hi, math.inf)), k, slack=1)
-        for done in parts(win, _tasks(n)):
-            for part in done:
-                win.fold(*part)
-        value = win.select()
-    return -value
+    work = functools.partial(_task, cand.rest, seed, _LANE_CALIBRATION, m, block_sums)
+    for parts in _ordered(work, _tasks(m, first=1)):
+        for part in parts:
+            acc += part
+    mean, slope, _ = acc / m
+    c = c0 + (mean - p) / slope
+    mantissa, exponent = math.frexp(c)
+    return math.ldexp(round(mantissa * 2**32), exponent - 32)

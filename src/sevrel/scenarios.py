@@ -211,14 +211,17 @@ def run(
 ) -> ScenarioResult:
     """Run the study and grade it; `histograms` bins g and the deficits
     during the simulation, for a caller that will write them. A variance
-    of g that overflows or is 0 raises ValueError before `simulate`."""
+    of g that overflows or is 0 raises ValueError before any sampling:
+    the variance does not depend on the shift, so it is checked before
+    the shift is calibrated."""
     config = scenario.config(master_seed=master_seed, sample_count=sample_count)
     model = scenario.model
+    moments = model_moments(model)
     shift = None
     if scenario.calibrate_pf is not None:
         shift = calibrate_shift(model, scenario.calibrate_pf, config)
         model = model.with_shift(shift)
-    moments = model_moments(model)
+        moments = model_moments(model)
     summary = simulate(model, config, histograms=histograms)
     report = build_report(summary, moments)
     decision = None

@@ -1,8 +1,9 @@
-"""Distribution families: moments, quantiles, sampling fidelity."""
+"""Distribution families: moments, quantiles, tail functions, sampling fidelity."""
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -230,3 +231,108 @@ def test_sample_moments_match_analytic(dist):
     m4 = float((centered**4).mean())
     var_se = math.sqrt(max(m4 - sample_var**2, 0.0) / n)
     assert abs(sample_var - m.variance) < 5 * var_se
+
+
+# --- tail functions against mpmath at 50 digits -----------------------------
+
+
+def mp_tails(d, x):
+    """(cdf, sf, pdf) of d at the float x, computed at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        if isinstance(d, Mixture):
+            parts = [mp_tails(c, x) for _, c in d.components]
+            return tuple(sum(w * part[i] for (w, _), part in zip(d.components, parts)) for i in range(3))
+        if isinstance(d, Normal):
+            z = (x - d.mean) / d.stddev
+            return mpmath.ncdf(z), mpmath.ncdf(-z), mpmath.npdf(z) / d.stddev
+        if isinstance(d, Lognormal):
+            if x <= 0:
+                return mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+            z = (mpmath.log(x) - d.log_mean) / d.log_std
+            return mpmath.ncdf(z), mpmath.ncdf(-z), mpmath.npdf(z) / (x * d.log_std)
+        if isinstance(d, Gumbel):
+            e = mpmath.exp(-(x - d.location) / d.scale)
+            return mpmath.exp(-e), -mpmath.expm1(-e), e * mpmath.exp(-e) / d.scale
+        if x < d.x_min:
+            return mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        sf = (d.x_min / x) ** d.alpha
+        return 1 - sf, sf, d.alpha * sf / x
+
+
+TAIL_IDS = ["normal", "lognormal", "gumbel", "pareto", "mixture", "mixture-pareto"]
+TAIL_CASES = [
+    # (law, points from the far lower to the far upper tail)
+    (Normal(1.0, 2.0), [-70.0, -20.0, -3.0, 1.0, 4.0, 25.0, 70.0]),
+    (Lognormal(1.6, 0.15), [-1.0, 0.0, 1.0, 2.5, 4.95, 9.0, 30.0]),
+    (Gumbel(2.0, 0.6), [-1.0, 0.5, 1.0, 2.0, 5.0, 26.0, 200.0]),
+    (Pareto(1.7, 2.5), [0.5, 1.7, 1.7 * (1 + 1e-12), 2.0, 10.0, 1e6, 1e100]),
+    (Mixture(((0.995, Gumbel(2.0, 0.6)), (0.005, Gumbel(6.0, 0.6)))), [0.5, 2.0, 6.0, 30.0]),
+    (Mixture(((0.9, Normal(0.0, 1.0)), (0.1, Pareto(1.0, 3.0)))), [-8.0, 0.0, 1.0 + 1e-10, 5.0, 1e4]),
+]
+
+
+@pytest.mark.parametrize("dist, points", TAIL_CASES, ids=TAIL_IDS)
+def test_tail_functions_match_mpmath_in_both_tails(dist, points):
+    # each of cdf, sf and pdf to 1e-12 of its own value, where 1 - cdf or
+    # 1 - sf would have lost every digit (Gumbel(2, 0.6).sf(26) ~ 4.2e-18)
+    x = np.array(points)
+    got = (dist.cdf(x), dist.sf(x), dist.pdf(x))
+    for i, point in enumerate(points):
+        want = mp_tails(dist, point)
+        for name, value, exact in zip(("cdf", "sf", "pdf"), (g[i] for g in got), want):
+            assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-300), (name, point)
+            # scalars give the same values
+            assert getattr(dist, name)(point) == value
+
+
+@pytest.mark.parametrize("dist", [d for d, _ in TAIL_CASES], ids=TAIL_IDS)
+def test_tails_take_their_limits_at_infinity(dist):
+    assert (dist.cdf(-math.inf), dist.sf(-math.inf), dist.pdf(-math.inf)) == (0.0, 1.0, 0.0)
+    assert (dist.cdf(math.inf), dist.sf(math.inf), dist.pdf(math.inf)) == (1.0, 0.0, 0.0)
+
+
+def test_gumbel_sf_keeps_the_upper_tail():
+    d = Gumbel(2.0, 0.6)
+    x = 2.0 + 40 * 0.6
+    assert 1.0 - d.cdf(x) == 0.0
+    assert d.sf(x) == pytest.approx(4.248354255291589e-18, rel=1e-12)
+
+
+def test_pareto_cdf_does_not_cancel_near_x_min():
+    # 1 - (x_min / x)**alpha kept ~4e-4 of these; so does any form that
+    # rounds x_min / x
+    d = Pareto(1.7, 2.5)
+    x = d.x_min * (1.0 + np.logspace(-13, -8, 200))
+    want = np.array([float(mp_tails(d, v)[0]) for v in x])
+    assert np.max(np.abs(d.cdf(x) / want - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "dist, points",
+    [
+        (Normal(1.0, 2.0), [-6.0, 1.0, 4.0, 9.0]),
+        (Lognormal(1.6, 0.15), [3.0, 4.95, 8.0]),
+        (Gumbel(2.0, 0.6), [1.0, 2.0, 5.0, 9.0]),
+        (Pareto(1.7, 2.5), [1.8, 3.0, 50.0]),
+        (Mixture(((0.9, Normal(0.0, 1.0)), (0.1, Pareto(1.0, 3.0)))), [-2.0, 0.5, 1.5, 20.0]),
+    ],
+    ids=["normal", "lognormal", "gumbel", "pareto", "mixture"],
+)
+def test_pdf_is_the_derivative_of_cdf(dist, points):
+    # central differences of cdf, and of sf, away from Pareto's kink at x_min
+    for point in points:
+        h = 1e-6 * max(1.0, abs(point))
+        slope = (dist.cdf(point + h) - dist.cdf(point - h)) / (2 * h)
+        tail = -(dist.sf(point + h) - dist.sf(point - h)) / (2 * h)
+        assert slope == pytest.approx(dist.pdf(point), rel=1e-6)
+        assert tail == pytest.approx(dist.pdf(point), rel=1e-6)
+
+
+def test_mixture_tails_are_weighted_sums():
+    a, b = Normal(0.0, 1.0), Pareto(1.0, 3.0)
+    mix = Mixture(((0.7, a), (0.3, b)))
+    for name in ("cdf", "sf", "pdf"):
+        for x in (-1.0, 0.5, 2.0, 40.0):
+            expected = 0.7 * getattr(a, name)(x) + 0.3 * getattr(b, name)(x)
+            assert getattr(mix, name)(x) == pytest.approx(expected, rel=1e-14)

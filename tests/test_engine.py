@@ -11,10 +11,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from sevrel import engine, quantile
-from sevrel.distributions import Gumbel, Mixture, Normal, Pareto
+from sevrel import engine
+from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
     SimulationConfig,
@@ -31,7 +33,6 @@ from sevrel.engine import (
     _draw_block,
     _finite_extrema,
     _plan,
-    _ranks,
     _task,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
@@ -325,173 +326,110 @@ def test_calibrate_shift_ignores_existing_shift():
     assert a == b
 
 
-def calibration_reference(model, target_pf, config):
-    # the whole calibration sample in memory at once, then one partition
-    base = model.with_shift(0.0)
-    g = np.concatenate([block_g(base, config, _LANE_CALIBRATION, idx) for idx in range(blocks(config))])
-    k = math.ceil(target_pf * config.sample_count - 1e-9)
-    return -float(np.partition(g, k - 1)[k - 1])
+def two_term_model():
+    # two terms of one spread: conditioning on either leaves about a third
+    # of the crude variance at p_f 0.5, so calibrate_shift sums ~n / 3
+    # values of r and draws blocks past block 0
+    return LimitStateModel(terms=(Term("x", 1.0, Gumbel(0.0, 1.0)), Term("y", -1.0, Gumbel(0.0, 1.0))))
+
+
+def pareto_model():
+    # the pilot conditions on the Pareto term at p_f 0.1
+    return LimitStateModel(
+        terms=(
+            Term("r", 1.0, Normal(5.0, 1.0)),
+            Term("s", -1.0, Pareto(1.0, 2.5)),
+            Term("t", -1.0, Gumbel(1.0, 0.5)),
+        )
+    )
 
 
 @pytest.mark.parametrize(
-    "target_pf, n",
+    "model, expected",
     [
-        (0.05, 100_000),  # k = 5 000, a ragged second block
-        (0.5, 100_000),  # k = 50 000, more than the ragged block holds
-        (0.3, 90_000),  # k = 27 000
-        (0.0001, 100_000),  # k = 10, a window of a few dozen values
+        # g ~ N(5, 3.25) + c fails with p_f 0.05 at c = sd * z(0.95) - 5
+        (margin_model(), math.sqrt(3.25) * stats.norm.isf(0.05) - 5.0),
+        # c - X fails when X > c: c is the upper 5% point of X
+        (LimitStateModel(terms=(Term("load", -1.0, Gumbel(2.0, 0.6)),)), stats.gumbel_r(2.0, 0.6).isf(0.05)),
     ],
+    ids=["all-normal", "one-term"],
 )
-def test_calibrate_shift_streams_to_the_same_bits(task, target_pf, n):
-    task(1)
-    cfg = SimulationConfig(sample_count=n, master_seed=21)
-    m = failure_heavy_model()
-    assert calibrate_shift(m, target_pf, cfg) == calibration_reference(m, target_pf, cfg)
+def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, model, expected):
+    drawn = []
+    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
+    cfg = SimulationConfig(sample_count=1_000_000, master_seed=5)
+    # rounded to 32 significant bits
+    assert calibrate_shift(model, 0.05, cfg) == pytest.approx(expected, rel=1e-9)
+    assert set(drawn) == {0}
 
 
-def pilot_window(model, target_pf, config):
-    # the window calibrate_shift centres on block 0 of the calibration lane
-    first = block_g(model.with_shift(0.0), config, _LANE_CALIBRATION, 0)
-    k = math.ceil(target_pf * config.sample_count - 1e-9)
-    win = quantile.Window(-math.inf, math.inf, k, slack=2)
-    win.fold(win.bounds, 0, first)
-    win.narrow(*_ranks(first.size, k / config.sample_count))
-    return win.bounds
+def scipy_law(d):
+    # (weight, scipy.stats law) pairs: tails evaluated without sevrel
+    if isinstance(d, Normal):
+        return [(1.0, stats.norm(d.mean, d.stddev))]
+    if isinstance(d, Lognormal):
+        return [(1.0, stats.lognorm(d.log_std, scale=math.exp(d.log_mean)))]
+    if isinstance(d, Gumbel):
+        return [(1.0, stats.gumbel_r(d.location, d.scale))]
+    if isinstance(d, Pareto):
+        return [(1.0, stats.pareto(d.alpha, scale=d.x_min))]
+    return [(w * v, law) for w, c in d.components for v, law in scipy_law(c)]
+
+
+def conditional(cand, r, c):
+    # the means over r of P(a X < -(r + c)) and of its density
+    x = -(r + c) / cand.a
+    laws = scipy_law(cand.x)
+    tail = sum(w * (law.cdf(x) if cand.a > 0.0 else law.sf(x)) for w, law in laws)
+    density = sum(w * law.pdf(x) for w, law in laws) / abs(cand.a)
+    return tail.mean(), density.mean()
 
 
 @pytest.mark.parametrize(
-    "z, seed, side",
-    [
-        (-3.0, 1, "below"),  # lo == hi, several pilot SDs above the quantile
-        (0.0, 1, "below"),
-        (0.0, 3, "above"),
-    ],
+    "model, target_pf",
+    [(builtin("scenarioA").model, 0.5), (builtin("scenarioB").model, 0.5), (pareto_model(), 0.1)],
+    ids=["scenarioA", "scenarioB", "pareto"],
 )
-def test_calibrate_shift_is_exact_when_the_window_misses(monkeypatch, z, seed, side):
-    monkeypatch.setattr(engine, "_PILOT_Z", z)
-    cfg = SimulationConfig(sample_count=100_003, master_seed=seed)
-    m = failure_heavy_model()
-    expected = calibration_reference(m, 0.25, cfg)
-    lo, hi = pilot_window(m, 0.25, cfg)
-    # the k-th smallest g is -expected; it must lie outside the window
-    assert (-expected < lo) if side == "below" else (-expected > hi)
-    # a negative half-width collapses the window rather than inverting it
-    assert lo < hi if z >= 0 else lo == hi
-    assert calibrate_shift(m, 0.25, cfg) == expected
+def test_calibrate_shift_is_one_newton_step_from_the_sample_root(monkeypatch, task, model, target_pf):
+    # The shift is within 0.05 standard errors of the exact root of the
+    # mean conditional p_f over the m values of r that the pilot asks for,
+    # held here in memory, whatever the task size or the thread count.
+    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
+    cand, _, m, _ = engine._pilot(_plan(model), target_pf, cfg.sample_count, cfg.master_seed)
+    assert m > _BLOCK  # the pass reads past block 0
+    held = _task(cand.rest, cfg.master_seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK)))
+    r = np.concatenate(held)
+    root = brentq(lambda c: conditional(cand, r, c)[0] - target_pf, -50.0, 50.0, xtol=1e-15)
+    se = math.sqrt(target_pf * (1.0 - target_pf) / cfg.sample_count) / conditional(cand, r, root)[1]
+    shifts = set()
+    for blocks_a_task, workers in [(16, 1), (1, 2), (1, 3)]:
+        task(blocks_a_task)
+        pin_workers(monkeypatch, workers)
+        shifts.add(calibrate_shift(model, target_pf, cfg))
+    assert len(shifts) == 1
+    assert abs(shifts.pop() - root) < 0.05 * se
 
 
-@pytest.mark.parametrize(
-    "model, target_pf, n, blocks_a_task, window",
-    [
-        # a single block is its own pilot
-        (failure_heavy_model(), 0.25, _BLOCK, 16, "finite"),
-        # one task, shorter than the task size
-        (failure_heavy_model(), 0.25, 100_000, 16, "finite"),
-        # a ragged last block
-        (failure_heavy_model(), 0.25, 100_003, 1, "finite"),
-        # hi clips at the pilot's last value
-        (failure_heavy_model(), 0.999, 100_000, 1, "hi=+inf"),
-        # k = 10: lo clips at the pilot's first value
-        (failure_heavy_model(), 0.0001, 100_000, 1, "lo=-inf"),
-        # every g is 0.0
-        (LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)),)), 0.25, 100_000, 1, "lo==hi"),
-    ],
-    ids=["one-chunk", "chunk-above-n", "ragged", "hi-inf", "lo-inf", "all-equal"],
-)
-def test_calibrate_shift_selects_exactly_in_one_pass(monkeypatch, task, model, target_pf, n, blocks_a_task, window):
-    task(blocks_a_task)
-    cfg = SimulationConfig(sample_count=n, master_seed=21)
-    expected = calibration_reference(model, target_pf, cfg)
-    lo, hi = pilot_window(model, target_pf, cfg)
-    assert {
-        "finite": math.isfinite(lo) and math.isfinite(hi) and lo < hi,
-        "hi=+inf": math.isfinite(lo) and hi == math.inf,
-        "lo=-inf": lo == -math.inf and math.isfinite(hi),
-        "lo==hi": lo == hi,
-    }[window]
-    draws = []
-    monkeypatch.setattr(engine, "_draw_block", lambda *args: draws.append(args) or _draw_block(*args))
-    assert calibrate_shift(model, target_pf, cfg) == expected
-    # every block once, block 0 too: the window did not miss
-    assert len(draws) == blocks(cfg)
-
-
-def spy_on_the_window(monkeypatch):
-    # how many re-centrings moved a bound, and the side of each miss
-    events = {"moved": 0, "missed": []}
-    narrow, select = quantile.Window.narrow, quantile.Window.select
-
-    def spied_narrow(win, lo_rank, hi_rank):
-        before = win.bounds
-        narrow(win, lo_rank, hi_rank)
-        events["moved"] += win.bounds != before
-
-    def spied_select(win):
-        value = select(win)
-        if value is None:
-            events["missed"].append("below" if win.k <= win.below else "above")
-        return value
-
-    monkeypatch.setattr(quantile.Window, "narrow", spied_narrow)
-    monkeypatch.setattr(quantile.Window, "select", spied_select)
-    return events
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "z, seed, missed",
-    [
-        # 64k-value pilot, re-centred at 128k, 256k, 512k and 1M values seen
-        (10.0, 1, []),
-        # a window too narrow to hold the rank, narrowed before it misses
-        (0.5, 1, ["below"]),
-        (0.5, 0, ["above"]),
-    ],
-    ids=["narrowed", "missed-below", "missed-above"],
-)
-def test_calibrate_shift_is_exact_after_the_window_narrows(monkeypatch, task, workers, z, seed, missed):
-    # On two threads blocks start ahead of the fold, so some may be
-    # filtered with bounds that a re-centring has narrowed since (the
-    # test below folds such a block deterministically).
-    monkeypatch.setattr(engine, "_PILOT_Z", z)
-    pin_workers(monkeypatch, workers)
-    task(1)
-    cfg = SimulationConfig(sample_count=1_100_003, master_seed=seed)
-    m = failure_heavy_model()
-    expected = calibration_reference(m, 0.25, cfg)
-    events = spy_on_the_window(monkeypatch)
-    assert calibrate_shift(m, 0.25, cfg) == expected
-    assert events["moved"] >= (4 if z == 10.0 else 1)
-    assert events["missed"] == missed
-
-
-def test_a_window_filtered_with_wider_bounds_folds_as_if_filtered_with_the_current_ones():
-    rng = np.random.default_rng(3)
-    first, late = rng.standard_normal(4_000), rng.standard_normal(1_000)
-
-    def folded(late_bounds):
-        # re-centred on ranks 1 900-2 100 of 4 000, not cut
-        win = quantile.Window(-math.inf, math.inf, k=2_600, slack=2)
-        win.fold((-math.inf, math.inf), 0, first.copy())
-        win.narrow(1_900, 2_100)
-        lo, hi = win.bounds if late_bounds is None else late_bounds
-        win.fold((lo, hi), int(np.count_nonzero(late < lo)), late[(lo <= late) & (late <= hi)])
-        return win.bounds, win.below, np.sort(np.concatenate(win.pieces))
-
-    bounds, below, values = folded(None)
-    assert -math.inf < bounds[0] < bounds[1] < math.inf
-    assert values.size > 201
-    for wider in [(-math.inf, math.inf), (bounds[0] - 0.1, bounds[1]), (bounds[0], bounds[1] + 0.1)]:
-        got = folded(wider)
-        assert got[:2] == (bounds, below)
-        assert np.array_equal(got[2], values)
-
-
-def narrowed_window(target_pf, n, z):
-    # After a re-centring at s values seen the window holds ~2 * z * sd of
-    # the rank count, sd = sqrt(p * (1 - p) * s), and gains about as many
-    # again before the next one, at 2s; s < n.
-    return 4 * z * math.sqrt(target_pf * (1 - target_pf) * n)
+def test_calibrated_scenario_a_is_as_precise_as_the_order_statistic():
+    # Seeds 1-100 at p_f 0.25 and 1M samples. The realised p_f of a shift
+    # c is E[sf_D(C + c)] over the capacity C, by Gauss-Hermite quadrature
+    # in log C; its SD must be within 1.2 of the n-value order
+    # statistic's, sqrt(p (1 - p) / n), and its mean within 0.3 SD of p.
+    assert builtin("scenarioA").model.terms == (
+        Term("capacity", 1.0, Lognormal(1.6, 0.15)),
+        Term("demand", -1.0, Gumbel(2.0, 0.6)),
+    )
+    p, n = 0.25, 1_000_000
+    z, w = np.polynomial.hermite_e.hermegauss(120)
+    capacity, w = np.exp(1.6 + 0.15 * z), w / math.sqrt(2.0 * math.pi)
+    demand = stats.gumbel_r(2.0, 0.6)
+    model = builtin("scenarioA").model
+    realised = np.array(
+        [w @ demand.sf(capacity + calibrate_shift(model, p, SimulationConfig(n, seed))) for seed in range(1, 101)]
+    )
+    sd = realised.std(ddof=1)
+    assert sd <= 1.2 * math.sqrt(p * (1.0 - p) / n)
+    assert abs(realised.mean() - p) <= 0.3 * sd
 
 
 def per_thread(size):
@@ -511,51 +449,24 @@ def traced_peak(call):
 
 
 @pytest.mark.parametrize(
-    "target_pf, blocks_a_task, z, missed, bound",
-    [
-        # One block of g, one of scratch and the window, which holds at
-        # most ~24k values here once narrowed (the pilot window would hold
-        # ~67k) and is joined to be narrowed, cut or read; the block
-        # filter's boolean masks, a byte per value, come on top.
-        (0.25, 2, 10.0, False, lambda k, tasks, window: 8 * (window + 2 * _BLOCK) + 4 * _BLOCK),
-        # In one-block tasks the window is cut to twice the k smallest
-        # values at most; the masks come on top as above. Each task's
-        # range and window take ~100 bytes; counted at 128.
-        (0.001, 1, 10.0, False, lambda k, tasks, window: 8 * 2 * (k + _BLOCK) + 4 * _BLOCK + 128 * tasks),
-        # The second pass keeps the side of the window the rank fell on,
-        # cut to the k smallest values, not that whole side.
-        (0.25, 2, 0.0, True, lambda k, tasks, window: 8 * 2 * (k + _BLOCK)),
-    ],
-    ids=["wide-chunks", "small-pf-small-chunks", "missed-window"],
+    "target_pf, blocks_a_task", [(0.25, 2), (0.001, 1)], ids=["wide-chunks", "small-pf-small-chunks"]
 )
-def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_a_task, z, missed, bound):
-    # On one thread no term grows with the sample count but the window;
-    # each further thread adds its own blocks (see
+def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_a_task):
+    # On one thread: two blocks of r, the pilot's best and the next
+    # candidate's (block 0 of g and its scratch come and go before them),
+    # or the pass's block, and the temporaries of a step of the sums, a
+    # few _STEP values each. Each further thread adds its own blocks (see
     # test_a_thread_adds_its_blocks).
-    monkeypatch.setattr(engine, "_PILOT_Z", z)
     pin_workers(monkeypatch, 1)
     task(blocks_a_task)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
-    model = builtin("scenarioA").model
-    window = narrowed_window(target_pf, cfg.sample_count, z)
-    draws = itertools.count()
-
-    def counted(*args):
-        next(draws)
-        return _draw_block(*args)
-
-    monkeypatch.setattr(engine, "_draw_block", counted)
-    peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
-    assert (next(draws) > blocks(cfg)) == missed
-    k = math.ceil(target_pf * cfg.sample_count)
-    assert peak < bound(k, len(engine._tasks(cfg.sample_count)), window)
+    peak = traced_peak(lambda: calibrate_shift(builtin("scenarioA").model, target_pf, cfg))
+    assert peak < 8 * (2 * _BLOCK + 8 * engine._STEP)
 
 
 def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
-    # The re-centred window grows with sqrt(n): at p_f 0.25 it holds at
-    # most ~49k values at 8M samples and ~24k at 2M, so the peaks differ
-    # by under a block. The pilot window alone would grow 4x, to ~86k at
-    # 8M, and is joined once more to be read.
+    # The pilot holds a few blocks and the pass a few per thread, whatever
+    # n, so the peaks differ by under a block.
     pin_workers(monkeypatch, 1)
     model = builtin("scenarioA").model
     peaks = []
@@ -585,7 +496,7 @@ def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
 @pytest.mark.parametrize("call", ["simulate", "calibrate_shift"])
 def test_a_thread_adds_its_blocks(monkeypatch, task, call):
     # A second thread holds its own blocks, and at most two tasks per
-    # thread of finished partials or windows wait for the fold.
+    # thread of finished partials wait for the fold.
     task(2)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
     model = builtin("scenarioA").model
@@ -610,6 +521,13 @@ def test_calibrate_refuses_starved_targets():
     cfg = SimulationConfig(sample_count=200_000, master_seed=0)
     with pytest.raises(ValueError, match="below 10"):
         calibrate_shift(margin_model(), 1e-5, cfg)
+
+
+def test_calibrate_refuses_a_constant_g():
+    # no term to condition on: a zero coefficient leaves no density
+    cfg = SimulationConfig(sample_count=100_000, master_seed=0)
+    with pytest.raises(ValueError, match="no term of g has a density"):
+        calibrate_shift(LimitStateModel(terms=(Term("x", 0.0, Normal(1.0, 1.0)),)), 0.25, cfg)
 
 
 # --- non-finite g ---------------------------------------------------------
@@ -681,14 +599,15 @@ def test_non_finite_g_names_the_first_chunk_that_has_it(monkeypatch, task):
 def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task, lane):
     # finite blocks come first, in tasks of two; the error must still name
     # the first non-finite block of the lane and its stream positions
+    # (calibrate_shift reads blocks 0-5 of r here, see two_term_model)
     task(2)
     poison(monkeypatch, lane, {3: -math.inf, 5: math.nan})
-    cfg = SimulationConfig(sample_count=5 * _BLOCK + 500, master_seed=4)
+    cfg = SimulationConfig(sample_count=16 * _BLOCK + 500, master_seed=4)
     with pytest.raises(ValueError, match=positions(3)):
         if lane == _LANE_MAIN:
             simulate(failure_heavy_model(), cfg, histograms=True)
         else:
-            calibrate_shift(failure_heavy_model(), 0.25, cfg)
+            calibrate_shift(two_term_model(), 0.5, cfg)
 
 
 # --- threads and tasks ----------------------------------------------------
@@ -730,11 +649,12 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, ta
     # The first bad block waits until a later bad block has raised on
     # another thread; the error must still name the first. Blocks 2 and 4
     # are in flight together on three threads, and block 0, the
-    # calibration pilot, is finite.
+    # calibration pilot, is finite (calibrate_shift reads blocks 0-5 of r
+    # here, see two_term_model).
     task(1)
     first, second = 2, 4
     poison(monkeypatch, lane, {first: math.nan, second: math.inf})
-    cfg = SimulationConfig(sample_count=8 * _BLOCK, master_seed=1)
+    cfg = SimulationConfig(sample_count=16 * _BLOCK, master_seed=1)
     raised = threading.Event()
 
     def extrema(g, idx):
@@ -753,7 +673,7 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, ta
         if lane == _LANE_MAIN:
             simulate(failure_heavy_model(), cfg)
         else:
-            calibrate_shift(failure_heavy_model(), 0.25, cfg)
+            calibrate_shift(two_term_model(), 0.5, cfg)
     assert raised.is_set()
 
 

@@ -124,6 +124,19 @@ def test_exact_expectation_failure_is_graded_false():
     assert not res.all_passed
 
 
+def test_a_constant_g_fails_before_calibration(monkeypatch):
+    # the variance of g does not depend on the shift, so it is checked
+    # before the calibration lane is sampled
+    def never(*args, **kwargs):
+        raise AssertionError("calibrate_shift ran although g is constant")
+
+    monkeypatch.setattr(scenarios, "calibrate_shift", never)
+    model = LimitStateModel(terms=(Term("x", 0.0, Normal(2.0, 1.0)),), shift=1.0)
+    study = replace(builtin("scenarioA"), model=model, sample_count=400_000)
+    with pytest.raises(ValueError, match="g is constant"):
+        run(study)
+
+
 def test_unknown_metric_is_an_error():
     exp = [Expectation("nonsense", 1.0, 0.1, "reference")]
     with pytest.raises(ValueError, match="nonsense"):
@@ -207,7 +220,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 9
+    assert doc["schemaVersion"] == 10
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     # no deficit store since schemaVersion 5, no robust subsample since 6,
