@@ -363,6 +363,50 @@ def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, mod
     assert set(drawn) == {0}
 
 
+def sixteen_gumbels():
+    # sixteen terms of one spread: conditioning on any one of them leaves
+    # most of the crude variance, so the pass reads past block 0 at every
+    # target but the rarest
+    return LimitStateModel(terms=tuple(Term(f"x{i}", (-1.0) ** i, Gumbel(0.0, 1.0)) for i in range(16)))
+
+
+def calibration_reference(model, target_pf, config):
+    # the m values of r that the pilot asks for, in memory at once; their
+    # sums at c0 folded block by block in block order, one Newton step,
+    # and the shift rounded to 32 significant bits
+    n, seed = config.sample_count, config.master_seed
+    cand, c0, m, _ = engine._pilot(_plan(model.with_shift(0.0)), target_pf, n, seed)
+    r = np.concatenate(_task(cand.rest, seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK))))
+    assert r.size == m
+    acc = np.zeros(3)
+    for i in range(0, m, _BLOCK):
+        acc += cand.sums(r[i : i + _BLOCK], c0)
+    mean, slope, _ = acc / m
+    mantissa, exponent = math.frexp(c0 + (mean - target_pf) / slope)
+    return math.ldexp(round(mantissa * 2**32), exponent - 32)
+
+
+@pytest.mark.parametrize(
+    "target_pf, n",
+    [
+        (0.05, 100_000),  # m = n, a ragged second block
+        (0.5, 100_000),  # m = n
+        (0.3, 90_000),  # m = n, a ragged second block of another size
+        (0.0001, 100_000),  # ten expected failures: m is block 0 alone
+    ],
+)
+def test_calibrate_shift_streams_to_the_same_bits(monkeypatch, task, target_pf, n):
+    # Streamed in tasks of any size on any number of threads, the shift
+    # has the bits of the same fold over the whole of r held in memory.
+    cfg = SimulationConfig(sample_count=n, master_seed=21)
+    model = sixteen_gumbels()
+    expected = calibration_reference(model, target_pf, cfg)
+    for blocks_a_task, workers in [(16, 1), (1, 1), (1, 2)]:
+        task(blocks_a_task)
+        pin_workers(monkeypatch, workers)
+        assert calibrate_shift(model, target_pf, cfg) == expected
+
+
 def scipy_law(d):
     # (weight, scipy.stats law) pairs: tails evaluated without sevrel
     if isinstance(d, Normal):
