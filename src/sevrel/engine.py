@@ -35,9 +35,13 @@ the histograms of a run need no second pass over the stream.
 
 `calibrate_shift` reads its own lane in the same way. It conditions on
 one term of g and solves for the shift at which the failure probability
-given the other terms, averaged over block 0 and then over as many
-blocks as its precision needs, equals the target. Each block is drawn
-once, and its sums fold in block order.
+given the other terms, averaged over them, equals the target. When the
+other terms are at most one Gaussian-based group (the merged Normal or
+a Lognormal term), that average is taken exactly, by Gauss-Hermite
+quadrature, and only block 0 of g is drawn, to check it and start the
+root. Otherwise, or when the quadrature fails its accuracy check, the
+average runs over block 0 and then over as many blocks as its precision
+needs; each block is drawn once, and its sums fold in block order.
 
 Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
 alike, draws its blocks through `_task`, which hands each block to a
@@ -58,7 +62,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import histogram
-from .distributions import Distribution, MomentReport, Normal, _ahead
+from .distributions import Distribution, Lognormal, MomentReport, Normal, _ahead
 
 __all__ = [
     "Term",
@@ -89,6 +93,10 @@ _TASK = 16
 # Values per step of calibrate_shift's sums: each temporary takes 64 KiB,
 # under malloc's 128 KiB threshold for fresh pages (see `histogram`).
 _STEP = 1 << 13
+
+# Gauss-Hermite nodes of calibrate_shift's exact path: the root is found
+# on _NODES nodes and checked on half as many (see `_exact_root`).
+_NODES = 128
 
 
 _T = TypeVar("_T")
@@ -552,6 +560,12 @@ class _Candidate:
         tail, density = self.x._tails(x, upper=self.a < 0.0)
         return tail.sum(), density.sum() / abs(self.a), tail @ tail
 
+    def mean(self, r: np.ndarray, w: np.ndarray, c: float) -> tuple[float, float]:
+        """The means over r, weighted by w, of P(a * X < -(r + c)) and of
+        its density."""
+        tail, density = self.x._tails((r + c) / -self.a, upper=self.a < 0.0)
+        return float(w @ tail), float(w @ density) / abs(self.a)
+
 
 def _candidates(plan: _Plan) -> list[_Candidate]:
     """The terms of `plan` to condition on, in term order: the merged
@@ -579,7 +593,8 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
     Newton's method from c, kept inside the bracket of the points seen:
     a step that would leave it, or a rate of 0, bisects the bracket or,
     while one side is still open, moves `step` towards that side and
-    doubles `step`. Stops once a step is below 1e-13 of the first `step`.
+    doubles `step`. Stops once a step is below 1e-13 of the first `step`,
+    or gives NaN if 200 steps do not get there.
     """
     lo, hi, tol = -math.inf, math.inf, 1e-13 * step
     for _ in range(200):
@@ -600,22 +615,79 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
         if abs(nxt - c) <= tol:
             return nxt
         c = nxt
-    return c
+    return math.nan
 
 
-def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate, float, int, np.ndarray]:
+@functools.cache
+def _hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes z and weights w of the k-point Gauss-Hermite rule for the
+    standard normal law, E[f(Z)] ~ w @ f(z) (Golub and Welsch, Math. Comp.
+    23, 1969), read-only and cached per k."""
+    z, w = np.polynomial.hermite_e.hermegauss(k)
+    w /= math.sqrt(2.0 * math.pi)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: float, step: float) -> float:
+    """The root of the mean conditional p_f, by quadrature over r, for a
+    plan whose candidates are `cands` (see `_candidates`) and whose r has
+    the constant part `base`, when there is one candidate, or two of which
+    one is Gaussian-based: the merged Normal or a Lognormal term. NaN
+    otherwise, or when the root fails its check.
+
+    With one candidate, r is the constant `base`: one node of weight 1.
+    With two, the first Gaussian-based one in term order, b * Y, is
+    integrated and the other is conditioned on: r = base + b * Y at
+    Y = sd * z for the merged Normal and exp(mu + sigma * z) for a
+    Lognormal, over the nodes z of `_hermite`. The root is found from
+    `start`, with `step` (see `_root`), on _NODES nodes, and is accepted
+    when the mean on _NODES // 2 nodes there is within 1e-3 *
+    sqrt(p * (1 - p) / n) of p, a small fraction of the standard error the
+    Monte Carlo root is held to: the coarser rule bounds the error of the
+    finer one. A node or a sum that is not finite, or a root that does not
+    converge, fails the check.
+    """
+    gaussian = [cand for cand in cands if isinstance(cand.x, (Normal, Lognormal))]
+    if len(cands) == 1:
+        cand, rest = cands[0], None
+    elif len(cands) == 2 and gaussian:
+        rest = gaussian[0]
+        cand = cands[1] if rest is cands[0] else cands[0]
+    else:
+        return math.nan
+
+    def nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+        if rest is None:
+            return np.full(1, base), np.ones(1)
+        z, w = _hermite(k)
+        d = rest.x
+        y = d.mean + d.stddev * z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * z)
+        return base + rest.a * y, w
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        (r, w), (coarse, v) = nodes(_NODES), nodes(_NODES // 2)
+        if not (np.isfinite(r).all() and np.isfinite(coarse).all()):
+            return math.nan
+        c = _root(lambda c: cand.mean(r, w, c), p, start, step)
+        error = abs(cand.mean(coarse, v, c)[0] - p)
+    return c if error <= 1e-3 * math.sqrt(p * (1.0 - p) / n) else math.nan
+
+
+def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate | None, float, int, np.ndarray | None]:
     """calibrate_shift's pilot, on block 0 of the calibration lane of the
     first n values: the candidate conditioned on, the root c0 on the
     block, the number m of values the root must rest on, and the block's
-    `sums` at c0.
+    `sums` at c0; or (None, c, 0, None) when `_exact_root` gives the shift
+    c, and no other block is drawn.
 
     Block 0 of g is checked, and its ceil(p * size)-th smallest value is
-    -c_s. Of the candidates whose density does not sum to 0 at c_s, the
-    one whose conditional p_f there has the least variance v wins, the
-    first on a tie. m = n * v / (p * (1 - p)), rounded up to whole blocks,
-    at least one and at most n (Rao-Blackwell gives v <= p * (1 - p)).
-    When r is constant (every term Normal, or one term), v is 0 and c0
-    is exact.
+    -c_s, where `_exact_root` starts, with the block's range as its step.
+    Failing that, of the candidates whose density does not sum to 0 at
+    c_s, the one whose conditional p_f there has the least variance v
+    wins, the first on a tie. m = n * v / (p * (1 - p)), rounded up to
+    whole blocks, at least one and at most n (Rao-Blackwell gives
+    v <= p * (1 - p)).
     """
 
     def block0(rest: _Plan) -> tuple[np.ndarray, tuple[float, float]]:
@@ -628,8 +700,12 @@ def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate, float,
     g.partition(k - 1)
     start = -float(g[k - 1])
     del g
+    cands = _candidates(plan)
+    c = _exact_root(plan.mean, cands, p, n, start, hi - lo)
+    if not math.isnan(c):
+        return None, c, 0, None
     best = None
-    for cand in _candidates(plan):
+    for cand in cands:
         r, _ = block0(cand.rest)
         mean, slope, square = cand.sums(r, start) / r.size
         v = square - mean * mean
@@ -653,17 +729,22 @@ def calibrate_shift(
 
     For a term X of g with coefficient a, and the rest r = g - a * X
     (shift forced to zero), the shifted model fails with probability
-    E[P(a * X < -(r + c))]. c is the root of its mean over m values of r:
-    conditional Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab.
-    38(2), 2006) solved as a sample-average approximation (Shapiro,
-    Dentcheva and Ruszczyński, "Lectures on Stochastic Programming",
-    SIAM 2009, ch. 5). The pilot (see `_pilot`) picks X and m, which give
-    the realised p_f the standard error sqrt(p * (1 - p) / n) of the
-    n-value order statistic, and finds the root c0 on block 0. One pass
-    over blocks 1 and on of the m values adds their sums at c0 to block
-    0's in block order, and one Newton step from c0 gives c. So memory is
-    a few blocks per thread, and the bits depend on neither the task size
-    nor the number of threads.
+    E[P(a * X < -(r + c))]. The pilot (see `_pilot`) draws and checks
+    block 0 of g. When the rest of g is at most one Gaussian-based term
+    (see `_exact_root`), that mean is a one-dimensional Gaussian integral:
+    c is its root by Gauss-Hermite quadrature, exact to far under the
+    standard error below, the same for every seed, and no other block is
+    drawn. Otherwise, and whenever the quadrature fails its accuracy
+    check, c is the root of the mean over m values of r: conditional
+    Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab. 38(2), 2006)
+    solved as a sample-average approximation (Shapiro, Dentcheva and
+    Ruszczyński, "Lectures on Stochastic Programming", SIAM 2009, ch. 5).
+    The pilot picks X and m, which give the realised p_f the standard
+    error sqrt(p * (1 - p) / n) of the n-value order statistic, and finds
+    the root c0 on block 0. One pass over blocks 1 and on of the m values
+    adds their sums at c0 to block 0's in block order, and one Newton step
+    from c0 gives c. So memory is a few blocks per thread, and the bits
+    depend on neither the task size nor the number of threads.
 
     c is rounded to 32 significant bits, ~1e-6 of its standard error: a
     last-bit difference between numpy's SIMD kernels, which depend on the
@@ -682,16 +763,19 @@ def calibrate_shift(
         )
     n, p, seed = config.sample_count, target_pf, config.master_seed
     cand, c0, m, acc = _pilot(_plan(model.with_shift(0.0)), p, n, seed)
+    if cand is None:
+        c = c0  # exact
+    else:
 
-    def block_sums(block: np.ndarray, idx: int) -> np.ndarray:
-        _finite_extrema(block, idx)
-        return cand.sums(block, c0)
+        def block_sums(block: np.ndarray, idx: int) -> np.ndarray:
+            _finite_extrema(block, idx)
+            return cand.sums(block, c0)
 
-    work = functools.partial(_task, cand.rest, seed, _LANE_CALIBRATION, m, block_sums)
-    for parts in _ordered(work, _tasks(m, first=1)):
-        for part in parts:
-            acc += part
-    mean, slope, _ = acc / m
-    c = c0 + (mean - p) / slope
+        work = functools.partial(_task, cand.rest, seed, _LANE_CALIBRATION, m, block_sums)
+        for parts in _ordered(work, _tasks(m, first=1)):
+            for part in parts:
+                acc += part
+        mean, slope, _ = acc / m
+        c = c0 + (mean - p) / slope
     mantissa, exponent = math.frexp(c)
     return math.ldexp(round(mantissa * 2**32), exponent - 32)

@@ -11,9 +11,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from sevrel import engine
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
@@ -429,22 +429,29 @@ def conditional(cand, r, c):
     return tail.mean(), density.mean()
 
 
-@pytest.mark.parametrize(
-    "model, target_pf",
-    [(builtin("scenarioA").model, 0.5), (builtin("scenarioB").model, 0.5), (pareto_model(), 0.1)],
-    ids=["scenarioA", "scenarioB", "pareto"],
-)
-def test_calibrate_shift_is_one_newton_step_from_the_sample_root(monkeypatch, task, model, target_pf):
-    # The shift is within 0.05 standard errors of the exact root of the
-    # mean conditional p_f over the m values of r that the pilot asks for,
-    # held here in memory, whatever the task size or the thread count.
-    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
-    cand, _, m, _ = engine._pilot(_plan(model), target_pf, cfg.sample_count, cfg.master_seed)
-    assert m > _BLOCK  # the pass reads past block 0
-    held = _task(cand.rest, cfg.master_seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK)))
+def sample_root(model, target_pf, config):
+    # The exact root of the mean conditional p_f over the m values of r
+    # that the pilot asks for, held here in memory, the standard error of
+    # the n-value order statistic carried to the shift there, and m.
+    cand, _, m, _ = engine._pilot(_plan(model), target_pf, config.sample_count, config.master_seed)
+    held = _task(cand.rest, config.master_seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK)))
     r = np.concatenate(held)
     root = brentq(lambda c: conditional(cand, r, c)[0] - target_pf, -50.0, 50.0, xtol=1e-15)
-    se = math.sqrt(target_pf * (1.0 - target_pf) / cfg.sample_count) / conditional(cand, r, root)[1]
+    se = math.sqrt(target_pf * (1.0 - target_pf) / config.sample_count) / conditional(cand, r, root)[1]
+    return root, se, m
+
+
+@pytest.mark.parametrize(
+    "model, target_pf",
+    [(two_term_model(), 0.5), (sixteen_gumbels(), 0.5), (pareto_model(), 0.1)],
+    ids=["two-gumbels", "sixteen-gumbels", "pareto"],
+)
+def test_calibrate_shift_is_one_newton_step_from_the_sample_root(monkeypatch, task, model, target_pf):
+    # The shift is within 0.05 standard errors of the sample root, whatever
+    # the task size or the thread count.
+    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
+    root, se, m = sample_root(model, target_pf, cfg)
+    assert m > _BLOCK  # the pass reads past block 0
     shifts = set()
     for blocks_a_task, workers in [(16, 1), (1, 2), (1, 3)]:
         task(blocks_a_task)
@@ -454,23 +461,91 @@ def test_calibrate_shift_is_one_newton_step_from_the_sample_root(monkeypatch, ta
     assert abs(shifts.pop() - root) < 0.05 * se
 
 
-def test_calibrated_scenario_a_is_as_precise_as_the_order_statistic():
-    # Seeds 1-100 at p_f 0.25 and 1M samples. The realised p_f of a shift
-    # c is E[sf_D(C + c)] over the capacity C, by Gauss-Hermite quadrature
-    # in log C; its SD must be within 1.2 of the n-value order
-    # statistic's, sqrt(p (1 - p) / n), and its mean within 0.3 SD of p.
-    assert builtin("scenarioA").model.terms == (
-        Term("capacity", 1.0, Lognormal(1.6, 0.15)),
-        Term("demand", -1.0, Gumbel(2.0, 0.6)),
+def normal_gumbel_model():
+    # the Normal terms, merged, against one Gumbel
+    return LimitStateModel(
+        terms=(
+            Term("capacity", 1.0, Normal(5.0, 1.0)),
+            Term("dead", -1.0, Normal(1.0, 0.3)),
+            Term("demand", -1.0, Gumbel(2.0, 0.6)),
+        )
     )
+
+
+def quadrature_root(model, target_pf):
+    # The shift at which P(g + c < 0) = target_pf, for g of Normal terms or
+    # one Lognormal term, Y, and one other term b X: adaptive quadrature of
+    # P(b X < -(Y + c)) over the standard normal z under Y, and brentq.
+    normals = [t for t in model.terms if isinstance(t.distribution, Normal)]
+    mean = sum(t.coefficient * t.distribution.mean for t in normals)
+    sd = math.hypot(*(t.coefficient * t.distribution.stddev for t in normals))
+    lognormals = [t for t in model.terms if isinstance(t.distribution, Lognormal)]
+    (x,) = [t for t in model.terms if not isinstance(t.distribution, (Normal, Lognormal))]
+    laws = scipy_law(x.distribution)
+
+    def y(z):
+        if not lognormals:
+            return mean + sd * z
+        (t,) = lognormals
+        return t.coefficient * math.exp(t.distribution.log_mean + t.distribution.log_std * z)
+
+    def pf(c):
+        def given(z):
+            at = -(y(z) + c) / x.coefficient
+            return stats.norm.pdf(z) * sum(w * (law.cdf(at) if x.coefficient > 0.0 else law.sf(at)) for w, law in laws)
+
+        return integrate.quad(given, -12.0, 12.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    return brentq(lambda c: pf(c) - target_pf, -50.0, 50.0, xtol=1e-14, rtol=1e-15)
+
+
+@pytest.mark.parametrize("target_pf", [0.25, 0.01])
+@pytest.mark.parametrize(
+    "model",
+    [builtin("scenarioA").model, builtin("scenarioB").model, normal_gumbel_model()],
+    ids=["scenarioA", "scenarioB", "normal-gumbel"],
+)
+def test_calibrate_shift_is_exact_when_the_rest_of_g_is_one_gaussian_group(monkeypatch, model, target_pf):
+    # Conditioned on the other term, the failure probability is integrated
+    # over the Lognormal or merged Normal by quadrature: the shift is the
+    # exact root, the same for every seed, and only block 0 of g is drawn.
+    expected = quadrature_root(model, target_pf)
+    drawn = []
+    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
+    shifts = {calibrate_shift(model, target_pf, SimulationConfig(1_000_000, seed)) for seed in range(1, 6)}
+    assert drawn == [0] * 5
+    assert len(shifts) == 1
+    # rounded to 32 significant bits
+    assert shifts.pop() == pytest.approx(expected, rel=1e-9)
+
+
+def test_calibrate_shift_falls_back_on_monte_carlo_where_quadrature_misses(monkeypatch):
+    # Given the wide Lognormal, the near-constant Gumbel fails in a step
+    # 0.001 wide, which the quadrature does not resolve (at the 128-node
+    # root, the 64-node mean misses p_f by 0.035): it fails its check, the
+    # pilot draws block 0 of r for each candidate after that of g, and
+    # the shift is one Newton step from the sample root. Conditioned on
+    # the Lognormal, r hardly varies, so m is one block.
+    model = LimitStateModel(
+        terms=(Term("capacity", 1.0, Lognormal(1.6, 1.5)), Term("demand", -1.0, Gumbel(2.0, 0.001)))
+    )
+    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
+    drawn = []
+    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
+    shift = calibrate_shift(model, 0.25, cfg)
+    assert len(drawn) == 3
+    root, se, _ = sample_root(model, 0.25, cfg)
+    assert abs(shift - root) < 0.05 * se
+
+
+def test_calibrated_two_gumbels_is_as_precise_as_the_order_statistic():
+    # Seeds 1-100 at p_f 0.25 and 1M samples. X - Y of two iid Gumbels is
+    # Logistic(0, 1), so a shift c fails with probability 1 / (1 + e^c)
+    # exactly; its SD must be within 1.2 of the n-value order statistic's,
+    # sqrt(p (1 - p) / n), and its mean within 0.3 SD of p.
     p, n = 0.25, 1_000_000
-    z, w = np.polynomial.hermite_e.hermegauss(120)
-    capacity, w = np.exp(1.6 + 0.15 * z), w / math.sqrt(2.0 * math.pi)
-    demand = stats.gumbel_r(2.0, 0.6)
-    model = builtin("scenarioA").model
-    realised = np.array(
-        [w @ demand.sf(capacity + calibrate_shift(model, p, SimulationConfig(n, seed))) for seed in range(1, 101)]
-    )
+    model = two_term_model()
+    realised = np.array([expit(-calibrate_shift(model, p, SimulationConfig(n, seed))) for seed in range(1, 101)])
     sd = realised.std(ddof=1)
     assert sd <= 1.2 * math.sqrt(p * (1.0 - p) / n)
     assert abs(realised.mean() - p) <= 0.3 * sd
@@ -504,7 +579,7 @@ def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_
     pin_workers(monkeypatch, 1)
     task(blocks_a_task)
     cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
-    peak = traced_peak(lambda: calibrate_shift(builtin("scenarioA").model, target_pf, cfg))
+    peak = traced_peak(lambda: calibrate_shift(two_term_model(), target_pf, cfg))
     assert peak < 8 * (2 * _BLOCK + 8 * engine._STEP)
 
 
@@ -512,7 +587,7 @@ def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
     # The pilot holds a few blocks and the pass a few per thread, whatever
     # n, so the peaks differ by under a block.
     pin_workers(monkeypatch, 1)
-    model = builtin("scenarioA").model
+    model = two_term_model()
     peaks = []
     for n in (2_000_000, 8_000_000):
         cfg = SimulationConfig(sample_count=n, master_seed=7)
@@ -550,7 +625,7 @@ def test_a_thread_adds_its_blocks(monkeypatch, task, call):
         if call == "simulate":
             peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
         else:
-            peaks.append(traced_peak(lambda: calibrate_shift(model, 0.25, cfg)))
+            peaks.append(traced_peak(lambda: calibrate_shift(two_term_model(), 0.25, cfg)))
     assert peaks[1] - peaks[0] < per_thread(_BLOCK)
 
 

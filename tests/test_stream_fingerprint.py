@@ -72,9 +72,9 @@ FINGERPRINTS = {
         ),
     },
 }
-# version 10 changed the calibration lane alone: the main lane keeps
-# version 9's bits
-FINGERPRINTS[10] = FINGERPRINTS[9]
+# versions 10 and 11 changed the calibrated shift alone: the main lane
+# keeps version 9's bits
+FINGERPRINTS[10] = FINGERPRINTS[11] = FINGERPRINTS[9]
 
 
 def test_every_builtin_is_pinned():
