@@ -37,9 +37,9 @@ the histograms of a run need no second pass over the stream.
 one term of g and solves for the shift at which the failure probability
 given the other terms, averaged over them, equals the target. When the
 other terms are at most one Gaussian-based group (the merged Normal or
-a Lognormal term), that average is taken exactly, by Gauss-Hermite
-quadrature, and only block 0 of g is drawn, to check it and start the
-root. Otherwise, or when the quadrature fails its accuracy check, the
+a Lognormal term), that average is taken exactly, by the trapezoid rule
+on one fixed grid, and only block 0 of g is drawn, to check it and start
+the root. Otherwise, or when the quadrature fails its accuracy check, the
 average runs over block 0 and then over as many blocks as its precision
 needs; each block is drawn once, and its sums fold in block order.
 
@@ -94,9 +94,15 @@ _TASK = 16
 # under malloc's 128 KiB threshold for fresh pages (see `histogram`).
 _STEP = 1 << 13
 
-# Gauss-Hermite nodes of calibrate_shift's exact path: the root is found
-# on _NODES nodes and checked on half as many (see `_exact_root`).
-_NODES = 128
+# The nodes z and weights w of calibrate_shift's exact path, E[f(Z)] ~
+# _W @ f(_Z) for the standard normal law: the trapezoid rule of step 1/16
+# over |z| <= 12, which converges exponentially for an analytic f
+# (Trefethen and Weideman, SIAM Review 56(3), 2014). The root is found on
+# every node and checked on every other one (see `_exact_root`). The grid
+# is offset by a third of a step, so no node of either rule lies at z = 0.
+_Z = (np.arange(-192, 193) + 1.0 / 3.0) / 16.0
+_W = np.exp(-0.5 * _Z * _Z) / (16.0 * math.sqrt(2.0 * math.pi))
+_Z.flags.writeable = _W.flags.writeable = False
 
 
 _T = TypeVar("_T")
@@ -618,17 +624,6 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
     return math.nan
 
 
-@functools.cache
-def _hermite(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes z and weights w of the k-point Gauss-Hermite rule for the
-    standard normal law, E[f(Z)] ~ w @ f(z) (Golub and Welsch, Math. Comp.
-    23, 1969), read-only and cached per k."""
-    z, w = np.polynomial.hermite_e.hermegauss(k)
-    w /= math.sqrt(2.0 * math.pi)
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
-
-
 def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: float, step: float) -> float:
     """The root of the mean conditional p_f, by quadrature over r, for a
     plan whose candidates are `cands` (see `_candidates`) and whose r has
@@ -636,41 +631,35 @@ def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: f
     one is Gaussian-based: the merged Normal or a Lognormal term. NaN
     otherwise, or when the root fails its check.
 
-    With one candidate, r is the constant `base`: one node of weight 1.
-    With two, the first Gaussian-based one in term order, b * Y, is
-    integrated and the other is conditioned on: r = base + b * Y at
-    Y = sd * z for the merged Normal and exp(mu + sigma * z) for a
-    Lognormal, over the nodes z of `_hermite`. The root is found from
-    `start`, with `step` (see `_root`), on _NODES nodes, and is accepted
-    when the mean on _NODES // 2 nodes there is within 1e-3 *
-    sqrt(p * (1 - p) / n) of p, a small fraction of the standard error the
-    Monte Carlo root is held to: the coarser rule bounds the error of the
-    finer one. A node or a sum that is not finite, or a root that does not
-    converge, fails the check.
+    With one candidate, r is `base` on every node. With two, the first
+    Gaussian-based one in term order, b * Y, is integrated and the other
+    is conditioned on: r = base + b * Y at Y = sd * z for the merged
+    Normal and exp(mu + sigma * z) for a Lognormal, over the nodes z of
+    `_Z`. The root is found from `start`, with `step` (see `_root`), on
+    all of them, and is accepted when the mean on every other node (the
+    trapezoid rule of twice the step) is within 1e-3 * sqrt(p * (1 - p) /
+    n) of p, a small fraction of the standard error the Monte Carlo root
+    is held to. A step of the integrand narrower than the grid reads the
+    same on both rules only when p is close to Phi(z) at a node z; the
+    offset of `_Z` keeps z = 0 off the grid, so p 0.5, whose step lies at
+    the median of Y, is not such a p. A node or a sum that is not finite,
+    or a root that does not converge, fails the check.
     """
     gaussian = [cand for cand in cands if isinstance(cand.x, (Normal, Lognormal))]
-    if len(cands) == 1:
-        cand, rest = cands[0], None
-    elif len(cands) == 2 and gaussian:
-        rest = gaussian[0]
-        cand = cands[1] if rest is cands[0] else cands[0]
-    else:
-        return math.nan
-
-    def nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
-        if rest is None:
-            return np.full(1, base), np.ones(1)
-        z, w = _hermite(k)
-        d = rest.x
-        y = d.mean + d.stddev * z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * z)
-        return base + rest.a * y, w
-
     with np.errstate(over="ignore", invalid="ignore"):
-        (r, w), (coarse, v) = nodes(_NODES), nodes(_NODES // 2)
-        if not (np.isfinite(r).all() and np.isfinite(coarse).all()):
+        if len(cands) == 1:
+            cand, r = cands[0], np.full(_Z.size, base)
+        elif len(cands) == 2 and gaussian:
+            rest = gaussian[0]
+            cand, d = cands[1] if rest is cands[0] else cands[0], rest.x
+            y = d.mean + d.stddev * _Z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * _Z)
+            r = base + rest.a * y
+        else:
             return math.nan
-        c = _root(lambda c: cand.mean(r, w, c), p, start, step)
-        error = abs(cand.mean(coarse, v, c)[0] - p)
+        if not np.isfinite(r).all():
+            return math.nan
+        c = _root(lambda c: cand.mean(r, _W, c), p, start, step)
+        error = abs(cand.mean(r[::2], 2.0 * _W[::2], c)[0] - p)
     return c if error <= 1e-3 * math.sqrt(p * (1.0 - p) / n) else math.nan
 
 
@@ -732,13 +721,14 @@ def calibrate_shift(
     E[P(a * X < -(r + c))]. The pilot (see `_pilot`) draws and checks
     block 0 of g. When the rest of g is at most one Gaussian-based term
     (see `_exact_root`), that mean is a one-dimensional Gaussian integral:
-    c is its root by Gauss-Hermite quadrature, exact to far under the
-    standard error below, the same for every seed, and no other block is
-    drawn. Otherwise, and whenever the quadrature fails its accuracy
-    check, c is the root of the mean over m values of r: conditional
-    Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab. 38(2), 2006)
-    solved as a sample-average approximation (Shapiro, Dentcheva and
-    Ruszczyński, "Lectures on Stochastic Programming", SIAM 2009, ch. 5).
+    c is its root by the trapezoid rule on the grid `_Z`, exact to far
+    under the standard error below, the same for every seed, and no other
+    block is drawn. Otherwise, and whenever the quadrature fails its
+    accuracy check, c is the root of the mean over m values of r:
+    conditional Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab.
+    38(2), 2006) solved as a sample-average approximation (Shapiro,
+    Dentcheva and Ruszczyński, "Lectures on Stochastic Programming",
+    SIAM 2009, ch. 5).
     The pilot picks X and m, which give the realised p_f the standard
     error sqrt(p * (1 - p) / n) of the n-value order statistic, and finds
     the root c0 on block 0. One pass over blocks 1 and on of the m values

@@ -20,7 +20,7 @@ from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
 from .metrics import SeverityReport
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -499,7 +499,7 @@ def quadrature_root(model, target_pf):
     return brentq(lambda c: pf(c) - target_pf, -50.0, 50.0, xtol=1e-14, rtol=1e-15)
 
 
-@pytest.mark.parametrize("target_pf", [0.25, 0.01])
+@pytest.mark.parametrize("target_pf", [0.5, 0.25, 0.01])
 @pytest.mark.parametrize(
     "model",
     [builtin("scenarioA").model, builtin("scenarioB").model, normal_gumbel_model()],
@@ -519,22 +519,40 @@ def test_calibrate_shift_is_exact_when_the_rest_of_g_is_one_gaussian_group(monke
     assert shifts.pop() == pytest.approx(expected, rel=1e-9)
 
 
-def test_calibrate_shift_falls_back_on_monte_carlo_where_quadrature_misses(monkeypatch):
-    # Given the wide Lognormal, the near-constant Gumbel fails in a step
-    # 0.001 wide, which the quadrature does not resolve (at the 128-node
-    # root, the 64-node mean misses p_f by 0.035): it fails its check, the
-    # pilot draws block 0 of r for each candidate after that of g, and
-    # the shift is one Newton step from the sample root. Conditioned on
-    # the Lognormal, r hardly varies, so m is one block.
-    model = LimitStateModel(
-        terms=(Term("capacity", 1.0, Lognormal(1.6, 1.5)), Term("demand", -1.0, Gumbel(2.0, 0.001)))
-    )
+@pytest.mark.parametrize(
+    "capacity, demand, target_pf",
+    [
+        (Lognormal(1.6, 1.5), Gumbel(2.0, 0.001), 0.25),
+        (Normal(10.0, 3.0), Gumbel(2.0, 0.05), 0.5),
+        (Lognormal(3.7, 0.6), Lognormal(0.7, 0.15), 0.5),
+        (Lognormal(2.0, 1.0), Gumbel(3.0, 0.1), 0.5),
+        (Normal(10.0, 0.5), Gumbel(3.0, 0.002), 0.5),
+    ],
+    ids=[
+        "narrow-gumbel",
+        "normal-gumbel-median",
+        "two-lognormals-median",
+        "lognormal-gumbel-median",
+        "sharp-step-median",
+    ],
+)
+def test_calibrate_shift_falls_back_on_monte_carlo_where_quadrature_misses(monkeypatch, capacity, demand, target_pf):
+    # Given the wide capacity, the narrow demand fails in a step that the
+    # grid does not resolve, so the root fails its check: the pilot draws
+    # block 0 of r for each candidate after that of g, and the shift is
+    # one Newton step from the sample root. Conditioned on the capacity,
+    # r hardly varies, so m is one block. At p_f 0.5 the step lies at the
+    # median of the capacity, z = 0, where a pair of rules symmetric about
+    # 0 both read 0.5 and pass a root that misses. The sharp step, under a
+    # tenth of the grid's step wide, would sit on a node at z = 0 and read
+    # the same on both rules there.
+    model = LimitStateModel(terms=(Term("capacity", 1.0, capacity), Term("demand", -1.0, demand)))
     cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
     drawn = []
     monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
-    shift = calibrate_shift(model, 0.25, cfg)
+    shift = calibrate_shift(model, target_pf, cfg)
     assert len(drawn) == 3
-    root, se, _ = sample_root(model, 0.25, cfg)
+    root, se, _ = sample_root(model, target_pf, cfg)
     assert abs(shift - root) < 0.05 * se
 
 
