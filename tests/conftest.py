@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from sevrel import engine
 from sevrel.scenarios import builtin, run
@@ -37,3 +42,32 @@ def scenario_cache():
         return cache[key]
 
     return get
+
+
+# numpy's dispatch targets that use AVX-512
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.fixture
+def rerun_without_avx512(request):
+    """Run every other test of the calling test's file again, in a process
+    with numpy's AVX-512 kernels off: the other SIMD dispatch path, whose
+    float64 log, exp and power differ in the last bit. Skips on a CPU
+    without AVX-512, where every run is already on that path."""
+    if not __cpu_features__.get("AVX512F"):
+        pytest.skip("no AVX-512 kernels to turn off")
+
+    def rerun():
+        off = " ".join(t for t in AVX512_TARGETS if __cpu_features__.get(t))
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(request.path),
+             "-k", f"not {request.node.name}"],
+            cwd=request.config.rootpath,
+            env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=off),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+
+    return rerun

@@ -13,21 +13,18 @@ numpy sends float64 log, exp and power to AVX-512 kernels where the CPU
 has them, and those differ from the other kernels in the last bit. Four
 of the pinned built-ins give the same bytes with numpy's AVX-512 kernels
 on and off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
-scenarioA and scenarioB do not: their calibrated shifts are exact and
+The others do not: scenarioA and scenarioB have exact calibrated shifts,
 the same on both paths, but their main-lane runs differ in the last
 digit (scenarioA's maxG, and so its g histogram; scenarioB's
-conditionalStd), so those outputs are pinned once per dispatch path
-(WITHOUT_AVX512). On a CPU with AVX-512, the last test checks every pin
-again in a process with those kernels off. The reports of example2-mild,
-case-study and figure-grid-mild differ between the two paths in the
-last digit of several fields, and are not pinned here (ROADMAP item 13);
-tests/test_stream_fingerprint.py still shows that dependence.
+conditionalStd), and the reports of example2-mild, case-study and
+figure-grid-mild differ in the last digit of several fields. Their
+outputs are pinned once per dispatch path (WITHOUT_AVX512), and so are
+those of the two `sevrel simulate` configs. On a CPU with AVX-512, the
+last test checks every pin again in a process with those kernels off.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
+import json
 from pathlib import Path
 
 import pytest
@@ -69,12 +66,33 @@ PINS = {
         "f99b09d95346c448761a20748794a1be8b67379d9d12e7510373dac6238dcb2c",
         "bb88ee494c485774dac847bf6e4af7d3b113921e493711160eefa8c2500db5b1",
     ),
+    "example2-mild": (
+        5,
+        "f0b4f6b443f131b1ee8beb41f2b698d6d15a71470f2c5aea86e2ff49ec895b42",
+        "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
+        "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
+        "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
+    ),
+    "case-study": (
+        5,
+        "14a550cef3547048cf8d473859e5ed5f188f6bc93fe42e7be5b6dd9026efcb0a",
+        "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
+        "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
+        "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
+    ),
     "figure-grid-gaussian": (
         5,
         "9d606fe2942e7a1a5cdc54eb764637e5a592a9f604e726b166a227598c8b2c51",
         "0ae0b9bcf23c58bc5b167eaefdc145125b92a3879fb9a7f5236c03aadca6d226",
         "d376e1245fe5ed2181c5f45b885cbac292f90f9a45f9727e727e6f6d8b54c932",
         "5a7500f12484e0051a0b5475c4865815e0aef93753845052646280be98899837",
+    ),
+    "figure-grid-mild": (
+        0,
+        "a41134d28e1f2099ae8a02e7bdb24595b5196b6465eaa870ff5f3b160aa9a27e",
+        "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
+        "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
+        "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
     ),
     "figure-grid-heavy": (
         0,
@@ -88,6 +106,27 @@ PINS = {
 
 # The pins that differ where numpy runs without its AVX-512 kernels.
 WITHOUT_AVX512 = {
+    "example2-mild": (
+        5,
+        "1b409eff55de50088d9a7d8ca1513d3532ef0a85dd07e7a1300fd0a4d3e8de62",
+        "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
+        "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
+        "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
+    ),
+    "case-study": (
+        5,
+        "e9e43a21b885907eadeaf3d9ea937b2072a34b4bc06105cbdc50d689aaa35cc1",
+        "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
+        "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
+        "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
+    ),
+    "figure-grid-mild": (
+        0,
+        "edc9e00e067cd04b00a89e16794cfd22b69124c10eb57d7c7aa265d282c09d29",
+        "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
+        "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
+        "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
+    ),
     "scenarioA": (
         0,
         "53ab76ea2783b350ed3dfa9fb5ed113df4320aa2c9df7d16a359e00ec8c0ef1a",
@@ -105,9 +144,9 @@ WITHOUT_AVX512 = {
 }
 
 
-def _pins(sid: str) -> tuple:
+def _pins(key: str, on: dict = PINS, off: dict = WITHOUT_AVX512) -> tuple:
     # numpy 2.4 reports X86_V4 when it dispatches to its AVX-512 kernels
-    return PINS[sid] if __cpu_features__.get("X86_V4") else WITHOUT_AVX512.get(sid, PINS[sid])
+    return on[key] if __cpu_features__.get("X86_V4") else off.get(key, on[key])
 
 
 def _sha256(data: bytes) -> str:
@@ -134,19 +173,101 @@ def test_export_matches_its_pins(sid, tmp_path, capsys):
     assert _sha256((out / "deficit-curve.csv").read_bytes()) == FCURVE
 
 
-# numpy's dispatch targets that use AVX-512
-AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# `sevrel simulate CONFIG`, run in a directory holding only the config.
+# No built-in has an assessment, so the report's "assessment" block and
+# exit codes 3 and 4 are reached only through a config. Between them the
+# two configs use every distribution kind and both lognormal forms.
+CONFIGS = {
+    # betaTarget alone: the ceiling takes its default, III, and only the
+    # default output, report.json, is written
+    "rejected": {
+        "model": {
+            "terms": [
+                {"name": "resistance", "coefficient": 1.0,
+                 "distribution": {"kind": "lognormal", "median": 1520.0, "cov": 0.1}},
+                {"name": "dead", "coefficient": -1.2,
+                 "distribution": {"kind": "normal", "mean": 500.0, "stddev": 50.0}},
+                {"name": "live", "coefficient": -1.6,
+                 "distribution": {"kind": "mixture", "components": [
+                     {"weight": 0.9995, "distribution": {"kind": "gumbel", "location": 150.0, "scale": 30.0}},
+                     {"weight": 0.0005, "distribution": {"kind": "gumbel", "location": 500.0, "scale": 30.0}},
+                 ]}},
+            ]
+        },
+        "simulation": {"sampleCount": 330000},
+        "assessment": {"betaTarget": 4.5},
+    },
+    # both assessment keys and all four outputs
+    "redesign": {
+        "model": {
+            "shift": -0.5,
+            "terms": [
+                {"name": "capacity", "coefficient": 1.0,
+                 "distribution": {"kind": "lognormal", "logMean": 3.0, "logStd": 0.05}},
+                {"name": "demand", "coefficient": -1.0,
+                 "distribution": {"kind": "mixture", "components": [
+                     {"weight": 0.999, "distribution": {"kind": "normal", "mean": 5.0, "stddev": 2.0}},
+                     {"weight": 0.001, "distribution": {"kind": "pareto", "xMin": 10.0, "alpha": 1.5}},
+                 ]}},
+            ],
+        },
+        "simulation": {"sampleCount": 330000, "masterSeed": 11, "chunkSize": 1000000},
+        "assessment": {"betaTarget": 3.0, "maxAcceptableLevel": "II"},
+        "output": {"reportJson": "out/report.json", "histogramCsv": "out/g.csv",
+                   "deficitCsv": "out/deficit.csv", "fcurveCsv": "out/curve.csv"},
+    },
+}
+
+# exit code, the digest of every file written, and that of stdout
+SIMULATE_PINS = {
+    "rejected": (
+        3,
+        {"report.json": "beae15e10b712b09e5d3cf6a73649d1ae9af65a8a73aa0089cb022bdca8ade6c"},
+        "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
+    ),
+    "redesign": (
+        4,
+        {
+            "out/curve.csv": FCURVE,
+            "out/deficit.csv": "2cccb10607aee93fe4319e84e9f89e0fe59b1f87881a9b567040d1241768d091",
+            "out/g.csv": "cd2162c0751386a93e5a9694561f72406a41483b0c9969ef1a31f8d08b62e3b4",
+            "out/report.json": "3a4d6688ee575ec2bc41748144a16f10a4e7b17726b2b31a6d95c53cf87d220e",
+        },
+        "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
+    ),
+}
+SIMULATE_WITHOUT_AVX512 = {
+    "rejected": (
+        3,
+        {"report.json": "e5587a895e2aabe1ef63fd2685a163a03b67a0596b4fd6393e506d4997596bb9"},
+        "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
+    ),
+    "redesign": (
+        4,
+        {
+            "out/curve.csv": FCURVE,
+            "out/deficit.csv": "613b3e897f85cc7cf2aea0cf1aeecca5b6937313cfba5641dfc2783f8d0f47ea",
+            "out/g.csv": "b883652d3bb12852c34b500da602d41245a68c0bd68884f010d6494d5ed3dc2e",
+            "out/report.json": "526181aa41ccbe486057f57036c8dca3b0f32e871f5051824cc82e93e3802613",
+        },
+        "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
+    ),
+}
 
 
-@pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="no AVX-512 kernels to turn off")
-def test_the_pins_hold_without_the_avx512_kernels():
-    off = " ".join(t for t in AVX512_TARGETS if __cpu_features__.get(t))
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "not without_the_avx512"],
-        cwd=Path(__file__).resolve().parent.parent,
-        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=off),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert child.returncode == 0, child.stdout + child.stderr
+@pytest.mark.parametrize("name", SIMULATE_PINS)
+def test_simulate_matches_its_pins(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(CONFIGS[name]))
+    code = main(["simulate", "config.json"])
+    written = {
+        str(p.relative_to(tmp_path)): _sha256(p.read_bytes())
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file() and p.name != "config.json"
+    }
+    seen = (code, written, _sha256(capsys.readouterr().out.encode("utf-8")))
+    assert seen == _pins(name, SIMULATE_PINS, SIMULATE_WITHOUT_AVX512), f"`sevrel simulate` on the {name!r} config changed what users see"
+
+
+def test_the_pins_hold_without_the_avx512_kernels(rerun_without_avx512):
+    rerun_without_avx512()
