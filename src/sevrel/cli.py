@@ -20,17 +20,10 @@ import math
 import os
 import sys
 
-from .config import ConfigError, OutputPaths, load_config
+from .config import ConfigError, load_config
 from .gaussian import DEFICIT_ENDPOINT, deficit, invert_deficit
-from .metrics import (
-    DEFAULT_MAX_LEVEL,
-    SeverityReport,
-    Verdict,
-    WorkflowDecision,
-    classify,
-    classify_index,
-)
-from .scenarios import Scenario, builtin, run, write_outputs
+from .metrics import SeverityReport, Verdict, WorkflowDecision, classify, classify_index
+from .scenarios import OutputPaths, builtin, run, write_outputs
 
 # not called here: perfbench/tracing.py wraps these names in this module,
 # until the next benchmark change
@@ -127,22 +120,10 @@ def _print_report_table(report: SeverityReport, decision: WorkflowDecision | Non
 
 def _cmd_simulate(args) -> int:
     try:
-        cfg = load_config(args.config)
+        study, out = load_config(args.config)
     except ConfigError as exc:
         _err(str(exc))
         return 2
-    study = Scenario(
-        scenario_id=None,
-        title=args.config,
-        description="",
-        model=cfg.model,
-        sample_count=cfg.simulation.sample_count,
-        expectations=(),
-        beta_target=cfg.beta_target,
-        max_acceptable_level=cfg.max_acceptable_level or DEFAULT_MAX_LEVEL,
-        default_seed=cfg.simulation.master_seed,
-    )
-    out = cfg.output
     binned = bool(out.histogram_csv or out.deficit_csv)
     try:
         result = run(study, master_seed=args.seed, sample_count=args.n, histograms=binned)

@@ -1,4 +1,9 @@
-"""Analysis config files: JSON in, validated model and run settings out.
+"""Analysis config files: JSON in, the study that runs them out.
+
+`load_config` and `parse_config` return a `(Scenario, OutputPaths)`
+pair: the study, with no id and no expectations, and the files to write.
+`sevrel simulate` hands the pair to `scenarios.run` and
+`scenarios.write_outputs`, as `sevrel scenario` does for a built-in.
 
 The file has four sections. "model" and "simulation" are required,
 "assessment" and "output" are optional:
@@ -19,59 +24,45 @@ The file has four sections. "model" and "simulation" are required,
 Unknown keys anywhere are an error, reported with their path, so a
 typoed optional key cannot silently fall back to a default. So is a
 non-finite number (NaN, Infinity, or a literal such as 1e400 or a
-400-digit integer that overflows a float). Distribution kinds and their
-parameter keys:
+400-digit integer that overflows a float). The distribution kinds and
+their keys are those of `distributions.KINDS`, which the report's
+"model" block writes back:
 
     normal     mean, stddev
     lognormal  logMean, logStd  (or: median, cov)
     gumbel     location, scale
     pareto     xMin, alpha
     mixture    components: [{weight, distribution}, ...]
+
+A lognormal given by median and cov is reported by logMean and logStd.
+Without "maxAcceptableLevel" the ceiling is `DEFAULT_MAX_LEVEL`, III.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .distributions import (
-    Distribution,
-    Gumbel,
-    Lognormal,
-    Mixture,
-    Normal,
-    Pareto,
-    lognormal_from_median_cov,
-)
+from .distributions import KINDS, Distribution, Lognormal, Mixture, lognormal_from_median_cov
 from .engine import LimitStateModel, SimulationConfig, Term
-from .metrics import SeverityLevel
+from .metrics import DEFAULT_MAX_LEVEL, SeverityLevel
+from .scenarios import OutputPaths, Scenario
 
-__all__ = ["ConfigError", "OutputPaths", "AnalysisConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "OutputPaths", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
     """Bad config file: syntax error, unknown key, or invalid value."""
 
 
-@dataclass(frozen=True)
-class OutputPaths:
-    report_json: str | None = "report.json"
-    histogram_csv: str | None = None
-    deficit_csv: str | None = None
-    fcurve_csv: str | None = None
+_ROMAN = {level.roman: level for level in SeverityLevel}
 
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    model: LimitStateModel
-    simulation: SimulationConfig
-    beta_target: float | None
-    max_acceptable_level: SeverityLevel | None
-    output: OutputPaths
-
-
-_ROMAN = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5}
+_OUTPUT_FIELDS = {
+    "reportJson": "report_json",
+    "histogramCsv": "histogram_csv",
+    "deficitCsv": "deficit_csv",
+    "fcurveCsv": "fcurve_csv",
+}
 
 
 def _expect_object(value, path: str) -> dict:
@@ -124,53 +115,45 @@ def _string(obj: dict, key: str, path: str) -> str:
     return value
 
 
+def _parse_components(value, path: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty array")
+    parsed = []
+    for i, comp in enumerate(value):
+        cpath = f"{path}[{i}]"
+        cobj = _expect_object(comp, cpath)
+        _check_keys(cobj, {"weight", "distribution"}, cpath)
+        if "distribution" not in cobj:
+            raise ConfigError(f"{cpath}: missing required key 'distribution'")
+        parsed.append(
+            (
+                _number(cobj, "weight", cpath),
+                _parse_distribution(cobj["distribution"], f"{cpath}.distribution"),
+            )
+        )
+    return tuple(parsed)
+
+
 def _parse_distribution(value, path: str) -> Distribution:
     obj = _expect_object(value, path)
     if "kind" not in obj:
         raise ConfigError(f"{path}: missing required key 'kind'")
     kind = _string(obj, "kind", path)
+    if kind not in KINDS:
+        raise ConfigError(f"{path}.kind: unknown distribution kind {kind!r}")
+    family, keys = KINDS[kind]
     try:
-        if kind == "normal":
-            _check_keys(obj, {"kind", "mean", "stddev"}, path)
-            return Normal(_number(obj, "mean", path), _number(obj, "stddev", path))
-        if kind == "lognormal":
-            if "median" in obj or "cov" in obj:
-                _check_keys(obj, {"kind", "median", "cov"}, path)
-                return lognormal_from_median_cov(
-                    _number(obj, "median", path), _number(obj, "cov", path)
-                )
-            _check_keys(obj, {"kind", "logMean", "logStd"}, path)
-            return Lognormal(_number(obj, "logMean", path), _number(obj, "logStd", path))
-        if kind == "gumbel":
-            _check_keys(obj, {"kind", "location", "scale"}, path)
-            return Gumbel(_number(obj, "location", path), _number(obj, "scale", path))
-        if kind == "pareto":
-            _check_keys(obj, {"kind", "xMin", "alpha"}, path)
-            return Pareto(_number(obj, "xMin", path), _number(obj, "alpha", path))
-        if kind == "mixture":
-            _check_keys(obj, {"kind", "components"}, path)
-            comps = obj.get("components")
-            if not isinstance(comps, list) or not comps:
-                raise ConfigError(f"{path}.components: expected a non-empty array")
-            parsed = []
-            for i, comp in enumerate(comps):
-                cpath = f"{path}.components[{i}]"
-                cobj = _expect_object(comp, cpath)
-                _check_keys(cobj, {"weight", "distribution"}, cpath)
-                if "distribution" not in cobj:
-                    raise ConfigError(f"{cpath}: missing required key 'distribution'")
-                parsed.append(
-                    (
-                        _number(cobj, "weight", cpath),
-                        _parse_distribution(cobj["distribution"], f"{cpath}.distribution"),
-                    )
-                )
-            return Mixture(tuple(parsed))
+        if family is Lognormal and ("median" in obj or "cov" in obj):
+            _check_keys(obj, {"kind", "median", "cov"}, path)
+            return lognormal_from_median_cov(_number(obj, "median", path), _number(obj, "cov", path))
+        _check_keys(obj, {"kind", *keys}, path)
+        if family is Mixture:
+            return Mixture(_parse_components(obj.get(keys[0]), f"{path}.{keys[0]}"))
+        return family(*(_number(obj, key, path) for key in keys))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown distribution kind {kind!r}")
 
 
 def _parse_model(value, path: str) -> LimitStateModel:
@@ -215,7 +198,7 @@ def _parse_simulation(value, path: str) -> SimulationConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_assessment(value, path: str) -> tuple[float | None, SeverityLevel | None]:
+def _parse_assessment(value, path: str) -> tuple[float | None, SeverityLevel]:
     obj = _expect_object(value, path)
     _check_keys(obj, {"betaTarget", "maxAcceptableLevel"}, path)
     beta_target = None
@@ -223,35 +206,27 @@ def _parse_assessment(value, path: str) -> tuple[float | None, SeverityLevel | N
         beta_target = _number(obj, "betaTarget", path)
         if beta_target <= 0.0:
             raise ConfigError(f"{path}.betaTarget: must be positive")
-    level = None
+    level = DEFAULT_MAX_LEVEL
     if "maxAcceptableLevel" in obj:
         text = _string(obj, "maxAcceptableLevel", path)
         if text not in _ROMAN:
             raise ConfigError(
                 f"{path}.maxAcceptableLevel: expected a roman numeral I..V, got {text!r}"
             )
-        level = SeverityLevel(_ROMAN[text])
+        level = _ROMAN[text]
     return beta_target, level
 
 
 def _parse_output(value, path: str) -> OutputPaths:
     obj = _expect_object(value, path)
-    allowed = {"reportJson", "histogramCsv", "deficitCsv", "fcurveCsv"}
-    _check_keys(obj, allowed, path)
-    kwargs = {}
-    mapping = {
-        "reportJson": "report_json",
-        "histogramCsv": "histogram_csv",
-        "deficitCsv": "deficit_csv",
-        "fcurveCsv": "fcurve_csv",
-    }
-    for key, attr in mapping.items():
-        if key in obj:
-            kwargs[attr] = _string(obj, key, path)
-    return OutputPaths(**kwargs)
+    _check_keys(obj, set(_OUTPUT_FIELDS), path)
+    return OutputPaths(
+        **{field: _string(obj, key, path) for key, field in _OUTPUT_FIELDS.items() if key in obj}
+    )
 
 
-def parse_config(text: str, source: str = "config") -> AnalysisConfig:
+def parse_config(text: str, source: str = "config") -> tuple[Scenario, OutputPaths]:
+    """The study a config's text describes, titled `source`, and its outputs."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -266,22 +241,27 @@ def parse_config(text: str, source: str = "config") -> AnalysisConfig:
         raise ConfigError(f"{source}: missing required section 'simulation'")
     model = _parse_model(root["model"], f"{source}.model")
     simulation = _parse_simulation(root["simulation"], f"{source}.simulation")
-    beta_target, max_level = (None, None)
+    beta_target, max_level = None, DEFAULT_MAX_LEVEL
     if "assessment" in root:
         beta_target, max_level = _parse_assessment(root["assessment"], f"{source}.assessment")
     output = OutputPaths()
     if "output" in root:
         output = _parse_output(root["output"], f"{source}.output")
-    return AnalysisConfig(
+    study = Scenario(
+        scenario_id=None,
+        title=source,
+        description="",
         model=model,
-        simulation=simulation,
+        sample_count=simulation.sample_count,
+        expectations=(),
         beta_target=beta_target,
         max_acceptable_level=max_level,
-        output=output,
+        default_seed=simulation.master_seed,
     )
+    return study, output
 
 
-def load_config(path: str) -> AnalysisConfig:
+def load_config(path: str) -> tuple[Scenario, OutputPaths]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -50,6 +50,7 @@ __all__ = [
     "Pareto",
     "Mixture",
     "Distribution",
+    "KINDS",
     "lognormal_from_median_cov",
 ]
 
@@ -405,3 +406,15 @@ def _ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
 
 
 Distribution = Normal | Lognormal | Gumbel | Pareto | Mixture
+
+# The kind of each family in config files and reports, and its keys
+# there, in the order of its dataclass fields: the parameters of a scalar
+# family, the (weight, distribution) components of a Mixture. A config
+# may also give a Lognormal by its median and cov.
+KINDS = {
+    "normal": (Normal, ("mean", "stddev")),
+    "lognormal": (Lognormal, ("logMean", "logStd")),
+    "gumbel": (Gumbel, ("location", "scale")),
+    "pareto": (Pareto, ("xMin", "alpha")),
+    "mixture": (Mixture, ("components",)),
+}

@@ -37,6 +37,7 @@ __all__ = [
     "SeverityReport",
     "WorkflowDecision",
     "NoFailuresObserved",
+    "LEVEL_INDICES",
     "LEVEL_THRESHOLDS",
     "DEFAULT_MAX_LEVEL",
     "DEFAULT_MAX_LEVEL_CRITICAL",
@@ -76,6 +77,11 @@ class SeverityLevel(IntEnum):
         return _LEVEL_LABELS[self]
 
     @property
+    def roman(self) -> str:
+        """The numeral of the label: "III" for HIGH."""
+        return self.label.partition(":")[0]
+
+    @property
     def recommendation(self) -> str:
         return _LEVEL_ADVICE[self]
 
@@ -96,13 +102,12 @@ _LEVEL_ADVICE = {
     SeverityLevel.EXTREME: "failure depth is beyond any Gaussian comparison; redesign the limit state",
 }
 
-# Benchmarks computed from the kernel at import, never hard-coded.
-LEVEL_THRESHOLDS = (
-    gaussian.deficit(3.0),
-    gaussian.deficit(2.0),
-    gaussian.deficit(1.0),
-    gaussian.DEFICIT_ENDPOINT,
-)
+# The Gaussian indices at the boundaries of levels I/II, II/III and III/IV.
+LEVEL_INDICES = (3.0, 2.0, 1.0)
+
+# Benchmarks computed from the kernel at import, never hard-coded; the
+# endpoint bounds level IV.
+LEVEL_THRESHOLDS = (*map(gaussian.deficit, LEVEL_INDICES), gaussian.DEFICIT_ENDPOINT)
 
 
 class Verdict(Enum):
@@ -172,15 +177,9 @@ def classify(value: float | ExtremeFlag) -> SeverityLevel:
     value = float(value)
     if value <= 0.0:
         raise ValueError(f"normalized deficit must be positive, got {value!r}")
-    t1, t2, t3, t4 = LEVEL_THRESHOLDS
-    if value < t1:
-        return SeverityLevel.MILD
-    if value < t2:
-        return SeverityLevel.MODERATE
-    if value < t3:
-        return SeverityLevel.HIGH
-    if value < t4:
-        return SeverityLevel.CRITICAL
+    for level, threshold in zip(SeverityLevel, LEVEL_THRESHOLDS):
+        if value < threshold:
+            return level
     return SeverityLevel.EXTREME
 
 
@@ -189,12 +188,9 @@ def classify_index(beta_s: float) -> SeverityLevel:
     beta_s = float(beta_s)
     if beta_s <= 0.0:
         raise ValueError(f"severity index must be positive, got {beta_s!r}")
-    if beta_s >= 3.0:
-        return SeverityLevel.MILD
-    if beta_s >= 2.0:
-        return SeverityLevel.MODERATE
-    if beta_s >= 1.0:
-        return SeverityLevel.HIGH
+    for level, index in zip(SeverityLevel, LEVEL_INDICES):
+        if beta_s >= index:
+            return level
     return SeverityLevel.CRITICAL
 
 

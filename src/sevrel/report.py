@@ -10,15 +10,16 @@ across runs and platforms.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
 
 from . import gaussian
-from .distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
+from .distributions import KINDS
 from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
-from .metrics import SeverityReport
+from .metrics import LEVEL_INDICES, SeverityLevel, SeverityReport
 
 SCHEMA_VERSION = 12
 
@@ -44,24 +45,23 @@ def _num(x):
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 
 
+_KIND_OF = {family: (kind, keys) for kind, (family, keys) in KINDS.items()}
+
+
 def distribution_document(dist) -> dict:
-    if isinstance(dist, Normal):
-        return {"kind": "normal", "mean": _num(dist.mean), "stddev": _num(dist.stddev)}
-    if isinstance(dist, Lognormal):
-        return {"kind": "lognormal", "logMean": _num(dist.log_mean), "logStd": _num(dist.log_std)}
-    if isinstance(dist, Gumbel):
-        return {"kind": "gumbel", "location": _num(dist.location), "scale": _num(dist.scale)}
-    if isinstance(dist, Pareto):
-        return {"kind": "pareto", "xMin": _num(dist.x_min), "alpha": _num(dist.alpha)}
-    if isinstance(dist, Mixture):
-        return {
-            "kind": "mixture",
-            "components": [
-                {"weight": _num(w), "distribution": distribution_document(d)}
-                for w, d in dist.components
-            ],
-        }
-    raise TypeError(f"unknown distribution {type(dist).__name__}")
+    """The config form of dist: its kind and its keys, as `config` reads them."""
+    if type(dist) not in _KIND_OF:
+        raise TypeError(f"unknown distribution {type(dist).__name__}")
+    kind, keys = _KIND_OF[type(dist)]
+    values = (getattr(dist, field.name) for field in dataclasses.fields(dist))
+    return {"kind": kind, **{key: _parameter(value) for key, value in zip(keys, values)}}
+
+
+def _parameter(value):
+    # a number, or the (weight, distribution) components of a mixture
+    if isinstance(value, tuple):
+        return [{"weight": _num(w), "distribution": distribution_document(d)} for w, d in value]
+    return _num(value)
 
 
 def model_document(model: LimitStateModel) -> dict:
@@ -191,7 +191,10 @@ def histogram_csv(histogram: Histogram | None) -> str:
 
 def fcurve_csv() -> str:
     """Deficit map on b in [0.05, 5] step 0.01, with level boundaries marked."""
-    boundaries = {300: "level I/II", 200: "level II/III", 100: "level III/IV"}
+    boundaries = {
+        round(100 * b): f"level {level.roman}/{SeverityLevel(level + 1).roman}"
+        for level, b in zip(SeverityLevel, LEVEL_INDICES)
+    }
     lines = ["b,deficit,boundary"]
     for k in range(5, 501):
         b = k / 100.0

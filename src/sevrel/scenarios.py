@@ -40,7 +40,6 @@ from .engine import (
     simulate,
 )
 from . import report as rep
-from .config import OutputPaths
 from .gaussian import deficit, invert_deficit, norm_cdf
 from .histogram import Histogram
 from .metrics import (
@@ -59,6 +58,7 @@ __all__ = [
     "Histogram",
     "Scenario",
     "ScenarioResult",
+    "OutputPaths",
     "SCENARIO_IDS",
     "builtin",
     "run",
@@ -239,6 +239,16 @@ def run(
         calibrated_shift=shift,
         checks=checks,
     )
+
+
+@dataclass(frozen=True)
+class OutputPaths:
+    """The files `write_outputs` writes; None skips one."""
+
+    report_json: str | None = "report.json"
+    histogram_csv: str | None = None
+    deficit_csv: str | None = None
+    fcurve_csv: str | None = None
 
 
 def write_outputs(result: ScenarioResult, paths: OutputPaths) -> None:

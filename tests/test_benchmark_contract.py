@@ -68,7 +68,7 @@ def test_every_workload_prepares_and_its_config_loads(tmp_path):
     for cls in (workloads.Gaussian20m, workloads.RareMixtureExport, workloads.DenseCalibrated):
         wl = cls(str(tmp_path), 1e-4)
         wl.prepare()
-        assert load_config(wl.model_config_path()).simulation.sample_count == wl.n
+        assert load_config(wl.model_config_path())[0].sample_count == wl.n
 
 
 def test_traced_simulate_counts_read_the_config():

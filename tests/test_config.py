@@ -9,10 +9,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from sevrel.config import AnalysisConfig, ConfigError, OutputPaths, load_config, parse_config
+from sevrel import report
+from sevrel.config import ConfigError, OutputPaths, load_config, parse_config
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto, lognormal_from_median_cov
 from sevrel.engine import SimulationConfig
 from sevrel.metrics import SeverityLevel
+from sevrel.scenarios import Scenario
 
 
 def base_config():
@@ -43,23 +45,26 @@ def parse(data, source="config"):
 
 
 def test_full_config_parses():
-    cfg = parse(base_config())
-    assert isinstance(cfg, AnalysisConfig)
-    assert cfg.model.shift == -1.5
-    assert [t.name for t in cfg.model.terms] == ["capacity", "demand"]
-    assert cfg.model.terms[0].distribution == Normal(10.0, 1.0)
-    assert cfg.model.terms[1].distribution == Gumbel(5.0, 1.2)
-    assert cfg.simulation.sample_count == 100000
-    assert cfg.simulation.master_seed == 7
-    assert cfg.beta_target == 3.0
-    assert cfg.max_acceptable_level is SeverityLevel.HIGH
-    assert cfg.output.report_json == "out.json"
-    assert cfg.output.histogram_csv == "g.csv"
-    assert cfg.output.deficit_csv is None
+    study, output = parse(base_config(), source="analysis.json")
+    assert isinstance(study, Scenario)
+    assert study.scenario_id is None
+    assert study.title == "analysis.json"
+    assert study.expectations == ()
+    assert study.model.shift == -1.5
+    assert [t.name for t in study.model.terms] == ["capacity", "demand"]
+    assert study.model.terms[0].distribution == Normal(10.0, 1.0)
+    assert study.model.terms[1].distribution == Gumbel(5.0, 1.2)
+    assert study.sample_count == 100000
+    assert study.default_seed == 7
+    assert study.beta_target == 3.0
+    assert study.max_acceptable_level is SeverityLevel.HIGH
+    assert output.report_json == "out.json"
+    assert output.histogram_csv == "g.csv"
+    assert output.deficit_csv is None
 
 
 def test_minimal_config_defaults():
-    cfg = parse(
+    study, output = parse(
         {
             "model": {
                 "terms": [
@@ -73,12 +78,12 @@ def test_minimal_config_defaults():
             "simulation": {"sampleCount": 1000},
         }
     )
-    assert cfg.model.shift == 0.0
-    assert cfg.simulation == SimulationConfig(sample_count=1000, master_seed=0)
-    assert cfg.beta_target is None
-    assert cfg.max_acceptable_level is None
-    assert cfg.output == OutputPaths()
-    assert cfg.output.report_json == "report.json"
+    assert study.model.shift == 0.0
+    assert study.config() == SimulationConfig(sample_count=1000, master_seed=0)
+    assert study.beta_target is None
+    assert study.max_acceptable_level is SeverityLevel.HIGH
+    assert output == OutputPaths()
+    assert output.report_json == "report.json"
 
 
 def test_robust_subsample_cap_is_refused():
@@ -113,8 +118,8 @@ def test_all_distribution_kinds():
         },
         "simulation": {"sampleCount": 10},
     }
-    cfg = parse(data)
-    kinds = [type(t.distribution) for t in cfg.model.terms]
+    study, _ = parse(data)
+    kinds = [type(t.distribution) for t in study.model.terms]
     assert kinds == [Normal, Lognormal, Gumbel, Pareto, Mixture]
 
 
@@ -131,8 +136,8 @@ def test_lognormal_median_cov_form():
         },
         "simulation": {"sampleCount": 10},
     }
-    cfg = parse(data)
-    assert cfg.model.terms[0].distribution == lognormal_from_median_cov(1520.0, 0.10)
+    study, _ = parse(data)
+    assert study.model.terms[0].distribution == lognormal_from_median_cov(1520.0, 0.10)
 
 
 def test_lognormal_forms_cannot_mix():
@@ -234,7 +239,7 @@ def test_non_finite_numbers_are_rejected_with_their_path(literal, where, path):
 def test_huge_finite_numbers_still_parse():
     data = base_config()
     data["model"]["terms"][0]["coefficient"] = 1e308
-    assert parse(data).model.terms[0].coefficient == 1e308
+    assert parse(data)[0].model.terms[0].coefficient == 1e308
 
 
 def test_sample_count_must_be_integer():
@@ -303,7 +308,7 @@ def test_empty_terms_rejected():
 def test_roman_levels(roman, level):
     data = base_config()
     data["assessment"]["maxAcceptableLevel"] = roman
-    assert parse(data).max_acceptable_level is level
+    assert parse(data)[0].max_acceptable_level is level
 
 
 def test_bad_roman_level():
@@ -323,8 +328,8 @@ def test_beta_target_must_be_positive():
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "analysis.json"
     path.write_text(json.dumps(base_config()))
-    cfg = load_config(str(path))
-    assert cfg.simulation.sample_count == 100000
+    study, _ = load_config(str(path))
+    assert study.sample_count == 100000
 
 
 def test_load_config_missing_file(tmp_path):
@@ -434,12 +439,16 @@ def _finite_parameters(dist) -> bool:
 @settings(max_examples=300, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_every_document_parses_to_a_finite_model_or_names_a_key_path(doc):
     try:
-        cfg = parse(doc)
+        study, _ = parse(doc)
     except ConfigError as exc:
         assert _KEY_PATH.match(str(exc)), str(exc)
         return
-    model = cfg.model
+    model = study.model
     assert math.isfinite(model.shift)
     for term in model.terms:
         assert math.isfinite(term.coefficient)
         assert _finite_parameters(term.distribution)
+    # the report's model block is a config model that parses back to it;
+    # a lognormal given by median and cov comes back by logMean and logStd
+    again, _ = parse({"model": report.model_document(model), "simulation": {"sampleCount": 1}})
+    assert again.model == model
