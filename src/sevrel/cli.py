@@ -124,7 +124,7 @@ def _cmd_simulate(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return 2
-    binned = bool(out.histogram_csv or out.deficit_csv)
+    binned = out.histogram_csv is not None or out.deficit_csv is not None
     try:
         result = run(study, master_seed=args.seed, sample_count=args.n, histograms=binned)
     except ValueError as exc:  # a bad --seed or --n, or the variance of g or g itself overflows

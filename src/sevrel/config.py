@@ -220,9 +220,13 @@ def _parse_assessment(value, path: str) -> tuple[float | None, SeverityLevel]:
 def _parse_output(value, path: str) -> OutputPaths:
     obj = _expect_object(value, path)
     _check_keys(obj, set(_OUTPUT_FIELDS), path)
-    return OutputPaths(
-        **{field: _string(obj, key, path) for key, field in _OUTPUT_FIELDS.items() if key in obj}
-    )
+    paths = {}
+    for key, field in _OUTPUT_FIELDS.items():
+        if key in obj:
+            paths[field] = _string(obj, key, path)
+            if not paths[field]:
+                raise ConfigError(f"{path}.{key}: must not be empty")
+    return OutputPaths(**paths)
 
 
 def parse_config(text: str, source: str = "config") -> tuple[Scenario, OutputPaths]:

@@ -22,12 +22,15 @@ of scratch, scaled and added) and reduced while it is in cache (extrema
 and finiteness, failure deficits, bins, moments). Tasks of _TASK blocks
 run on a small thread pool, one thread per usable CPU, and return their
 block partials unfolded; the calling thread folds them one at a time,
-in block order, with the pairwise update. So memory is a few blocks per
-thread, and the result is bit-identical for a fixed master seed and
-sample count whatever the task size or the number of threads. A block
-whose g is not finite (NaN, or an overflow to inf) stops the run with an
-error that names the first such block; a sample variance of g that
-overflows, although every g is finite, stops it after the last block.
+in block order, with the pairwise update. A pass holds one block of g
+and one of scratch per worker, allocated once on the calling thread and
+lent to each task in turn, so no worker thread allocates a block. So
+memory is a few blocks per thread, and the result is bit-identical for a
+fixed master seed and sample count whatever the task size or the number
+of threads. A block whose g is not finite (NaN, or an overflow to inf)
+stops the run with an error that names the first such block; a sample
+variance of g that overflows, although every g is finite, stops it after
+the last block.
 
 On request, each block is also binned while it is held. Bin counts are
 exact integers, which the fold adds block by block (see `histogram`):
@@ -45,7 +48,8 @@ needs; each block is drawn once, and its sums fold in block order.
 
 Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
 alike, draws its blocks through `_task`, which hands each block to a
-per-block reduction.
+per-block reduction; the threaded passes run their tasks through
+`_pass`, which lends them their buffers.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import functools
 import itertools
 import math
 import os
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -63,6 +68,7 @@ import numpy as np
 
 from . import histogram
 from .distributions import Distribution, Lognormal, MomentReport, Normal, _ahead
+from .histogram import _STEP
 
 __all__ = [
     "Term",
@@ -89,10 +95,6 @@ _BLOCK = 1 << 16
 # time, in block order, so the task size, like the thread count, changes
 # no bit of a result.
 _TASK = 16
-
-# Values per step of calibrate_shift's sums: each temporary takes 64 KiB,
-# under malloc's 128 KiB threshold for fresh pages (see `histogram`).
-_STEP = 1 << 13
 
 # The nodes z and weights w of calibrate_shift's exact path, E[f(Z)] ~
 # _W @ f(_Z) for the standard normal law: the trapezoid rule of step 1/16
@@ -237,17 +239,17 @@ def _workers(tasks: list[range]) -> int:
     return min(cpus, len(tasks))
 
 
-def _ordered(work: Callable[[range], _T], tasks: list[range]) -> Iterator[_T]:
+def _ordered(work: Callable[[range], _T], tasks: list[range], workers: int) -> Iterator[_T]:
     """work(task) for each of `tasks`, yielded in order.
 
-    The tasks run on `_workers` threads, with at most two tasks per
-    worker started ahead of the one read next, so finished results
-    cannot pile up. An error in a task is raised when that task is read,
-    so the first failing task in order is the one reported; the tasks not
-    yet started are then cancelled. No thread outlives the generator.
-    With one worker, or no task, the tasks run in the calling thread.
+    The tasks run on `workers` threads, so no more than `workers` run at
+    once, with at most two tasks per worker started ahead of the one read
+    next, so finished results cannot pile up. An error in a task is
+    raised when that task is read, so the first failing task in order is
+    the one reported; the tasks not yet started are then cancelled. No
+    thread outlives the generator. With one worker, or no task, the tasks
+    run in the calling thread.
     """
-    workers = _workers(tasks)
     if workers <= 1:
         for task in tasks:
             yield work(task)
@@ -359,25 +361,82 @@ def _draw_block(
     return g
 
 
+_Buffers = tuple[np.ndarray, np.ndarray | None]
+
+
+def _buffers(plan: _Plan, size: int) -> _Buffers:
+    """A block of g of `size` values and, when `plan` draws a term through
+    scratch (see `_draw_block`), a block of scratch; else None for it."""
+    return np.empty(size), (np.empty(size) if len(plan.others) > (plan.sd == 0.0) else None)
+
+
 def _task(
-    plan: _Plan, master_seed: int, lane: int, sample_count: int, reduce: Callable[[np.ndarray, int], _T], task: range
+    plan: _Plan,
+    master_seed: int,
+    lane: int,
+    sample_count: int,
+    reduce: Callable[[np.ndarray, int], _T],
+    buffers: _Buffers,
+    task: range,
 ) -> list[_T]:
     """reduce(block, idx) for each block `idx` of `task`, in order, over
     `lane`'s first `sample_count` values.
 
-    Every pass over a lane draws its blocks here. One block of g and, when
-    a term is drawn through it, one of scratch are allocated per call and
-    reused by its blocks, so `reduce` may overwrite the block but must copy
-    what it keeps of it, unless the task is one block.
+    Every pass over a lane draws its blocks here, into `buffers` (see
+    `_buffers`), which must hold the task's first block. Each block of
+    the task overwrites the last, so `reduce` may overwrite the block but
+    keeps nothing of it. Only `_block` keeps its one block, drawn into
+    buffers made for it: a lent block is never kept.
     """
-    g = np.empty(_size(task.start, sample_count))
-    scratch = np.empty(g.size) if len(plan.others) > (plan.sd == 0.0) else None
+    g, scratch = buffers
     # np.errstate is per thread; non-finite g is reported by _finite_extrema
     with np.errstate(over="ignore", invalid="ignore"):
         return [
             reduce(_draw_block(plan, master_seed, lane, idx, g[: _size(idx, sample_count)], scratch), idx)
             for idx in task
         ]
+
+
+def _block(plan: _Plan, master_seed: int, lane: int, sample_count: int, idx: int) -> np.ndarray:
+    """Block `idx` of `lane`'s first `sample_count` values, drawn on the
+    calling thread into a new array that the caller may keep."""
+    buffers = _buffers(plan, _size(idx, sample_count))
+    return _task(plan, master_seed, lane, sample_count, lambda block, _: block, buffers, range(idx, idx + 1))[0]
+
+
+def _pass(
+    plan: _Plan,
+    master_seed: int,
+    lane: int,
+    sample_count: int,
+    reduce: Callable[[np.ndarray, int], _T],
+    tasks: list[range],
+) -> Iterator[_T]:
+    """reduce(block, idx) for each block of `tasks`, yielded in block
+    order, the tasks run as `_ordered` runs them.
+
+    One pair of `_buffers` per worker is allocated here, on the calling
+    thread, before any task starts, and lent to the tasks through a
+    queue: a task takes a pair when it starts and gives it back when it
+    ends, failed or not, so no later task, and no shutdown of the pool,
+    waits for it. No more tasks run at once than there are workers, so a
+    task never finds the queue empty; if one did, queue.Empty would stop
+    the pass rather than block it.
+    """
+    workers = _workers(tasks)
+    lent: queue.SimpleQueue[_Buffers] = queue.SimpleQueue()
+    for _ in range(workers):
+        lent.put(_buffers(plan, _size(tasks[0].start, sample_count)))
+
+    def work(task: range) -> list[_T]:
+        buffers = lent.get_nowait()
+        try:
+            return _task(plan, master_seed, lane, sample_count, reduce, buffers, task)
+        finally:
+            lent.put(buffers)
+
+    for parts in _ordered(work, tasks, workers):
+        yield from parts
 
 
 def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
@@ -400,11 +459,11 @@ def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
     """Regenerate the exact g stream of simulate(), block by block, each in
-    a new array that the caller may keep (a one-block `_task`)."""
+    a new array that the caller may keep (see `_block`)."""
     plan, n = _plan(model), config.sample_count
     for task in _tasks(n):
         for idx in task:
-            yield _task(plan, config.master_seed, _LANE_MAIN, n, lambda block, _: block, range(idx, idx + 1))[0]
+            yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
 
 
 @dataclass
@@ -524,10 +583,9 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     """
     acc = _Partial()
     reduce = functools.partial(_summarize_block, histograms=histograms)
-    work = functools.partial(_task, _plan(model), config.master_seed, _LANE_MAIN, config.sample_count, reduce)
-    for parts in _ordered(work, _tasks(config.sample_count)):
-        for part in parts:
-            acc.fold(part)
+    n = config.sample_count
+    for part in _pass(_plan(model), config.master_seed, _LANE_MAIN, n, reduce, _tasks(n)):
+        acc.fold(part)
     if not math.isfinite(acc.m2):
         # every g is finite, or a block would have stopped the run
         raise ValueError(
@@ -681,7 +739,7 @@ def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate | None,
 
     def block0(rest: _Plan) -> tuple[np.ndarray, tuple[float, float]]:
         # block 0 drawn with `rest`, in a new array, and its extrema once it is finite
-        block = _task(rest, seed, _LANE_CALIBRATION, n, lambda block, _: block, range(1))[0]
+        block = _block(rest, seed, _LANE_CALIBRATION, n, 0)
         return block, _finite_extrema(block, 0)
 
     g, (lo, hi) = block0(plan)
@@ -761,10 +819,8 @@ def calibrate_shift(
             _finite_extrema(block, idx)
             return cand.sums(block, c0)
 
-        work = functools.partial(_task, cand.rest, seed, _LANE_CALIBRATION, m, block_sums)
-        for parts in _ordered(work, _tasks(m, first=1)):
-            for part in parts:
-                acc += part
+        for part in _pass(cand.rest, seed, _LANE_CALIBRATION, m, block_sums, _tasks(m, first=1)):
+            acc += part
         mean, slope, _ = acc / m
         c = c0 + (mean - p) / slope
     mantissa, exponent = math.frexp(c)

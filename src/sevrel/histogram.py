@@ -41,10 +41,13 @@ __all__ = ["HISTOGRAM_BINS", "Histogram", "Bins", "linear", "log_linear", "merge
 HISTOGRAM_BINS = 200
 
 _MIN_EXPONENT = -1074  # 2**-1074 is the smallest positive double
-# Values binned per step. Each step's key arrays take 64 KiB, under the
-# 128 KiB above which malloc maps fresh pages for every array: 512 KiB
-# steps faulted 256 new pages in per step and took twice as long.
-_BLOCK = 1 << 13
+# Values per step of a pass over an array whose temporaries are made per
+# step: here the bin keys, and in `engine` calibrate_shift's sums, whose
+# bits depend on it. Each float64 or int64 temporary of a step takes 64
+# KiB, under the 128 KiB above which malloc maps fresh pages for every
+# array: 512 KiB steps faulted 256 new pages in per step and took twice
+# as long.
+_STEP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,10 @@ class Bins:
         shift = scale.shift(lo, hi)
         first = scale.key(lo, shift)
         counts = np.zeros(scale.key(hi, shift) - first + 1, dtype=np.int64)
-        # block by block, so the key arrays stay small
-        for start in range(0, values.size, _BLOCK):
-            block = values[start : start + _BLOCK]
-            counts += np.bincount(scale.offsets(block, shift, first), minlength=counts.size)
+        # step by step, so the key arrays stay small
+        for start in range(0, values.size, _STEP):
+            step = values[start : start + _STEP]
+            counts += np.bincount(scale.offsets(step, shift, first), minlength=counts.size)
         return cls(scale, lo, hi, shift, counts)
 
     def _add_coarsened(self, out: np.ndarray, shift: int, first: int) -> None:

@@ -256,13 +256,13 @@ def write_outputs(result: ScenarioResult, paths: OutputPaths) -> None:
     path is skipped. The histogram CSVs need a binned result."""
     if paths.report_json is not None:
         rep.write_text(paths.report_json, rep.render_json(rep.simulation_document(result)))
-    if paths.histogram_csv or paths.deficit_csv:
+    if paths.histogram_csv is not None or paths.deficit_csv is not None:
         g_hist, d_hist = collect_histograms(result.summary)
-        if paths.histogram_csv:
+        if paths.histogram_csv is not None:
             rep.write_text(paths.histogram_csv, rep.histogram_csv(g_hist))
-        if paths.deficit_csv:
+        if paths.deficit_csv is not None:
             rep.write_text(paths.deficit_csv, rep.histogram_csv(d_hist))
-    if paths.fcurve_csv:
+    if paths.fcurve_csv is not None:
         rep.write_text(paths.fcurve_csv, rep.fcurve_csv())
 
 

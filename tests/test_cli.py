@@ -477,6 +477,17 @@ def test_simulate_unwritable_output(tmp_path, capsys):
     assert not (tmp_path / "isdir.json.tmp").exists()
 
 
+@pytest.mark.parametrize("key", ["reportJson", "histogramCsv", "deficitCsv", "fcurveCsv"])
+def test_simulate_refuses_an_empty_output_path_before_sampling(tmp_path, capsys, monkeypatch, key):
+    # an empty reportJson used to simulate in full and then fail at the
+    # rename; an empty CSV path was skipped without a word
+    monkeypatch.setattr(sevrel.cli, "run", lambda *args, **kwargs: pytest.fail("the study ran"))
+    cfg = make_config(tmp_path, output={"reportJson": str(tmp_path / "report.json"), key: ""})
+    assert main(["simulate", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}.output.{key}: must not be empty\n"
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
 @pytest.mark.parametrize(
     "sid", [sid for sid in scenarios.SCENARIO_IDS if scenarios.builtin(sid).calibrate_pf is None]
 )

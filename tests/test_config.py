@@ -325,6 +325,14 @@ def test_beta_target_must_be_positive():
         parse(data)
 
 
+@pytest.mark.parametrize("key", ["reportJson", "histogramCsv", "deficitCsv", "fcurveCsv"])
+def test_empty_output_path_is_refused(key):
+    data = base_config()
+    data["output"][key] = ""
+    with pytest.raises(ConfigError, match=re.escape(f"analysis.json.output.{key}: must not be empty")):
+        parse(data, source="analysis.json")
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "analysis.json"
     path.write_text(json.dumps(base_config()))

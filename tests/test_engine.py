@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from scipy import integrate, stats
 from scipy.optimize import brentq
 from scipy.special import expit, ndtr
 
-from sevrel import engine
+from sevrel import engine, histogram
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from sevrel.engine import (
     LimitStateModel,
@@ -30,10 +31,10 @@ from sevrel.engine import (
     _BLOCK,
     _LANE_CALIBRATION,
     _LANE_MAIN,
+    _block,
     _draw_block,
     _finite_extrema,
     _plan,
-    _task,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
@@ -67,7 +68,7 @@ def blocks(config):
 
 def block_g(model, config, lane, idx):
     # block idx of the lane's first sample_count values
-    return _task(_plan(model), config.master_seed, lane, config.sample_count, lambda g, _: g, range(idx, idx + 1))[0]
+    return _block(_plan(model), config.master_seed, lane, config.sample_count, idx)
 
 
 def poison(monkeypatch, lane, bad):
@@ -370,13 +371,18 @@ def sixteen_gumbels():
     return LimitStateModel(terms=tuple(Term(f"x{i}", (-1.0) ** i, Gumbel(0.0, 1.0)) for i in range(16)))
 
 
+def held_rest(cand, seed, m):
+    # the calibration lane's first m values of r, in memory at once
+    return np.concatenate([_block(cand.rest, seed, _LANE_CALIBRATION, m, i) for i in range(-(-m // _BLOCK))])
+
+
 def calibration_reference(model, target_pf, config):
     # the m values of r that the pilot asks for, in memory at once; their
     # sums at c0 folded block by block in block order, one Newton step,
     # and the shift rounded to 32 significant bits
     n, seed = config.sample_count, config.master_seed
     cand, c0, m, _ = engine._pilot(_plan(model.with_shift(0.0)), target_pf, n, seed)
-    r = np.concatenate(_task(cand.rest, seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK))))
+    r = held_rest(cand, seed, m)
     assert r.size == m
     acc = np.zeros(3)
     for i in range(0, m, _BLOCK):
@@ -434,8 +440,7 @@ def sample_root(model, target_pf, config):
     # that the pilot asks for, held here in memory, the standard error of
     # the n-value order statistic carried to the shift there, and m.
     cand, _, m, _ = engine._pilot(_plan(model), target_pf, config.sample_count, config.master_seed)
-    held = _task(cand.rest, config.master_seed, _LANE_CALIBRATION, m, lambda g, _: g.copy(), range(-(-m // _BLOCK)))
-    r = np.concatenate(held)
+    r = held_rest(cand, config.master_seed, m)
     root = brentq(lambda c: conditional(cand, r, c)[0] - target_pf, -50.0, 50.0, xtol=1e-15)
     se = math.sqrt(target_pf * (1.0 - target_pf) / config.sample_count) / conditional(cand, r, root)[1]
     return root, se, m
@@ -645,6 +650,69 @@ def test_a_thread_adds_its_blocks(monkeypatch, task, call):
         else:
             peaks.append(traced_peak(lambda: calibrate_shift(two_term_model(), 0.25, cfg)))
     assert peaks[1] - peaks[0] < per_thread(_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "call, sizes, expected",
+    [
+        # one block of g and one of scratch per worker
+        ("simulate", (2_000_000, 4_000_000), 2 * 2),
+        # the pilot's block 0 of g and its scratch, then block 0 of r for
+        # each of the two candidates, on the calling thread; the pass's r,
+        # one Gumbel, is drawn straight into g: one block per worker
+        ("calibrate_shift", (4_000_000, 8_000_000), 2 + 2 + 2 * 1),
+    ],
+)
+def test_a_pass_allocates_its_blocks_once_on_the_calling_thread(monkeypatch, call, sizes, expected):
+    # Two workers and at least two tasks of 16 blocks, whatever n: every
+    # allocation of half a block or more is made on the calling thread,
+    # and the pass makes one per worker and buffer, not one per task.
+    pin_workers(monkeypatch, 2)
+    empty, caller, made = np.empty, threading.get_ident(), []
+
+    def spy(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.size >= _BLOCK // 2:
+            made.append(threading.get_ident())
+        return out
+
+    monkeypatch.setattr(np, "empty", spy)
+    for n in sizes:
+        made.clear()
+        cfg = SimulationConfig(sample_count=n, master_seed=7)
+        if call == "simulate":
+            simulate(builtin("case-study").model, cfg, histograms=True)
+        else:
+            calibrate_shift(two_term_model(), 0.5, cfg)
+        assert made == [caller] * expected
+
+
+def test_lent_blocks_are_never_shared(monkeypatch, task):
+    # Six workers on one-block tasks, switching threads as often as the
+    # interpreter allows: two tasks drawing into one lent block at once
+    # would change the summary, and a task finding no block free would
+    # raise.
+    task(1)
+    cfg = SimulationConfig(sample_count=40 * _BLOCK + 123, master_seed=13)
+    model = builtin("case-study").model
+    pin_workers(monkeypatch, 1)
+    expected = simulate(model, cfg, histograms=True)
+    pin_workers(monkeypatch, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        summaries = [simulate(model, cfg, histograms=True) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for summary in summaries:
+        for f in fields(summary):
+            a, b = getattr(summary, f.name), getattr(expected, f.name)
+            if isinstance(a, histogram.Histogram):
+                assert np.array_equal(a.edges, b.edges) and np.array_equal(a.counts, b.counts)
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b, f.name
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])

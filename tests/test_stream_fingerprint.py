@@ -24,7 +24,7 @@ import hashlib
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-from sevrel.engine import _BLOCK, _LANE_MAIN, _plan, _task
+from sevrel.engine import _BLOCK, _LANE_MAIN, _block, _plan
 from sevrel.report import SCHEMA_VERSION
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -135,7 +135,7 @@ def test_every_builtin_is_pinned():
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_stream_matches_its_schema_version(sid):
     plan = _plan(builtin(sid).model)
-    blocks = [_task(plan, 0, _LANE_MAIN, idx * _BLOCK + 1_000, lambda g, _: g, range(idx, idx + 1))[0] for idx in (0, 1)]
+    blocks = [_block(plan, 0, _LANE_MAIN, idx * _BLOCK + 1_000, idx) for idx in (0, 1)]
     digests = tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in blocks)
     assert digests == _pinned(sid), (
         f"the g stream of {sid} is not the one pinned for schemaVersion {SCHEMA_VERSION}: "
