@@ -346,21 +346,27 @@ def pareto_model():
 
 
 @pytest.mark.parametrize(
-    "model, expected",
+    "model, expected, bits",
     [
         # g ~ N(5, 3.25) + c fails with p_f 0.05 at c = sd * z(0.95) - 5
-        (margin_model(), math.sqrt(3.25) * stats.norm.isf(0.05) - 5.0),
+        (margin_model(), math.sqrt(3.25) * stats.norm.isf(0.05) - 5.0, "-0x1.0470fb8800000p+1"),
         # c - X fails when X > c: c is the upper 5% point of X
-        (LimitStateModel(terms=(Term("load", -1.0, Gumbel(2.0, 0.6)),)), stats.gumbel_r(2.0, 0.6).isf(0.05)),
+        (
+            LimitStateModel(terms=(Term("load", -1.0, Gumbel(2.0, 0.6)),)),
+            stats.gumbel_r(2.0, 0.6).isf(0.05),
+            "0x1.e41c6a2e00000p+1",
+        ),
     ],
     ids=["all-normal", "one-term"],
 )
-def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, model, expected):
+def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, model, expected, bits):
     drawn = []
     monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
     cfg = SimulationConfig(sample_count=1_000_000, master_seed=5)
+    shift = calibrate_shift(model, 0.05, cfg)
     # rounded to 32 significant bits
-    assert calibrate_shift(model, 0.05, cfg) == pytest.approx(expected, rel=1e-9)
+    assert shift == pytest.approx(expected, rel=1e-9)
+    assert shift.hex() == bits
     assert set(drawn) == {0}
 
 
@@ -559,6 +565,29 @@ def test_calibrate_shift_falls_back_on_monte_carlo_where_quadrature_misses(monke
     assert len(drawn) == 3
     root, se, _ = sample_root(model, target_pf, cfg)
     assert abs(shift - root) < 0.05 * se
+
+
+def narrow_gumbel_model():
+    # the [narrow-gumbel] case above
+    return LimitStateModel(terms=(Term("capacity", 1.0, Lognormal(1.6, 1.5)), Term("demand", -1.0, Gumbel(2.0, 0.001))))
+
+
+@pytest.mark.parametrize(
+    "model, target_pf, bits",
+    [
+        (two_term_model(), 0.5, "-0x1.352c65ec00000p-9"),
+        (sixteen_gumbels(), 0.5, "0x1.0105a13800000p-6"),
+        (pareto_model(), 0.1, "-0x1.11e18dca00000p-2"),
+        (narrow_gumbel_model(), 0.25, "0x1.9908d2e600000p-3"),
+    ],
+    ids=["two-gumbels", "sixteen-gumbels", "pareto", "narrow-gumbel"],
+)
+def test_calibrate_shift_keeps_its_monte_carlo_bits(model, target_pf, bits):
+    # Literal pins of the fallback's shifts, the same on numpy's AVX-512
+    # and AVX2 paths: the tests above compare against references built
+    # from the engine's own parts, which move with them.
+    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
+    assert calibrate_shift(model, target_pf, cfg).hex() == bits
 
 
 def test_calibrated_two_gumbels_is_as_precise_as_the_order_statistic():
