@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 from .distributions import KINDS, Distribution, Lognormal, Mixture, lognormal_from_median_cov
 from .engine import LimitStateModel, SimulationConfig, Term
@@ -229,6 +230,20 @@ def _parse_output(value, path: str) -> OutputPaths:
     return OutputPaths(**paths)
 
 
+def _check_distinct(output: OutputPaths, path: str, config_file: str | None = None) -> None:
+    """Refuse two outputs, or an output and `config_file`, that resolve to
+    one file: the later write would replace the earlier one."""
+    taken = {} if config_file is None else {os.path.realpath(config_file): "the config file"}
+    for key, field in _OUTPUT_FIELDS.items():
+        value = getattr(output, field)
+        if value is None:
+            continue
+        resolved = os.path.realpath(value)
+        if resolved in taken:
+            raise ConfigError(f"{path}.{key}: {value!r} is the same file as {taken[resolved]}")
+        taken[resolved] = f"{path}.{key}"
+
+
 def parse_config(text: str, source: str = "config") -> tuple[Scenario, OutputPaths]:
     """The study a config's text describes, titled `source`, and its outputs."""
     try:
@@ -251,6 +266,7 @@ def parse_config(text: str, source: str = "config") -> tuple[Scenario, OutputPat
     output = OutputPaths()
     if "output" in root:
         output = _parse_output(root["output"], f"{source}.output")
+    _check_distinct(output, f"{source}.output")
     study = Scenario(
         scenario_id=None,
         title=source,
@@ -271,4 +287,6 @@ def load_config(path: str) -> tuple[Scenario, OutputPaths]:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, source=path)
+    study, output = parse_config(text, source=path)
+    _check_distinct(output, f"{path}.output", config_file=path)
+    return study, output

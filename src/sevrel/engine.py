@@ -38,13 +38,9 @@ the histograms of a run need no second pass over the stream.
 
 `calibrate_shift` reads its own lane in the same way. It conditions on
 one term of g and solves for the shift at which the failure probability
-given the other terms, averaged over them, equals the target. When the
-other terms are at most one Gaussian-based group (the merged Normal or
-a Lognormal term), that average is taken exactly, by the trapezoid rule
-on one fixed grid, and only block 0 of g is drawn, to check it and start
-the root. Otherwise, or when the quadrature fails its accuracy check, the
-average runs over block 0 and then over as many blocks as its precision
-needs; each block is drawn once, and its sums fold in block order.
+given the other terms, averaged over them, equals the target: by
+quadrature where `_exact_root` applies, else over as many blocks as its
+precision needs, each drawn once, with their sums folded in block order.
 
 Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
 alike, draws its blocks through `_task`, which hands each block to a
@@ -609,26 +605,23 @@ class _Candidate:
     x: Distribution
     rest: _Plan
 
-    def sums(self, r: np.ndarray, c: float) -> np.ndarray:
+    def sums(self, r: np.ndarray, c: float, w: np.ndarray | None = None) -> np.ndarray:
         """The sums over r of P(a * X < -(r + c)), of its density and of
-        its square, taken in steps of _STEP values."""
+        its square, taken in steps of _STEP values; with weights w, the
+        sums of each weighted by w."""
         acc = np.zeros(3)
         for i in range(0, r.size, _STEP):
-            acc += self._step(r[i : i + _STEP] + c)
+            acc += self._step(r[i : i + _STEP] + c, None if w is None else w[i : i + _STEP])
         return acc
 
-    def _step(self, x: np.ndarray) -> tuple[float, float, float]:
+    def _step(self, x: np.ndarray, w: np.ndarray | None) -> tuple[float, float, float]:
         # `sums` over x = r + c, which it overwrites; a step's temporaries
         # go before the next step's are made
         x /= -self.a
         tail, density = self.x._tails(x, upper=self.a < 0.0)
-        return tail.sum(), density.sum() / abs(self.a), tail @ tail
-
-    def mean(self, r: np.ndarray, w: np.ndarray, c: float) -> tuple[float, float]:
-        """The means over r, weighted by w, of P(a * X < -(r + c)) and of
-        its density."""
-        tail, density = self.x._tails((r + c) / -self.a, upper=self.a < 0.0)
-        return float(w @ tail), float(w @ density) / abs(self.a)
+        if w is None:
+            return tail.sum(), density.sum() / abs(self.a), tail @ tail
+        return w @ tail, (w @ density) / abs(self.a), tail @ (w * tail)
 
 
 def _candidates(plan: _Plan) -> list[_Candidate]:
@@ -685,15 +678,14 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
 def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: float, step: float) -> float:
     """The root of the mean conditional p_f, by quadrature over r, for a
     plan whose candidates are `cands` (see `_candidates`) and whose r has
-    the constant part `base`, when there is one candidate, or two of which
-    one is Gaussian-based: the merged Normal or a Lognormal term. NaN
-    otherwise, or when the root fails its check.
+    the constant part `base`, when there are two of which one is
+    Gaussian-based: the merged Normal or a Lognormal term. NaN otherwise,
+    or when the root fails its check.
 
-    With one candidate, r is `base` on every node. With two, the first
-    Gaussian-based one in term order, b * Y, is integrated and the other
-    is conditioned on: r = base + b * Y at Y = sd * z for the merged
-    Normal and exp(mu + sigma * z) for a Lognormal, over the nodes z of
-    `_Z`. The root is found from `start`, with `step` (see `_root`), on
+    The first Gaussian-based candidate in term order, b * Y, is integrated
+    and the other is conditioned on: r = base + b * Y at Y = sd * z for the
+    merged Normal and exp(mu + sigma * z) for a Lognormal, over the nodes z
+    of `_Z`. The root is found from `start`, with `step` (see `_root`), on
     all of them, and is accepted when the mean on every other node (the
     trapezoid rule of twice the step) is within 1e-3 * sqrt(p * (1 - p) /
     n) of p, a small fraction of the standard error the Monte Carlo root
@@ -704,56 +696,38 @@ def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: f
     or a root that does not converge, fails the check.
     """
     gaussian = [cand for cand in cands if isinstance(cand.x, (Normal, Lognormal))]
+    if len(cands) != 2 or not gaussian:
+        return math.nan
+    rest = gaussian[0]
+    cand, d = cands[1] if rest is cands[0] else cands[0], rest.x
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(cands) == 1:
-            cand, r = cands[0], np.full(_Z.size, base)
-        elif len(cands) == 2 and gaussian:
-            rest = gaussian[0]
-            cand, d = cands[1] if rest is cands[0] else cands[0], rest.x
-            y = d.mean + d.stddev * _Z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * _Z)
-            r = base + rest.a * y
-        else:
-            return math.nan
+        y = d.mean + d.stddev * _Z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * _Z)
+        r = base + rest.a * y
         if not np.isfinite(r).all():
             return math.nan
-        c = _root(lambda c: cand.mean(r, _W, c), p, start, step)
-        error = abs(cand.mean(r[::2], 2.0 * _W[::2], c)[0] - p)
+        c = _root(lambda c: cand.sums(r, c, _W)[:2], p, start, step)
+        error = abs(cand.sums(r[::2], c, 2.0 * _W[::2])[0] - p)
     return c if error <= 1e-3 * math.sqrt(p * (1.0 - p) / n) else math.nan
 
 
-def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate | None, float, int, np.ndarray | None]:
+def _pilot(
+    cands: list[_Candidate], p: float, n: int, seed: int, start: float, step: float
+) -> tuple[_Candidate, float, int, np.ndarray]:
     """calibrate_shift's pilot, on block 0 of the calibration lane of the
     first n values: the candidate conditioned on, the root c0 on the
-    block, the number m of values the root must rest on, and the block's
-    `sums` at c0; or (None, c, 0, None) when `_exact_root` gives the shift
-    c, and no other block is drawn.
+    block, found from `start` with `step` (see `_root`), the number m of
+    values the root must rest on, and the block's `sums` at c0.
 
-    Block 0 of g is checked, and its ceil(p * size)-th smallest value is
-    -c_s, where `_exact_root` starts, with the block's range as its step.
-    Failing that, of the candidates whose density does not sum to 0 at
-    c_s, the one whose conditional p_f there has the least variance v
-    wins, the first on a tie. m = n * v / (p * (1 - p)), rounded up to
-    whole blocks, at least one and at most n (Rao-Blackwell gives
-    v <= p * (1 - p)).
+    Of the candidates whose density does not sum to 0 at `start`, the one
+    whose conditional p_f there has the least variance v wins, the first
+    on a tie. m = n * v / (p * (1 - p)), rounded up to whole blocks, at
+    least one and at most n (Rao-Blackwell gives v <= p * (1 - p)); a
+    constant r has v = 0, so its m is block 0 alone.
     """
-
-    def block0(rest: _Plan) -> tuple[np.ndarray, tuple[float, float]]:
-        # block 0 drawn with `rest`, in a new array, and its extrema once it is finite
-        block = _block(rest, seed, _LANE_CALIBRATION, n, 0)
-        return block, _finite_extrema(block, 0)
-
-    g, (lo, hi) = block0(plan)
-    k = max(1, math.ceil(p * g.size))
-    g.partition(k - 1)
-    start = -float(g[k - 1])
-    del g
-    cands = _candidates(plan)
-    c = _exact_root(plan.mean, cands, p, n, start, hi - lo)
-    if not math.isnan(c):
-        return None, c, 0, None
     best = None
     for cand in cands:
-        r, _ = block0(cand.rest)
+        r = _block(cand.rest, seed, _LANE_CALIBRATION, n, 0)
+        _finite_extrema(r, 0)
         mean, slope, square = cand.sums(r, start) / r.size
         v = square - mean * mean
         if slope > 0.0 and (best is None or v < best[0]):
@@ -761,7 +735,7 @@ def _pilot(plan: _Plan, p: float, n: int, seed: int) -> tuple[_Candidate | None,
     if best is None:
         raise ValueError("no term of g has a density at the target quantile; g is constant there")
     v, cand, r = best
-    c0 = _root(lambda c: (cand.sums(r, c) / r.size)[:2], p, start, hi - lo)
+    c0 = _root(lambda c: (cand.sums(r, c) / r.size)[:2], p, start, step)
     m = min(n, _BLOCK * max(1, math.ceil(n * v / (p * (1.0 - p)) / _BLOCK)))
     return cand, c0, m, cand.sums(r, c0)
 
@@ -776,23 +750,21 @@ def calibrate_shift(
 
     For a term X of g with coefficient a, and the rest r = g - a * X
     (shift forced to zero), the shifted model fails with probability
-    E[P(a * X < -(r + c))]. The pilot (see `_pilot`) draws and checks
-    block 0 of g. When the rest of g is at most one Gaussian-based term
-    (see `_exact_root`), that mean is a one-dimensional Gaussian integral:
-    c is its root by the trapezoid rule on the grid `_Z`, exact to far
-    under the standard error below, the same for every seed, and no other
-    block is drawn. Otherwise, and whenever the quadrature fails its
-    accuracy check, c is the root of the mean over m values of r:
-    conditional Monte Carlo (Asmussen and Kroese, Adv. Appl. Probab.
-    38(2), 2006) solved as a sample-average approximation (Shapiro,
-    Dentcheva and Ruszczyński, "Lectures on Stochastic Programming",
-    SIAM 2009, ch. 5).
-    The pilot picks X and m, which give the realised p_f the standard
-    error sqrt(p * (1 - p) / n) of the n-value order statistic, and finds
-    the root c0 on block 0. One pass over blocks 1 and on of the m values
-    adds their sums at c0 to block 0's in block order, and one Newton step
-    from c0 gives c. So memory is a few blocks per thread, and the bits
-    depend on neither the task size nor the number of threads.
+    E[P(a * X < -(r + c))]. Block 0 of g is drawn and checked once: minus
+    its ceil(p * size)-th smallest value starts the root, with the block's
+    range as the step (see `_root`). Where `_exact_root` takes that mean
+    by quadrature and passes its check, c is its root, the same for every
+    seed, and no other block is drawn. Otherwise c is the root of the mean
+    over m values of r: conditional Monte Carlo (Asmussen and Kroese, Adv.
+    Appl. Probab. 38(2), 2006) solved as a sample-average approximation
+    (Shapiro, Dentcheva and Ruszczyński, "Lectures on Stochastic
+    Programming", SIAM 2009, ch. 5). The pilot (see `_pilot`) picks X and
+    m, which give the realised p_f the standard error sqrt(p * (1 - p) /
+    n) of the n-value order statistic, and finds the root c0 on block 0.
+    One pass over blocks 1 and on of the m values adds their sums at c0
+    to block 0's in block order, and one Newton step from c0 gives c. So
+    memory is a few blocks per thread, and the bits depend on neither the
+    task size nor the number of threads.
 
     c is rounded to 32 significant bits, ~1e-6 of its standard error: a
     last-bit difference between numpy's SIMD kernels, which depend on the
@@ -810,10 +782,17 @@ def calibrate_shift(
             "too few failures are expected to calibrate against"
         )
     n, p, seed = config.sample_count, target_pf, config.master_seed
-    cand, c0, m, acc = _pilot(_plan(model.with_shift(0.0)), p, n, seed)
-    if cand is None:
-        c = c0  # exact
-    else:
+    plan = _plan(model.with_shift(0.0))
+    g = _block(plan, seed, _LANE_CALIBRATION, n, 0)
+    lo, hi = _finite_extrema(g, 0)
+    k = max(1, math.ceil(p * g.size))
+    g.partition(k - 1)
+    start = -float(g[k - 1])
+    del g
+    cands = _candidates(plan)
+    c = _exact_root(plan.mean, cands, p, n, start, hi - lo)
+    if math.isnan(c):
+        cand, c0, m, acc = _pilot(cands, p, n, seed, start, hi - lo)
 
         def block_sums(block: np.ndarray, idx: int) -> np.ndarray:
             _finite_extrema(block, idx)

@@ -293,10 +293,11 @@ _MILD_EF_STAR = (
 ) / _MILD_SD
 _MILD_BETA_S = invert_deficit(_MILD_EF_STAR)
 
-# heavy grid row: exact values of this parameterization via the Pareto
-# tail integrals (finite variance, deficit far beyond the endpoint)
-_HEAVY_BETA = 3.5718985944265498
-_HEAVY_EF_STAR = 1.7083217827648667
+# heavy grid row: exact values of this parameterization (finite variance,
+# deficit far beyond the endpoint), by quadrature over the Pareto
+# component and the closed forms of the Normal one
+_HEAVY_BETA = 3.5718985938417163
+_HEAVY_EF_STAR = 1.708321778901722
 
 # matched-rate pair: one-in-a-hundred failures by construction
 _AB_PF = 0.01

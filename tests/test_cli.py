@@ -489,6 +489,39 @@ def test_simulate_refuses_an_empty_output_path_before_sampling(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "output, key, other",
+    [
+        # the deficit histogram used to replace the g histogram
+        ({"histogramCsv": "h.csv", "deficitCsv": "h.csv"}, "deficitCsv", "{cfg}.output.histogramCsv"),
+        # the report used to replace the config
+        ({"reportJson": "analysis.json"}, "reportJson", "the config file"),
+    ],
+    ids=["two-keys", "the-config-file"],
+)
+def test_simulate_refuses_output_paths_that_collide_before_sampling(tmp_path, capsys, monkeypatch, output, key, other):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sevrel.cli, "run", lambda *args, **kwargs: pytest.fail("the study ran"))
+    cfg = make_config(tmp_path, output=output)
+    text = Path(cfg).read_text()
+    assert main(["simulate", cfg]) == 2
+    message = f"{cfg}.output.{key}: {output[key]!r} is the same file as {other.format(cfg=cfg)}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+    assert Path(cfg).read_text() == text
+
+
+def test_simulate_refuses_the_default_report_path_when_it_is_the_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = make_config(tmp_path, name="report.json", output=None)
+    text = Path(cfg).read_text()
+    assert main(["simulate", "report.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: report.json.output.reportJson: 'report.json' is the same file as the config file\n"
+    )
+    assert Path(cfg).read_text() == text
+
+
+@pytest.mark.parametrize(
     "sid", [sid for sid in scenarios.SCENARIO_IDS if scenarios.builtin(sid).calibrate_pf is None]
 )
 def test_simulate_and_scenario_agree(sid, tmp_path, capsys):

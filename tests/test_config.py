@@ -333,6 +333,39 @@ def test_empty_output_path_is_refused(key):
         parse(data, source="analysis.json")
 
 
+@pytest.mark.parametrize(
+    "output, key, other",
+    [
+        ({"histogramCsv": "h.csv", "deficitCsv": "h.csv"}, "deficitCsv", "histogramCsv"),
+        ({"reportJson": "out/../r.json", "fcurveCsv": "r.json"}, "fcurveCsv", "reportJson"),
+        # the default reportJson is report.json
+        ({"histogramCsv": "./report.json"}, "histogramCsv", "reportJson"),
+    ],
+    ids=["same-name", "same-file", "the-default-report"],
+)
+def test_output_paths_that_collide_are_refused(output, key, other):
+    data = base_config()
+    data["output"] = output
+    message = f"analysis.json.output.{key}: {output[key]!r} is the same file as analysis.json.output.{other}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse(data, source="analysis.json")
+
+
+@pytest.mark.parametrize("output", [{"reportJson": "analysis.json"}, None], ids=["reportJson", "the-default-report"])
+def test_an_output_path_that_is_the_config_file_is_refused(tmp_path, monkeypatch, output):
+    monkeypatch.chdir(tmp_path)
+    data = base_config()
+    data.pop("output")
+    if output is not None:
+        data["output"] = output
+    name = "analysis.json" if output is not None else "report.json"
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    message = f"{path}.output.reportJson: {name!r} is the same file as the config file"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(path))
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "analysis.json"
     path.write_text(json.dumps(base_config()))

@@ -360,6 +360,8 @@ def pareto_model():
     ids=["all-normal", "one-term"],
 )
 def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, model, expected, bits):
+    # One candidate: its r is constant, so the pilot's v is 0 and m is
+    # block 0 alone, whose mean is exact.
     drawn = []
     monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
     cfg = SimulationConfig(sample_count=1_000_000, master_seed=5)
@@ -382,12 +384,21 @@ def held_rest(cand, seed, m):
     return np.concatenate([_block(cand.rest, seed, _LANE_CALIBRATION, m, i) for i in range(-(-m // _BLOCK))])
 
 
+def pilot(model, target_pf, config):
+    # calibrate_shift's pilot, started from minus the ceil(p * size)-th
+    # smallest value of block 0 of g, with the block's range as the step
+    plan, n, seed = _plan(model.with_shift(0.0)), config.sample_count, config.master_seed
+    g = _block(plan, seed, _LANE_CALIBRATION, n, 0)
+    start = -float(np.sort(g)[max(1, math.ceil(target_pf * g.size)) - 1])
+    return engine._pilot(engine._candidates(plan), target_pf, n, seed, start, float(g.max() - g.min()))
+
+
 def calibration_reference(model, target_pf, config):
     # the m values of r that the pilot asks for, in memory at once; their
     # sums at c0 folded block by block in block order, one Newton step,
     # and the shift rounded to 32 significant bits
-    n, seed = config.sample_count, config.master_seed
-    cand, c0, m, _ = engine._pilot(_plan(model.with_shift(0.0)), target_pf, n, seed)
+    cand, c0, m, _ = pilot(model, target_pf, config)
+    seed = config.master_seed
     r = held_rest(cand, seed, m)
     assert r.size == m
     acc = np.zeros(3)
@@ -445,7 +456,7 @@ def sample_root(model, target_pf, config):
     # The exact root of the mean conditional p_f over the m values of r
     # that the pilot asks for, held here in memory, the standard error of
     # the n-value order statistic carried to the shift there, and m.
-    cand, _, m, _ = engine._pilot(_plan(model), target_pf, config.sample_count, config.master_seed)
+    cand, _, m, _ = pilot(model, target_pf, config)
     r = held_rest(cand, config.master_seed, m)
     root = brentq(lambda c: conditional(cand, r, c)[0] - target_pf, -50.0, 50.0, xtol=1e-15)
     se = math.sqrt(target_pf * (1.0 - target_pf) / config.sample_count) / conditional(cand, r, root)[1]
@@ -620,18 +631,25 @@ def traced_peak(call):
 
 
 @pytest.mark.parametrize(
-    "target_pf, blocks_a_task", [(0.25, 2), (0.001, 1)], ids=["wide-chunks", "small-pf-small-chunks"]
+    "model, n, target_pf, blocks_a_task",
+    [
+        (two_term_model(), 2_000_000, 0.25, 2),
+        (two_term_model(), 2_000_000, 0.001, 1),
+        (builtin("scenarioA").model, 8_000_000, 0.25, 16),
+    ],
+    ids=["wide-chunks", "small-pf-small-chunks", "scenarioA-exact"],
 )
-def test_calibrate_shift_memory_is_bounded(monkeypatch, task, target_pf, blocks_a_task):
+def test_calibrate_shift_memory_is_bounded(monkeypatch, task, model, n, target_pf, blocks_a_task):
     # On one thread: two blocks of r, the pilot's best and the next
     # candidate's (block 0 of g and its scratch come and go before them),
     # or the pass's block, and the temporaries of a step of the sums, a
-    # few _STEP values each. Each further thread adds its own blocks (see
-    # test_a_thread_adds_its_blocks).
+    # few _STEP values each. The exact path of scenarioA holds block 0 of
+    # g and its scratch, then the grid. Each further thread adds its own
+    # blocks (see test_a_thread_adds_its_blocks).
     pin_workers(monkeypatch, 1)
     task(blocks_a_task)
-    cfg = SimulationConfig(sample_count=2_000_000, master_seed=7)
-    peak = traced_peak(lambda: calibrate_shift(two_term_model(), target_pf, cfg))
+    cfg = SimulationConfig(sample_count=n, master_seed=7)
+    peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
     assert peak < 8 * (2 * _BLOCK + 8 * engine._STEP)
 
 

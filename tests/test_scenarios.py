@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from sevrel import scenarios
-from sevrel.distributions import Normal
+from sevrel.distributions import Mixture, Normal, Pareto
 from sevrel.engine import LimitStateModel, Term
 from sevrel.histogram import HISTOGRAM_BINS
 from sevrel.metrics import DEFAULT_MAX_LEVEL, classify
@@ -198,6 +199,40 @@ def test_case_study_reference_values_fail_as_documented(scenario_cache):
     ef_star = np.mean([scenario_cache("case-study", master_seed=s).report.ef_star for s in (None, 1, 2, 3, 4)])
     (level,) = [c.expected for c in res.checks if c.metric == "level"]
     assert classify(ef_star).label == level
+
+
+def test_heavy_grid_expectations_are_the_exact_values_of_its_inputs():
+    # Recomputed without sevrel: g = C - D with C ~ N(18, 1.5) and D ~
+    # 0.997 N(5, 2) + 0.003 Pareto(x_min 10, alpha 5). The Normal component
+    # has closed forms, D - C ~ N(-13, 2.5); the Pareto one is integrated
+    # by adaptive quadrature, split at the capacity's mean.
+    model = builtin("figure-grid-heavy").model
+    assert [(t.coefficient, t.distribution) for t in model.terms] == [
+        (1.0, Normal(18.0, 1.5)),
+        (-1.0, Mixture(((0.997, Normal(5.0, 2.0)), (0.003, Pareto(10.0, 5.0))))),
+    ]
+    capacity, pareto = stats.norm(18.0, 1.5), stats.pareto(5.0, scale=10.0)
+
+    def shortfall(x):  # E[(x - C)^+]
+        z = (x - 18.0) / 1.5
+        return 1.5 * stats.norm.pdf(z) + (x - 18.0) * stats.norm.cdf(z)
+
+    def over_pareto(f):
+        return sum(
+            integrate.quad(lambda x: pareto.pdf(x) * f(x), a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in [(10.0, 18.0), (18.0, math.inf)]
+        )
+
+    mu, sd = -13.0, 2.5
+    pf = 0.997 * stats.norm.cdf(mu / sd) + 0.003 * over_pareto(capacity.cdf)
+    normal_shortfall = sd * stats.norm.pdf(mu / sd) + mu * stats.norm.cdf(mu / sd)
+    ef = (0.997 * normal_shortfall + 0.003 * over_pareto(shortfall)) / pf
+    # the Pareto's mean is alpha x_min / (alpha - 1), its second moment alpha x_min^2 / (alpha - 2)
+    mean_d = 0.997 * 5.0 + 0.003 * 12.5
+    var_g = 1.5**2 + 0.997 * 29.0 + 0.003 * 500.0 / 3.0 - mean_d**2
+    expected = {e.metric: e.expected for e in builtin("figure-grid-heavy").expectations}
+    assert abs(expected["beta"] - -stats.norm.ppf(pf)) < 1e-12
+    assert abs(expected["efStar"] - ef / math.sqrt(var_g)) < 1e-12
 
 
 def test_matched_pair_is_calibrated(scenario_cache):
