@@ -1,4 +1,4 @@
-"""Limit state models and the block-keyed Monte Carlo engine.
+"""Limit state models, the block-keyed Monte Carlo engine and shift calibration.
 
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
@@ -36,16 +36,10 @@ On request, each block is also binned while it is held. Bin counts are
 exact integers, which the fold adds block by block (see `histogram`):
 the histograms of a run need no second pass over the stream.
 
-`calibrate_shift` reads its own lane in the same way. It conditions on
-one term of g and solves for the shift at which the failure probability
-given the other terms, averaged over them, equals the target: by
-quadrature where `_exact_root` applies, else over as many blocks as its
-precision needs, each drawn once, with their sums folded in block order.
-
-Every pass over a lane, `simulate`, `calibrate_shift` and `g_chunks`
-alike, draws its blocks through `_task`, which hands each block to a
-per-block reduction; the threaded passes run their tasks through
-`_pass`, which lends them their buffers.
+`simulate` and `g_chunks` draw every block through `_task`, which hands
+it to a per-block reduction; `simulate` runs its tasks through `_pass`,
+which lends them their buffers. `calibrate_shift` draws no sample: it
+works on a grid of the density of g less one term.
 """
 
 from __future__ import annotations
@@ -63,8 +57,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import histogram
-from .distributions import Distribution, Lognormal, MomentReport, Normal, _ahead
-from .histogram import _STEP
+from .distributions import Distribution, Mixture, MomentReport, Normal, Pareto, _ahead
 
 __all__ = [
     "Term",
@@ -77,11 +70,8 @@ __all__ = [
     "calibrate_shift",
 ]
 
-# Substream lanes, kept disjoint by the leading spawn-key coordinate.
-# Lanes 1 and 2 are unused; renumbering lane 3 would change the
-# calibration stream.
+# The leading spawn-key coordinate of every block of the stream.
 _LANE_MAIN = 0
-_LANE_CALIBRATION = 3
 
 # Values per block of a lane. Block i draws the stream seeded by (lane, i),
 # so changing this changes the sample of every run longer than a block.
@@ -92,15 +82,8 @@ _BLOCK = 1 << 16
 # no bit of a result.
 _TASK = 16
 
-# The nodes z and weights w of calibrate_shift's exact path, E[f(Z)] ~
-# _W @ f(_Z) for the standard normal law: the trapezoid rule of step 1/16
-# over |z| <= 12, which converges exponentially for an analytic f
-# (Trefethen and Weideman, SIAM Review 56(3), 2014). The root is found on
-# every node and checked on every other one (see `_exact_root`). The grid
-# is offset by a third of a step, so no node of either rule lies at z = 0.
-_Z = (np.arange(-192, 193) + 1.0 / 3.0) / 16.0
-_W = np.exp(-0.5 * _Z * _Z) / (16.0 * math.sqrt(2.0 * math.pi))
-_Z.flags.writeable = _W.flags.writeable = False
+# The most nodes of a grid of calibrate_shift's; a larger one is refused.
+_NODES = 1 << 17
 
 
 _T = TypeVar("_T")
@@ -217,11 +200,10 @@ class SimulationSummary:
         return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
-def _tasks(sample_count: int, first: int = 0) -> list[range]:
-    """The block indices of each task over a lane's first `sample_count`
-    values, from block `first` on."""
+def _tasks(sample_count: int) -> list[range]:
+    """The block indices of each task over the first `sample_count` values."""
     blocks = -(-sample_count // _BLOCK)
-    return [range(i, min(i + _TASK, blocks)) for i in range(first, blocks, _TASK)]
+    return [range(i, min(i + _TASK, blocks)) for i in range(0, blocks, _TASK)]
 
 
 def _size(idx: int, sample_count: int) -> int:
@@ -457,9 +439,8 @@ def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.nd
     """Regenerate the exact g stream of simulate(), block by block, each in
     a new array that the caller may keep (see `_block`)."""
     plan, n = _plan(model), config.sample_count
-    for task in _tasks(n):
-        for idx in task:
-            yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
+    for idx in range(-(-n // _BLOCK)):
+        yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
 
 
 @dataclass
@@ -591,59 +572,64 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     return acc.summary(config)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A term of g to condition on: X, with coefficient a, and the plan
-    that draws the rest of g, r = g - a * X.
-
-    Given r, the shifted model fails with probability P(a * X < -(r + c)):
-    the cdf of X at -(r + c) / a for a > 0, and its sf for a < 0. That
-    falls as c grows, at the rate pdf(-(r + c) / a) / |a|, its density.
-    """
-
-    a: float
-    x: Distribution
-    rest: _Plan
-
-    def sums(self, r: np.ndarray, c: float, w: np.ndarray | None = None) -> np.ndarray:
-        """The sums over r of P(a * X < -(r + c)), of its density and of
-        its square, taken in steps of _STEP values; with weights w, the
-        sums of each weighted by w."""
-        acc = np.zeros(3)
-        for i in range(0, r.size, _STEP):
-            acc += self._step(r[i : i + _STEP] + c, None if w is None else w[i : i + _STEP])
-        return acc
-
-    def _step(self, x: np.ndarray, w: np.ndarray | None) -> tuple[float, float, float]:
-        # `sums` over x = r + c, which it overwrites; a step's temporaries
-        # go before the next step's are made
-        x /= -self.a
-        tail, density = self.x._tails(x, upper=self.a < 0.0)
-        if w is None:
-            return tail.sum(), density.sum() / abs(self.a), tail @ tail
-        return w @ tail, (w @ density) / abs(self.a), tail @ (w * tail)
+def _paretos(d: Distribution) -> list[tuple[float, Pareto]]:
+    """The (weight, Pareto) parts of d: d itself, or a Mixture's components."""
+    parts = d.components if isinstance(d, Mixture) else ((1.0, d),)
+    return [(w, part) for w, part in parts if isinstance(part, Pareto)]
 
 
-def _candidates(plan: _Plan) -> list[_Candidate]:
-    """The terms of `plan` to condition on, in term order: the merged
-    Normal (see `_Plan`), whose mean stays in r, and each other term with
-    a nonzero coefficient. r is drawn without the term's slot, so every
-    other term keeps its draws."""
-    normal = plan.sd > 0.0
-    found = []
-    if normal:
-        rest = replace(plan, sd=0.0, slots=plan.slots[1:])
-        found.append((plan.slots[0], _Candidate(1.0, Normal(0.0, plan.sd), rest)))
-    for i, t in enumerate(plan.others):
-        at = i + normal
-        if t.coefficient != 0.0:
-            slots, others = plan.slots[:at] + plan.slots[at + 1 :], plan.others[:i] + plan.others[i + 1 :]
-            rest = replace(plan, slots=slots, others=others)
-            found.append((plan.slots[at], _Candidate(t.coefficient, t.distribution, rest)))
-    return [cand for _, cand in sorted(found, key=lambda found: found[0])]
+def _span(a: float, d: Distribution, q: float) -> tuple[float, float]:
+    """The q and 1 - q quantiles of a * X for X ~ d, the lower first, or
+    the least and greatest over a Mixture's components; a Pareto's in
+    closed form, the upper x_min * q ** (-1 / alpha). Overflow gives inf."""
+    if isinstance(d, Mixture):
+        spans = [_span(a, part, q) for _, part in d.components]
+        return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    if isinstance(d, Pareto):
+        ends = d.x_min * np.power([1.0 - q, q], -1.0 / d.alpha)
+    else:
+        ends = d.quantile(np.array([q, 1.0 - q]))
+    return tuple(sorted((a * ends).tolist()))
 
 
-def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) -> float:
+def _density(rest: list, base: float, h: float, widen: float, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes x of r = base + sum(a * X) over the terms (a, d, lo, hi)
+    of `rest`, X ~ d, and their masses w = h * density: each term's pdf on
+    the nodes k * h of [lo, hi], widened by `widen` of its width each
+    side, convolved by `np.convolve`, which adds only positive terms."""
+    if not 1.0 + sum((1.0 + 2.0 * widen) * (hi - lo) / h + 1.0 for _, _, lo, hi in rest) <= _NODES:
+        raise ValueError(f"the density of the rest of g needs more than {_NODES} grid nodes (terms {names})")
+    w, first = np.ones(1), 0
+    for a, d, lo, hi in rest:
+        lo, hi = lo - widen * (hi - lo), hi + widen * (hi - lo)
+        k = np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
+        w = np.convolve(w, d.pdf(k * h / a) * (h / abs(a)))
+        first += int(k[0])
+    return base + (first + np.arange(w.size)) * h, w
+
+
+def _sums(x: np.ndarray, w: np.ndarray, h: float, a: float, d: Distribution, c: float) -> tuple[float, float]:
+    """P(a * X < -(r + c)) for X ~ d summed over the nodes x of r with
+    masses w, and its rate of fall with c, the sum of pdf(-(r + c) / a) / |a|.
+
+    A Pareto part of X kinks the tail at x + c = -a * x_min. A jump J in
+    the summand's slope t steps into a cell costs the trapezoid sum
+    J * h**2 * (t * (1 - t) / 2 - 1 / 12) (Euler-Maclaurin); taking that
+    off, with the density of r there interpolated, leaves O(h**3)."""
+    tail, density = d._tails(-(x + c) / a, upper=a < 0.0)
+    value = float(w @ tail)
+    for weight, pareto in _paretos(d):
+        u = (-a * pareto.x_min - c - x[0]) / h
+        if 0.0 <= u < w.size - 1:
+            k = math.floor(u)
+            t = u - k
+            # h * J: the mass of r there times the jump of the tail's slope
+            jump = ((1.0 - t) * w[k] + t * w[k + 1]) * weight * pareto.alpha / (pareto.x_min * a)
+            value -= jump * h * (t * (1.0 - t) / 2.0 - 1.0 / 12.0)
+    return value, float(w @ density) / abs(a)
+
+
+def _root(mean: Callable[[float], tuple[float, float]], p: float, c: float, step: float) -> float:
     """The c at which mean(c)[0] = p, where mean(c) gives a probability
     that falls from 1 to 0 as c grows and its rate of fall.
 
@@ -657,13 +643,8 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
     for _ in range(200):
         value, rate = mean(c)
         nxt = c + (value - p) / rate if rate > 0.0 else math.nan
-        if abs(nxt - c) <= tol:
-            return nxt
-        if value > p:
-            lo = c
-        else:
-            hi = c
-        if not lo < nxt < hi:
+        lo, hi = (c, hi) if value > p else (lo, c)
+        if not (abs(nxt - c) <= tol or lo < nxt < hi):
             if math.isinf(lo) or math.isinf(hi):
                 nxt = c + math.copysign(step, value - p)
                 step *= 2.0
@@ -675,103 +656,31 @@ def _root(mean: Callable[[float], np.ndarray], p: float, c: float, step: float) 
     return math.nan
 
 
-def _exact_root(base: float, cands: list[_Candidate], p: float, n: int, start: float, step: float) -> float:
-    """The root of the mean conditional p_f, by quadrature over r, for a
-    plan whose candidates are `cands` (see `_candidates`) and whose r has
-    the constant part `base`, when there are two of which one is
-    Gaussian-based: the merged Normal or a Lognormal term. NaN otherwise,
-    or when the root fails its check.
-
-    The first Gaussian-based candidate in term order, b * Y, is integrated
-    and the other is conditioned on: r = base + b * Y at Y = sd * z for the
-    merged Normal and exp(mu + sigma * z) for a Lognormal, over the nodes z
-    of `_Z`. The root is found from `start`, with `step` (see `_root`), on
-    all of them, and is accepted when the mean on every other node (the
-    trapezoid rule of twice the step) is within 1e-3 * sqrt(p * (1 - p) /
-    n) of p, a small fraction of the standard error the Monte Carlo root
-    is held to. A step of the integrand narrower than the grid reads the
-    same on both rules only when p is close to Phi(z) at a node z; the
-    offset of `_Z` keeps z = 0 off the grid, so p 0.5, whose step lies at
-    the median of Y, is not such a p. A node or a sum that is not finite,
-    or a root that does not converge, fails the check.
-    """
-    gaussian = [cand for cand in cands if isinstance(cand.x, (Normal, Lognormal))]
-    if len(cands) != 2 or not gaussian:
-        return math.nan
-    rest = gaussian[0]
-    cand, d = cands[1] if rest is cands[0] else cands[0], rest.x
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = d.mean + d.stddev * _Z if isinstance(d, Normal) else np.exp(d.log_mean + d.log_std * _Z)
-        r = base + rest.a * y
-        if not np.isfinite(r).all():
-            return math.nan
-        c = _root(lambda c: cand.sums(r, c, _W)[:2], p, start, step)
-        error = abs(cand.sums(r[::2], c, 2.0 * _W[::2])[0] - p)
-    return c if error <= 1e-3 * math.sqrt(p * (1.0 - p) / n) else math.nan
-
-
-def _pilot(
-    cands: list[_Candidate], p: float, n: int, seed: int, start: float, step: float
-) -> tuple[_Candidate, float, int, np.ndarray]:
-    """calibrate_shift's pilot, on block 0 of the calibration lane of the
-    first n values: the candidate conditioned on, the root c0 on the
-    block, found from `start` with `step` (see `_root`), the number m of
-    values the root must rest on, and the block's `sums` at c0.
-
-    Of the candidates whose density does not sum to 0 at `start`, the one
-    whose conditional p_f there has the least variance v wins, the first
-    on a tie. m = n * v / (p * (1 - p)), rounded up to whole blocks, at
-    least one and at most n (Rao-Blackwell gives v <= p * (1 - p)); a
-    constant r has v = 0, so its m is block 0 alone.
-    """
-    best = None
-    for cand in cands:
-        r = _block(cand.rest, seed, _LANE_CALIBRATION, n, 0)
-        _finite_extrema(r, 0)
-        mean, slope, square = cand.sums(r, start) / r.size
-        v = square - mean * mean
-        if slope > 0.0 and (best is None or v < best[0]):
-            best = v, cand, r
-    if best is None:
-        raise ValueError("no term of g has a density at the target quantile; g is constant there")
-    v, cand, r = best
-    c0 = _root(lambda c: (cand.sums(r, c) / r.size)[:2], p, start, step)
-    m = min(n, _BLOCK * max(1, math.ceil(n * v / (p * (1.0 - p)) / _BLOCK)))
-    return cand, c0, m, cand.sums(r, c0)
-
-
 def calibrate_shift(
     model: LimitStateModel,
     target_pf: float,
     config: SimulationConfig,
 ) -> float:
     """Shift c at which the model with shift c fails with probability
-    target_pf, estimated on the calibration lane.
+    target_pf, found without drawing a sample.
 
-    For a term X of g with coefficient a, and the rest r = g - a * X
-    (shift forced to zero), the shifted model fails with probability
-    E[P(a * X < -(r + c))]. Block 0 of g is drawn and checked once: minus
-    its ceil(p * size)-th smallest value starts the root, with the block's
-    range as the step (see `_root`). Where `_exact_root` takes that mean
-    by quadrature and passes its check, c is its root, the same for every
-    seed, and no other block is drawn. Otherwise c is the root of the mean
-    over m values of r: conditional Monte Carlo (Asmussen and Kroese, Adv.
-    Appl. Probab. 38(2), 2006) solved as a sample-average approximation
-    (Shapiro, Dentcheva and Ruszczyński, "Lectures on Stochastic
-    Programming", SIAM 2009, ch. 5). The pilot (see `_pilot`) picks X and
-    m, which give the realised p_f the standard error sqrt(p * (1 - p) /
-    n) of the n-value order statistic, and finds the root c0 on block 0.
-    One pass over blocks 1 and on of the m values adds their sums at c0
-    to block 0's in block order, and one Newton step from c0 gives c. So
-    memory is a few blocks per thread, and the bits depend on neither the
-    task size nor the number of threads.
+    Given the rest r = g - a * X of one term X (shift forced to zero), g
+    fails with probability P(a * X < -(r + c)) (Asmussen and Kroese, Adv.
+    Appl. Probab. 38(2), 2006). X is the term with a Pareto part, else the
+    merged Normal, else the term whose 1e-15 quantiles lie furthest apart.
+    The mean over r is a trapezoid sum over the grid of r's density (see
+    `_density`, `_sums`), exponentially convergent for smooth densities
+    (Trefethen and Weideman, SIAM Review 56(3), 2014). Its root on step h,
+    from 1/16 of the least interquartile range of a term, is accepted once
+    the sum on step h / 2 and twice the span is within 1e-3 * sqrt(p *
+    (1 - p) / n) of p, a small fraction of the n-sample run's standard
+    error; else h is halved. c is rounded to 32 significant bits: a
+    last-bit difference between numpy's SIMD kernels then moves it only
+    next to a rounding edge.
 
-    c is rounded to 32 significant bits, ~1e-6 of its standard error: a
-    last-bit difference between numpy's SIMD kernels, which depend on the
-    CPU, then changes c only where it lies that close to a rounding edge.
-
-    Refuses targets outside (0, 1) and targets that would rest on fewer
-    than 10 expected failures.
+    Refuses targets outside (0, 1) or below 10 expected failures, and
+    names the terms of a model with two Pareto parts, a grid past _NODES
+    nodes or a root that does not converge.
     """
     if not 0.0 < target_pf < 1.0:
         raise ValueError(f"target_pf must be inside (0, 1), got {target_pf!r}")
@@ -781,26 +690,35 @@ def calibrate_shift(
             f"target_pf * sample_count = {expected_failures:.3g} is below 10; "
             "too few failures are expected to calibrate against"
         )
-    n, p, seed = config.sample_count, target_pf, config.master_seed
-    plan = _plan(model.with_shift(0.0))
-    g = _block(plan, seed, _LANE_CALIBRATION, n, 0)
-    lo, hi = _finite_extrema(g, 0)
-    k = max(1, math.ceil(p * g.size))
-    g.partition(k - 1)
-    start = -float(g[k - 1])
-    del g
-    cands = _candidates(plan)
-    c = _exact_root(plan.mean, cands, p, n, start, hi - lo)
-    if math.isnan(c):
-        cand, c0, m, acc = _pilot(cands, p, n, seed, start, hi - lo)
-
-        def block_sums(block: np.ndarray, idx: int) -> np.ndarray:
-            _finite_extrema(block, idx)
-            return cand.sums(block, c0)
-
-        for part in _pass(cand.rest, seed, _LANE_CALIBRATION, m, block_sums, _tasks(m, first=1)):
-            acc += part
-        mean, slope, _ = acc / m
-        c = c0 + (mean - p) / slope
+    p, plan = target_pf, _plan(model.with_shift(0.0))
+    names = ", ".join(repr(t.name) for t in model.terms)
+    heavy = [repr(t.name) for t in plan.others if t.coefficient != 0.0 and _paretos(t.distribution)]
+    if len(heavy) > 1:
+        raise ValueError(f"terms {', '.join(heavy)} each have a Pareto part; the rest of g must have a smooth density")
+    terms = [(plan.sd, Normal(0.0, 1.0))] if plan.sd > 0.0 else []
+    terms += [(t.coefficient, t.distribution) for t in plan.others if t.coefficient != 0.0]
+    if not terms:
+        raise ValueError("no term of g has a density; g is constant")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails, quartiles = ([_span(a, d, q) for a, d in terms] for q in (1e-15, 0.25))
+    if not (math.isfinite(plan.mean) and np.isfinite([tails, quartiles]).all()):
+        raise ValueError(f"g overflows: a coefficient or parameter of the terms {names} is too large for a float")
+    # X: the term with a Pareto part, else the merged Normal, else the widest
+    rank = [(bool(_paretos(d)), isinstance(d, Normal), hi - lo) for (_, d), (lo, hi) in zip(terms, tails)]
+    i = rank.index(max(rank))
+    a, d = terms[i]
+    rest = [(*terms[j], *tails[j]) for j in range(len(terms)) if j != i]
+    # the root starts at minus the terms' summed midquartiles, on their summed ranges
+    start, step = -plan.mean - sum(lo + hi for lo, hi in quartiles) / 2.0, sum(hi - lo for lo, hi in quartiles)
+    h = min(hi - lo for lo, hi in quartiles) / 16.0
+    tol = 1e-3 * math.sqrt(p * (1.0 - p) / config.sample_count)
+    while True:
+        x, w = _density(rest, plan.mean, h, 0.0, names)
+        c = _root(lambda c: _sums(x, w, h, a, d, c), p, start, step)
+        if abs(_sums(*_density(rest, plan.mean, h / 2.0, 0.5, names), h / 2.0, a, d, c)[0] - p) <= tol:
+            break
+        if math.isnan(c) or not rest:
+            raise ValueError(f"the shift at p_f {p!r} does not converge (terms {names})")
+        h /= 2.0
     mantissa, exponent = math.frexp(c)
     return math.ldexp(round(mantissa * 2**32), exponent - 32)

@@ -42,11 +42,10 @@ HISTOGRAM_BINS = 200
 
 _MIN_EXPONENT = -1074  # 2**-1074 is the smallest positive double
 # Values per step of a pass over an array whose temporaries are made per
-# step: here the bin keys, and in `engine` calibrate_shift's sums, whose
-# bits depend on it. Each float64 or int64 temporary of a step takes 64
-# KiB, under the 128 KiB above which malloc maps fresh pages for every
-# array: 512 KiB steps faulted 256 new pages in per step and took twice
-# as long.
+# step: here the bin keys. Each float64 or int64 temporary of a step
+# takes 64 KiB, under the 128 KiB above which malloc maps fresh pages for
+# every array: 512 KiB steps faulted 256 new pages in per step and took
+# twice as long.
 _STEP = 1 << 13
 
 

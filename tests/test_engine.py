@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.optimize import brentq
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from sevrel import engine, histogram
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
@@ -29,7 +29,6 @@ from sevrel.engine import (
 )
 from sevrel.engine import (
     _BLOCK,
-    _LANE_CALIBRATION,
     _LANE_MAIN,
     _block,
     _draw_block,
@@ -71,13 +70,12 @@ def block_g(model, config, lane, idx):
     return _block(_plan(model), config.master_seed, lane, config.sample_count, idx)
 
 
-def poison(monkeypatch, lane, bad):
-    # Block idx of the lane gets the value bad[idx] at its 7th position,
-    # after it is drawn: a non-finite g in the blocks chosen, whatever the
-    # sample.
-    def draw(plan, master_seed, on, idx, g, scratch):
-        _draw_block(plan, master_seed, on, idx, g, scratch)
-        if on == lane and idx in bad:
+def poison(monkeypatch, bad):
+    # Block idx gets the value bad[idx] at its 7th position, after it is
+    # drawn: a non-finite g in the blocks chosen, whatever the sample.
+    def draw(plan, master_seed, lane, idx, g, scratch):
+        _draw_block(plan, master_seed, lane, idx, g, scratch)
+        if idx in bad:
             g[7] = bad[idx]
         return g
 
@@ -310,13 +308,11 @@ def test_calibrate_shift_hits_target():
     model = LimitStateModel(terms=(Term("z", 1.0, Normal(0.0, 1.0)),))
     cfg = SimulationConfig(sample_count=200_000, master_seed=13)
     c = calibrate_shift(model, 0.05, cfg)
-    # P(z + c < 0) = 0.05 wants c near the upper 5% point
-    assert abs(c - 1.6448536269514722) < 0.03
+    # P(z + c < 0) = 0.05 at the upper 5% point, to the 32 bits kept
+    assert c == pytest.approx(1.6448536269514722, rel=1e-9)
     s = simulate(model.with_shift(c), cfg)
-    # calibration and evaluation use disjoint substreams, so both
-    # contribute sampling noise to the realized pf
-    se = math.sqrt(2.0) * math.sqrt(0.05 * 0.95 / cfg.sample_count)
-    assert abs(s.pf - 0.05) < 4.0 * se
+    # the shift draws no sample, so only the run's own noise is left
+    assert abs(s.pf - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / cfg.sample_count)
 
 
 def test_calibrate_shift_ignores_existing_shift():
@@ -328,14 +324,13 @@ def test_calibrate_shift_ignores_existing_shift():
 
 
 def two_term_model():
-    # two terms of one spread: conditioning on either leaves about a third
-    # of the crude variance at p_f 0.5, so calibrate_shift sums ~n / 3
-    # values of r and draws blocks past block 0
+    # X - Y of two iid Gumbels is Logistic(0, 1): a shift c fails with
+    # probability 1 / (1 + e^c) exactly
     return LimitStateModel(terms=(Term("x", 1.0, Gumbel(0.0, 1.0)), Term("y", -1.0, Gumbel(0.0, 1.0))))
 
 
 def pareto_model():
-    # the pilot conditions on the Pareto term at p_f 0.1
+    # conditioned on the Pareto term, whose tail has a kink at x_min
     return LimitStateModel(
         terms=(
             Term("r", 1.0, Normal(5.0, 1.0)),
@@ -343,6 +338,14 @@ def pareto_model():
             Term("t", -1.0, Gumbel(1.0, 0.5)),
         )
     )
+
+
+def no_draw(monkeypatch):
+    # calibrate_shift must not draw a block
+    def draw(*args):
+        raise AssertionError(f"block {args[3]} was drawn")
+
+    monkeypatch.setattr(engine, "_draw_block", draw)
 
 
 @pytest.mark.parametrize(
@@ -359,75 +362,26 @@ def pareto_model():
     ],
     ids=["all-normal", "one-term"],
 )
-def test_calibrate_shift_is_exact_on_block_0_when_r_is_constant(monkeypatch, model, expected, bits):
-    # One candidate: its r is constant, so the pilot's v is 0 and m is
-    # block 0 alone, whose mean is exact.
-    drawn = []
-    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
-    cfg = SimulationConfig(sample_count=1_000_000, master_seed=5)
-    shift = calibrate_shift(model, 0.05, cfg)
+def test_calibrate_shift_is_exact_when_r_is_constant(monkeypatch, model, expected, bits):
+    # One term to condition on and nothing to convolve: the shift is the
+    # root of the term's own tail.
+    no_draw(monkeypatch)
+    shift = calibrate_shift(model, 0.05, SimulationConfig(sample_count=1_000_000, master_seed=5))
     # rounded to 32 significant bits
     assert shift == pytest.approx(expected, rel=1e-9)
     assert shift.hex() == bits
-    assert set(drawn) == {0}
 
 
 def sixteen_gumbels():
-    # sixteen terms of one spread: conditioning on any one of them leaves
-    # most of the crude variance, so the pass reads past block 0 at every
-    # target but the rarest
+    # sixteen terms of one spread, of alternating sign: g is symmetric
+    # about 0, and fifteen densities convolve into r
     return LimitStateModel(terms=tuple(Term(f"x{i}", (-1.0) ** i, Gumbel(0.0, 1.0)) for i in range(16)))
 
 
-def held_rest(cand, seed, m):
-    # the calibration lane's first m values of r, in memory at once
-    return np.concatenate([_block(cand.rest, seed, _LANE_CALIBRATION, m, i) for i in range(-(-m // _BLOCK))])
-
-
-def pilot(model, target_pf, config):
-    # calibrate_shift's pilot, started from minus the ceil(p * size)-th
-    # smallest value of block 0 of g, with the block's range as the step
-    plan, n, seed = _plan(model.with_shift(0.0)), config.sample_count, config.master_seed
-    g = _block(plan, seed, _LANE_CALIBRATION, n, 0)
-    start = -float(np.sort(g)[max(1, math.ceil(target_pf * g.size)) - 1])
-    return engine._pilot(engine._candidates(plan), target_pf, n, seed, start, float(g.max() - g.min()))
-
-
-def calibration_reference(model, target_pf, config):
-    # the m values of r that the pilot asks for, in memory at once; their
-    # sums at c0 folded block by block in block order, one Newton step,
-    # and the shift rounded to 32 significant bits
-    cand, c0, m, _ = pilot(model, target_pf, config)
-    seed = config.master_seed
-    r = held_rest(cand, seed, m)
-    assert r.size == m
-    acc = np.zeros(3)
-    for i in range(0, m, _BLOCK):
-        acc += cand.sums(r[i : i + _BLOCK], c0)
-    mean, slope, _ = acc / m
-    mantissa, exponent = math.frexp(c0 + (mean - target_pf) / slope)
-    return math.ldexp(round(mantissa * 2**32), exponent - 32)
-
-
-@pytest.mark.parametrize(
-    "target_pf, n",
-    [
-        (0.05, 100_000),  # m = n, a ragged second block
-        (0.5, 100_000),  # m = n
-        (0.3, 90_000),  # m = n, a ragged second block of another size
-        (0.0001, 100_000),  # ten expected failures: m is block 0 alone
-    ],
-)
-def test_calibrate_shift_streams_to_the_same_bits(monkeypatch, task, target_pf, n):
-    # Streamed in tasks of any size on any number of threads, the shift
-    # has the bits of the same fold over the whole of r held in memory.
-    cfg = SimulationConfig(sample_count=n, master_seed=21)
-    model = sixteen_gumbels()
-    expected = calibration_reference(model, target_pf, cfg)
-    for blocks_a_task, workers in [(16, 1), (1, 1), (1, 2)]:
-        task(blocks_a_task)
-        pin_workers(monkeypatch, workers)
-        assert calibrate_shift(model, target_pf, cfg) == expected
+def narrow_gumbel_model():
+    # a wide capacity against a narrow demand: given the demand, the
+    # capacity fails in a step 0.001 wide
+    return LimitStateModel(terms=(Term("capacity", 1.0, Lognormal(1.6, 1.5)), Term("demand", -1.0, Gumbel(2.0, 0.001))))
 
 
 def scipy_law(d):
@@ -441,46 +395,6 @@ def scipy_law(d):
     if isinstance(d, Pareto):
         return [(1.0, stats.pareto(d.alpha, scale=d.x_min))]
     return [(w * v, law) for w, c in d.components for v, law in scipy_law(c)]
-
-
-def conditional(cand, r, c):
-    # the means over r of P(a X < -(r + c)) and of its density
-    x = -(r + c) / cand.a
-    laws = scipy_law(cand.x)
-    tail = sum(w * (law.cdf(x) if cand.a > 0.0 else law.sf(x)) for w, law in laws)
-    density = sum(w * law.pdf(x) for w, law in laws) / abs(cand.a)
-    return tail.mean(), density.mean()
-
-
-def sample_root(model, target_pf, config):
-    # The exact root of the mean conditional p_f over the m values of r
-    # that the pilot asks for, held here in memory, the standard error of
-    # the n-value order statistic carried to the shift there, and m.
-    cand, _, m, _ = pilot(model, target_pf, config)
-    r = held_rest(cand, config.master_seed, m)
-    root = brentq(lambda c: conditional(cand, r, c)[0] - target_pf, -50.0, 50.0, xtol=1e-15)
-    se = math.sqrt(target_pf * (1.0 - target_pf) / config.sample_count) / conditional(cand, r, root)[1]
-    return root, se, m
-
-
-@pytest.mark.parametrize(
-    "model, target_pf",
-    [(two_term_model(), 0.5), (sixteen_gumbels(), 0.5), (pareto_model(), 0.1)],
-    ids=["two-gumbels", "sixteen-gumbels", "pareto"],
-)
-def test_calibrate_shift_is_one_newton_step_from_the_sample_root(monkeypatch, task, model, target_pf):
-    # The shift is within 0.05 standard errors of the sample root, whatever
-    # the task size or the thread count.
-    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
-    root, se, m = sample_root(model, target_pf, cfg)
-    assert m > _BLOCK  # the pass reads past block 0
-    shifts = set()
-    for blocks_a_task, workers in [(16, 1), (1, 2), (1, 3)]:
-        task(blocks_a_task)
-        pin_workers(monkeypatch, workers)
-        shifts.add(calibrate_shift(model, target_pf, cfg))
-    assert len(shifts) == 1
-    assert abs(shifts.pop() - root) < 0.05 * se
 
 
 def normal_gumbel_model():
@@ -528,17 +442,19 @@ def quadrature_root(model, target_pf):
     ids=["scenarioA", "scenarioB", "normal-gumbel"],
 )
 def test_calibrate_shift_is_exact_when_the_rest_of_g_is_one_gaussian_group(monkeypatch, model, target_pf):
-    # Conditioned on the other term, the failure probability is integrated
-    # over the Lognormal or merged Normal by quadrature: the shift is the
-    # exact root, the same for every seed, and only block 0 of g is drawn.
+    # The shift is the exact root, the same for every seed, and no block
+    # is drawn.
     expected = quadrature_root(model, target_pf)
-    drawn = []
-    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
+    no_draw(monkeypatch)
     shifts = {calibrate_shift(model, target_pf, SimulationConfig(1_000_000, seed)) for seed in range(1, 6)}
-    assert drawn == [0] * 5
     assert len(shifts) == 1
     # rounded to 32 significant bits
     assert shifts.pop() == pytest.approx(expected, rel=1e-9)
+
+
+# calibrate_shift draws no sample: the sample count sets only its
+# tolerance, here 1e-3 of the standard error of a 1e9-sample run
+REFERENCE = SimulationConfig(sample_count=10**9, master_seed=11)
 
 
 @pytest.mark.parametrize(
@@ -558,60 +474,143 @@ def test_calibrate_shift_is_exact_when_the_rest_of_g_is_one_gaussian_group(monke
         "sharp-step-median",
     ],
 )
-def test_calibrate_shift_falls_back_on_monte_carlo_where_quadrature_misses(monkeypatch, capacity, demand, target_pf):
-    # Given the wide capacity, the narrow demand fails in a step that the
-    # grid does not resolve, so the root fails its check: the pilot draws
-    # block 0 of r for each candidate after that of g, and the shift is
-    # one Newton step from the sample root. Conditioned on the capacity,
-    # r hardly varies, so m is one block. At p_f 0.5 the step lies at the
-    # median of the capacity, z = 0, where a pair of rules symmetric about
-    # 0 both read 0.5 and pass a root that misses. The sharp step, under a
-    # tenth of the grid's step wide, would sit on a node at z = 0 and read
-    # the same on both rules there.
+def test_calibrate_shift_resolves_a_narrow_demand(capacity, demand, target_pf):
+    # Given the narrow demand D, the wide capacity fails with probability
+    # cdf(D - c): scipy's quad over the quantiles of D, and brentq. These
+    # steps defeated the fixed quadrature grid that calibrated before the
+    # density of r was convolved on a grid of its own.
     model = LimitStateModel(terms=(Term("capacity", 1.0, capacity), Term("demand", -1.0, demand)))
-    cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
-    drawn = []
-    monkeypatch.setattr(engine, "_draw_block", lambda *args: drawn.append(args[3]) or _draw_block(*args))
-    shift = calibrate_shift(model, target_pf, cfg)
-    assert len(drawn) == 3
-    root, se, _ = sample_root(model, target_pf, cfg)
-    assert abs(shift - root) < 0.05 * se
+    ((_, cap),), ((_, dem),) = scipy_law(capacity), scipy_law(demand)
+
+    def pf(c):
+        return integrate.quad(lambda u: cap.cdf(dem.ppf(u) - c), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    expected = brentq(lambda c: pf(c) - target_pf, -50.0, 50.0, xtol=1e-14, rtol=1e-15)
+    assert abs(calibrate_shift(model, target_pf, REFERENCE) - expected) < 1e-7
 
 
-def narrow_gumbel_model():
-    # the [narrow-gumbel] case above
-    return LimitStateModel(terms=(Term("capacity", 1.0, Lognormal(1.6, 1.5)), Term("demand", -1.0, Gumbel(2.0, 0.001))))
+def test_calibrate_shift_resolves_the_kink_of_a_pareto_tail():
+    # g + c = N(5, 1) - S - T + c with S Pareto(1, 2.5) and T Gumbel(1,
+    # 0.5) fails when S > N - T + c. Given T = t, N - t + c is Normal(mu,
+    # 1), and P(S > Y) = Phi(1 - mu) + the integral over y > 1 of
+    # phi(y - mu) y^-2.5: nested quad, smooth on each side of x_min, and
+    # brentq.
+    def pf(c):
+        def given(t):
+            mu = 5.0 - t + c
+            tail = integrate.quad(
+                lambda y: math.exp(-0.5 * (y - mu) ** 2) / math.sqrt(2.0 * math.pi) * y**-2.5,
+                1.0, max(mu, 1.0) + 12.0, epsabs=1e-15, epsrel=1e-13, limit=200,
+            )[0]
+            return stats.gumbel_r.pdf(t, 1.0, 0.5) * (0.5 * math.erfc((mu - 1.0) / math.sqrt(2.0)) + tail)
+
+        return integrate.quad(given, -5.0, 30.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    expected = brentq(lambda c: pf(c) - 0.1, -2.0, 2.0, xtol=1e-13, rtol=1e-15)
+    assert abs(calibrate_shift(pareto_model(), 0.1, REFERENCE) - expected) < 1e-7
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 0.01])
+def test_calibrated_two_gumbels_is_the_logistic_quantile(p):
+    # X - Y is Logistic(0, 1): P(X - Y + c < 0) = 1 / (1 + e^c) = p at
+    # c = ln((1 - p) / p), 0 at the median
+    shift = calibrate_shift(two_term_model(), p, SimulationConfig(1_000_000, 3))
+    assert shift == pytest.approx(math.log((1.0 - p) / p), rel=1e-9, abs=1e-12)
+
+
+def test_calibrated_sixteen_gumbels_is_zero_at_the_median():
+    # g is symmetric about 0, so it fails with probability 0.5 at shift 0
+    assert abs(calibrate_shift(sixteen_gumbels(), 0.5, SimulationConfig(1_000_000, 3))) < 1e-9
 
 
 @pytest.mark.parametrize(
     "model, target_pf, bits",
     [
-        (two_term_model(), 0.5, "-0x1.352c65ec00000p-9"),
-        (sixteen_gumbels(), 0.5, "0x1.0105a13800000p-6"),
-        (pareto_model(), 0.1, "-0x1.11e18dca00000p-2"),
-        (narrow_gumbel_model(), 0.25, "0x1.9908d2e600000p-3"),
+        (two_term_model(), 0.25, "0x1.193ea7aa00000p+0"),
+        (sixteen_gumbels(), 0.25, "0x1.b414e0bc00000p+1"),
+        (pareto_model(), 0.1, "-0x1.07a496ea00000p-2"),
+        (narrow_gumbel_model(), 0.25, "0x1.9904385800000p-3"),
     ],
     ids=["two-gumbels", "sixteen-gumbels", "pareto", "narrow-gumbel"],
 )
-def test_calibrate_shift_keeps_its_monte_carlo_bits(model, target_pf, bits):
-    # Literal pins of the fallback's shifts, the same on numpy's AVX-512
-    # and AVX2 paths: the tests above compare against references built
-    # from the engine's own parts, which move with them.
+def test_calibrate_shift_keeps_its_grid_bits(model, target_pf, bits):
+    # Literal pins, the same on numpy's AVX-512 and AVX2 paths. The two
+    # symmetric models are pinned at 0.25: at 0.5 their shift is 0 up to
+    # round-off, whose bits differ between the paths.
     cfg = SimulationConfig(sample_count=4 * _BLOCK, master_seed=11)
     assert calibrate_shift(model, target_pf, cfg).hex() == bits
 
 
-def test_calibrated_two_gumbels_is_as_precise_as_the_order_statistic():
-    # Seeds 1-100 at p_f 0.25 and 1M samples. X - Y of two iid Gumbels is
-    # Logistic(0, 1), so a shift c fails with probability 1 / (1 + e^c)
-    # exactly; its SD must be within 1.2 of the n-value order statistic's,
-    # sqrt(p (1 - p) / n), and its mean within 0.3 SD of p.
-    p, n = 0.25, 1_000_000
-    model = two_term_model()
-    realised = np.array([expit(-calibrate_shift(model, p, SimulationConfig(n, seed))) for seed in range(1, 101)])
-    sd = realised.std(ddof=1)
-    assert sd <= 1.2 * math.sqrt(p * (1.0 - p) / n)
-    assert abs(realised.mean() - p) <= 0.3 * sd
+CALIBRATED = {
+    **{sid: builtin(sid).model for sid in SCENARIO_IDS},
+    "margin": margin_model(),
+    "one-gumbel": LimitStateModel(terms=(Term("load", -1.0, Gumbel(2.0, 0.6)),)),
+    "two-gumbels": two_term_model(),
+    "sixteen-gumbels": sixteen_gumbels(),
+    "pareto": pareto_model(),
+    "normal-gumbel": normal_gumbel_model(),
+    "narrow-gumbel": narrow_gumbel_model(),
+    "sharp-step": LimitStateModel(terms=(Term("capacity", 1.0, Normal(10.0, 0.5)), Term("demand", -1.0, Gumbel(3.0, 0.002)))),
+}
+
+
+def crude_cases():
+    for name in CALIBRATED:
+        for target_pf in (0.25, 1e-3):
+            marks = ()
+            if (name, target_pf) == ("sixteen-gumbels", 1e-3):
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="the terms' substreams, one PCG64 stream 2**64 draws apart, are correlated: "
+                    "the crude run fails ~10% too often, while independent draws hit the target",
+                )
+            yield pytest.param(name, target_pf, marks=marks, id=f"{name}-{target_pf:g}")
+
+
+@pytest.mark.parametrize("name, target_pf", crude_cases())
+def test_a_crude_run_at_the_calibrated_shift_hits_the_target(monkeypatch, name, target_pf):
+    # Every built-in and every calibrated test model: the shift is found
+    # without drawing a block, and a crude run at it lies within 5
+    # standard errors of the target.
+    cfg = SimulationConfig(sample_count=1_000_000, master_seed=17)
+    model = CALIBRATED[name]
+    with monkeypatch.context() as patch:
+        no_draw(patch)
+        shift = calibrate_shift(model, target_pf, cfg)
+    pf = simulate(model.with_shift(shift), cfg).pf
+    assert abs(pf - target_pf) < 5.0 * math.sqrt(target_pf * (1.0 - target_pf) / cfg.sample_count)
+
+
+def test_sixteen_gumbels_calibrated_at_1e_3_hits_the_target_on_independent_draws():
+    # numpy's own Gumbel draws, the sixteen terms one after another on one
+    # generator: the shift the crude run above misses is right
+    shift = calibrate_shift(sixteen_gumbels(), 1e-3, SimulationConfig(1_000_000, 17))
+    rng = np.random.default_rng(17)
+    failures = 0
+    for _ in range(4):
+        x = rng.gumbel(size=(16, 250_000))
+        failures += int(np.count_nonzero(x[0::2].sum(axis=0) - x[1::2].sum(axis=0) + shift < 0.0))
+    assert abs(failures / 1e6 - 1e-3) < 5.0 * math.sqrt(1e-3 * (1.0 - 1e-3) / 1e6)
+
+
+def test_calibrate_refuses_two_pareto_terms():
+    model = LimitStateModel(
+        terms=(
+            Term("wind", -1.0, Pareto(1.0, 3.0)),
+            Term("capacity", 1.0, Normal(10.0, 1.0)),
+            Term("snow", -1.0, Mixture(((0.9, Gumbel(1.0, 0.2)), (0.1, Pareto(2.0, 4.0))))),
+        )
+    )
+    with pytest.raises(ValueError, match="terms 'wind', 'snow' each have a Pareto part"):
+        calibrate_shift(model, 0.1, SimulationConfig(100_000, 0))
+
+
+def test_calibrate_refuses_a_grid_past_its_node_cap():
+    # Lognormal(0, 3) spans 2e10 between its 1e-15 quantiles, on a step
+    # set by its quartiles
+    model = LimitStateModel(terms=(Term("x", 1.0, Normal(0.0, 1.0)), Term("w", 1.0, Lognormal(0.0, 3.0))))
+    with pytest.raises(ValueError, match=r"more than \d+ grid nodes \(terms 'x', 'w'\)"):
+        calibrate_shift(model, 0.1, SimulationConfig(100_000, 0))
 
 
 def per_thread(size):
@@ -631,32 +630,25 @@ def traced_peak(call):
 
 
 @pytest.mark.parametrize(
-    "model, n, target_pf, blocks_a_task",
+    "model, n, target_pf",
     [
-        (two_term_model(), 2_000_000, 0.25, 2),
-        (two_term_model(), 2_000_000, 0.001, 1),
-        (builtin("scenarioA").model, 8_000_000, 0.25, 16),
+        (two_term_model(), 2_000_000, 0.25),
+        (two_term_model(), 2_000_000, 0.001),
+        (builtin("scenarioA").model, 8_000_000, 0.25),
+        (builtin("case-study").model, 8_000_000, 0.25),
     ],
-    ids=["wide-chunks", "small-pf-small-chunks", "scenarioA-exact"],
+    ids=["two-gumbels", "two-gumbels-small-pf", "scenarioA", "case-study"],
 )
-def test_calibrate_shift_memory_is_bounded(monkeypatch, task, model, n, target_pf, blocks_a_task):
-    # On one thread: two blocks of r, the pilot's best and the next
-    # candidate's (block 0 of g and its scratch come and go before them),
-    # or the pass's block, and the temporaries of a step of the sums, a
-    # few _STEP values each. The exact path of scenarioA holds block 0 of
-    # g and its scratch, then the grid. Each further thread adds its own
-    # blocks (see test_a_thread_adds_its_blocks).
-    pin_workers(monkeypatch, 1)
-    task(blocks_a_task)
+def test_calibrate_shift_memory_is_bounded(model, n, target_pf):
+    # No block is drawn: the grids of r, a few thousand nodes here, and
+    # their temporaries take less than one block of g.
     cfg = SimulationConfig(sample_count=n, master_seed=7)
-    peak = traced_peak(lambda: calibrate_shift(model, target_pf, cfg))
-    assert peak < 8 * (2 * _BLOCK + 8 * engine._STEP)
+    assert traced_peak(lambda: calibrate_shift(model, target_pf, cfg)) < 8 * _BLOCK
 
 
-def test_calibrate_shift_memory_does_not_grow_with_n(monkeypatch):
-    # The pilot holds a few blocks and the pass a few per thread, whatever
-    # n, so the peaks differ by under a block.
-    pin_workers(monkeypatch, 1)
+def test_calibrate_shift_memory_does_not_grow_with_n():
+    # n sets only the tolerance of the check, so the peaks differ by
+    # under a block.
     model = two_term_model()
     peaks = []
     for n in (2_000_000, 8_000_000):
@@ -682,8 +674,7 @@ def test_simulate_memory_is_one_chunk(monkeypatch, sid, target_pf):
     assert traced_peak(lambda: simulate(model, cfg, histograms=True)) < 2 * per_thread(_BLOCK)
 
 
-@pytest.mark.parametrize("call", ["simulate", "calibrate_shift"])
-def test_a_thread_adds_its_blocks(monkeypatch, task, call):
+def test_a_thread_adds_its_blocks(monkeypatch, task):
     # A second thread holds its own blocks, and at most two tasks per
     # thread of finished partials wait for the fold.
     task(2)
@@ -692,28 +683,15 @@ def test_a_thread_adds_its_blocks(monkeypatch, task, call):
     peaks = []
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)
-        if call == "simulate":
-            peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
-        else:
-            peaks.append(traced_peak(lambda: calibrate_shift(two_term_model(), 0.25, cfg)))
+        peaks.append(traced_peak(lambda: simulate(model.with_shift(-3.0), cfg, histograms=True)))
     assert peaks[1] - peaks[0] < per_thread(_BLOCK)
 
 
-@pytest.mark.parametrize(
-    "call, sizes, expected",
-    [
-        # one block of g and one of scratch per worker
-        ("simulate", (2_000_000, 4_000_000), 2 * 2),
-        # the pilot's block 0 of g and its scratch, then block 0 of r for
-        # each of the two candidates, on the calling thread; the pass's r,
-        # one Gumbel, is drawn straight into g: one block per worker
-        ("calibrate_shift", (4_000_000, 8_000_000), 2 + 2 + 2 * 1),
-    ],
-)
-def test_a_pass_allocates_its_blocks_once_on_the_calling_thread(monkeypatch, call, sizes, expected):
+def test_a_pass_allocates_its_blocks_once_on_the_calling_thread(monkeypatch):
     # Two workers and at least two tasks of 16 blocks, whatever n: every
     # allocation of half a block or more is made on the calling thread,
-    # and the pass makes one per worker and buffer, not one per task.
+    # and the pass makes one per worker and buffer, not one per task: one
+    # block of g and one of scratch per worker.
     pin_workers(monkeypatch, 2)
     empty, caller, made = np.empty, threading.get_ident(), []
 
@@ -724,14 +702,10 @@ def test_a_pass_allocates_its_blocks_once_on_the_calling_thread(monkeypatch, cal
         return out
 
     monkeypatch.setattr(np, "empty", spy)
-    for n in sizes:
+    for n in (2_000_000, 4_000_000):
         made.clear()
-        cfg = SimulationConfig(sample_count=n, master_seed=7)
-        if call == "simulate":
-            simulate(builtin("case-study").model, cfg, histograms=True)
-        else:
-            calibrate_shift(two_term_model(), 0.5, cfg)
-        assert made == [caller] * expected
+        simulate(builtin("case-study").model, SimulationConfig(sample_count=n, master_seed=7), histograms=True)
+        assert made == [caller] * 2 * 2
 
 
 def test_lent_blocks_are_never_shared(monkeypatch, task):
@@ -811,7 +785,7 @@ def test_simulate_and_calibrate_fail_on_non_finite_g(model):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"not finite in block 0 \(stream positions 0 to 2999\)"):
             simulate(model, cfg)
-        with pytest.raises(ValueError, match="not finite in block 0"):
+        with pytest.raises(ValueError, match=r"g overflows: a coefficient or parameter of the terms '.+' is too large"):
             calibrate_shift(model, 0.1, cfg)
 
 
@@ -840,26 +814,21 @@ def test_a_zero_coefficient_other_term_draws_positive_zeros():
 def test_non_finite_g_names_the_first_chunk_that_has_it(monkeypatch, task):
     # blocks 2 and 4 hold a non-finite g, found by g_chunks as by simulate
     task(1)
-    poison(monkeypatch, _LANE_MAIN, {2: math.inf, 4: math.nan})
+    poison(monkeypatch, {2: math.inf, 4: math.nan})
     cfg = SimulationConfig(sample_count=6 * _BLOCK + 100, master_seed=3)
     assert [i for i, g in enumerate(g_chunks(failure_heavy_model(), cfg)) if not np.isfinite(g).all()] == [2, 4]
     with pytest.raises(ValueError, match=positions(2)):
         simulate(failure_heavy_model(), cfg)
 
 
-@pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task, lane):
+def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task):
     # finite blocks come first, in tasks of two; the error must still name
     # the first non-finite block of the lane and its stream positions
-    # (calibrate_shift reads blocks 0-5 of r here, see two_term_model)
     task(2)
-    poison(monkeypatch, lane, {3: -math.inf, 5: math.nan})
+    poison(monkeypatch, {3: -math.inf, 5: math.nan})
     cfg = SimulationConfig(sample_count=16 * _BLOCK + 500, master_seed=4)
     with pytest.raises(ValueError, match=positions(3)):
-        if lane == _LANE_MAIN:
-            simulate(failure_heavy_model(), cfg, histograms=True)
-        else:
-            calibrate_shift(two_term_model(), 0.5, cfg)
+        simulate(failure_heavy_model(), cfg, histograms=True)
 
 
 # --- threads and tasks ----------------------------------------------------
@@ -896,16 +865,13 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, task, tmp_path, 
         assert other_shift == shift
 
 
-@pytest.mark.parametrize("lane", [_LANE_MAIN, _LANE_CALIBRATION], ids=["simulate", "calibrate_shift"])
-def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, task, lane):
+def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, task):
     # The first bad block waits until a later bad block has raised on
     # another thread; the error must still name the first. Blocks 2 and 4
-    # are in flight together on three threads, and block 0, the
-    # calibration pilot, is finite (calibrate_shift reads blocks 0-5 of r
-    # here, see two_term_model).
+    # are in flight together on three threads.
     task(1)
     first, second = 2, 4
-    poison(monkeypatch, lane, {first: math.nan, second: math.inf})
+    poison(monkeypatch, {first: math.nan, second: math.inf})
     cfg = SimulationConfig(sample_count=16 * _BLOCK, master_seed=1)
     raised = threading.Event()
 
@@ -922,10 +888,7 @@ def test_the_lowest_failing_chunk_is_named_whichever_fails_first(monkeypatch, ta
     pin_workers(monkeypatch, 3)
     monkeypatch.setattr(engine, "_finite_extrema", extrema)
     with pytest.raises(ValueError, match=positions(first)):
-        if lane == _LANE_MAIN:
-            simulate(failure_heavy_model(), cfg)
-        else:
-            calibrate_shift(two_term_model(), 0.5, cfg)
+        simulate(failure_heavy_model(), cfg)
     assert raised.is_set()
 
 
@@ -1000,6 +963,6 @@ def test_no_thread_outlives_a_call(monkeypatch, task):
     with pytest.raises(ValueError, match="not finite"):
         simulate(overflowing_model(), cfg)
     assert threading.active_count() == start
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="g overflows"):
         calibrate_shift(overflowing_model(), 0.1, cfg)
     assert threading.active_count() == start

@@ -5,16 +5,18 @@ default seed: the report JSON, the two histogram CSVs and stdout, with
 the export directory written as DIR. `deficit-curve.csv` depends on no
 run and has one pin. 330 000 samples are five 65 536-value blocks and a
 ragged sixth. A change that alters any of these bytes fails here until
-it bumps SCHEMA_VERSION and pins the new digests in the open. Version 12
-changed the calibrated shifts of some library models, but no built-in's,
-so only the `schemaVersion` field of every report.
+it bumps SCHEMA_VERSION and pins the new digests in the open. Version 13
+calibrates every model on a grid of the density of the rest of g, with
+no sample drawn. That changed the calibrated shifts of some library
+models, but no built-in's, so only the `schemaVersion` field of every
+report.
 
 numpy sends float64 log, exp and power to AVX-512 kernels where the CPU
 has them, and those differ from the other kernels in the last bit. Four
 of the pinned built-ins give the same bytes with numpy's AVX-512 kernels
 on and off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
 The others do not: scenarioA and scenarioB have exact calibrated shifts,
-the same on both paths, but their main-lane runs differ in the last
+the same on both paths, but their runs differ in the last
 digit (scenarioA's maxG, and so its g histogram; scenarioB's
 conditionalStd), and the reports of example2-mild, case-study and
 figure-grid-mild differ in the last digit of several fields. Their
@@ -40,63 +42,63 @@ FCURVE = "18e3ebbe3b8be7da54bdeab4301e9883fd6cd2e51b087cdf7b885b7a52ccf7fb"
 PINS = {
     "example1-gaussian": (
         0,
-        "269f9cb10088eb3ebf661e14c807afcd95bfe306377e597520f6d2938513c7c0",
+        "00d5e1f5f865de1fcc339a126251466af21c932a6b338dce944b4023d5e430b8",
         "b1d5f548bc1e288f31700c6053e6ca134107fdfb464ab269d68bfd816044e6d3",
         "c6d77424d1313059deb4b0b99a34095ee5488f4d724e7eea41dfe1df37c9fab9",
         "b0a2d3e9a5bc90e08de7b4cde241a64d266b65c8d6ac2d6922832d456a9c48e1",
     ),
     "example3-extreme": (
         0,
-        "baa21dff01275924553960ef462551a4414d4e6b18bfc1fb5b538a3554f4000d",
+        "15851ef582b05b75ed31f194bdc5c92fdf2be4e41b8b8431ffab33aebedb99ba",
         "85ff4a5dab7abc915dc5ab46cb1ca22381f8f5dd583ebcff33824b03d9d6ca04",
         "7f813951c828e965b0b3f557c580b61eddf331ebb7879620aa397a11992b6bf1",
         "c52f3cf0c10f17bba6905f987784b26bf4b423e44c1c2735b761cb8d93f11b04",
     ),
     "scenarioA": (
         0,
-        "5661a5401ab6c20f552381f8e7994c9e97278eebc8570ecaa804cb3d6c663013",
+        "ca4aa205412f7208ce2c763cce6036330eaa8b722d4f7fe8f11acee9ecbd7964",
         "618285b134e7772bb18db75ef74bfd27372d5d4cbaa58c00d1a364137114ef52",
         "72ef64a4d7be7cb45f5a9449735b773cb44e976a4ebfe8294233b513eef63c19",
         "0291e19b909973d1fd04a71b232fb13574eb070b08381312a9dc387d285a8158",
     ),
     "scenarioB": (
         0,
-        "2e3e386634c31517eccf97a9f62d4268269046cdcef323001c501cb7a2a49295",
+        "8f667ea6a758aa505b7d1b64aefe59a6be3b4d8b0da3da2e557a2225952b64da",
         "d28b51b1e37497ea5e1fcc5087a78fa5a0ea05081e7b09688fbb922064721ede",
         "f99b09d95346c448761a20748794a1be8b67379d9d12e7510373dac6238dcb2c",
         "bb88ee494c485774dac847bf6e4af7d3b113921e493711160eefa8c2500db5b1",
     ),
     "example2-mild": (
         5,
-        "f0b4f6b443f131b1ee8beb41f2b698d6d15a71470f2c5aea86e2ff49ec895b42",
+        "24829244e15dbd808948c49bec81be3248a52fed923d52aa601eec057207ffdc",
         "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
         "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
         "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
     ),
     "case-study": (
         5,
-        "14a550cef3547048cf8d473859e5ed5f188f6bc93fe42e7be5b6dd9026efcb0a",
+        "1abbc4940df67eb1e19689200ee9be2440983800b6108d81083c53e0fff9eb02",
         "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
         "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
         "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
     ),
     "figure-grid-gaussian": (
         5,
-        "9d606fe2942e7a1a5cdc54eb764637e5a592a9f604e726b166a227598c8b2c51",
+        "a7c98a707092e0debe6ab7d001fdbc712b5c42a6b70074dff5f2339877adf8c4",
         "0ae0b9bcf23c58bc5b167eaefdc145125b92a3879fb9a7f5236c03aadca6d226",
         "d376e1245fe5ed2181c5f45b885cbac292f90f9a45f9727e727e6f6d8b54c932",
         "5a7500f12484e0051a0b5475c4865815e0aef93753845052646280be98899837",
     ),
     "figure-grid-mild": (
         0,
-        "a41134d28e1f2099ae8a02e7bdb24595b5196b6465eaa870ff5f3b160aa9a27e",
+        "9680e7e1f02e34accd302446a6e6e5cc3be91c2b7e307f665d53ff2bc45f05a3",
         "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
         "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
         "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
     ),
     "figure-grid-heavy": (
         0,
-        "2d4858a331ee4e17c5e7311b223255c4371cf3207f3f318d81e130e296a6eef3",
+        "1bd87552b6ccb189cf6df2745ffa2a5e91ab5dbe6b92bba99305dd030ff95b2a",
         "b7e113c5b506917a8e0eba05a0cc9a221fdde3796e76bb4a2628d5db88d91edd",
         "ed7876063f3d80d089663cbfe660fe7c07b09bca1f5e61c8aac80eb70647dcc6",
         "36fe2e4c0ba329c8684452dbac13a2befa4646b6f2dd30f10237a3d325ca6d9e",
@@ -108,35 +110,35 @@ PINS = {
 WITHOUT_AVX512 = {
     "example2-mild": (
         5,
-        "1b409eff55de50088d9a7d8ca1513d3532ef0a85dd07e7a1300fd0a4d3e8de62",
+        "f2b8fd53b1ec96a452b372ccda73c8a2932324552edd3adb0b2fb95ff1873d28",
         "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
         "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
         "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
     ),
     "case-study": (
         5,
-        "e9e43a21b885907eadeaf3d9ea937b2072a34b4bc06105cbdc50d689aaa35cc1",
+        "88447c4e53cffff184242652d9858e8553a4a2c5d41faef451d64b4c14919dd3",
         "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
         "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
         "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
     ),
     "figure-grid-mild": (
         0,
-        "edc9e00e067cd04b00a89e16794cfd22b69124c10eb57d7c7aa265d282c09d29",
+        "71a12c806a996b68abca59ed2a2439b5cd82086ad3d6e9da31767b05afad2d26",
         "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
         "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
         "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
     ),
     "scenarioA": (
         0,
-        "53ab76ea2783b350ed3dfa9fb5ed113df4320aa2c9df7d16a359e00ec8c0ef1a",
+        "322537e55ca2b3fc3e3ba192f37bc7f395d4748c380b7c46ab7d5213f111f261",
         "2791c24b52bf2ec5f0d31394932e76aecadd77ba9654c7b2b8c15afb58bf10b4",
         "72ef64a4d7be7cb45f5a9449735b773cb44e976a4ebfe8294233b513eef63c19",
         "0291e19b909973d1fd04a71b232fb13574eb070b08381312a9dc387d285a8158",
     ),
     "scenarioB": (
         0,
-        "45950ddf293814c140774198c4a38786062dee452ab851938a7983253c5f08e8",
+        "e0c98fe370f7e57660f05ff35895b903eef06998246c18164dd2c45dc96564ed",
         "d28b51b1e37497ea5e1fcc5087a78fa5a0ea05081e7b09688fbb922064721ede",
         "f99b09d95346c448761a20748794a1be8b67379d9d12e7510373dac6238dcb2c",
         "bb88ee494c485774dac847bf6e4af7d3b113921e493711160eefa8c2500db5b1",
@@ -154,7 +156,7 @@ def _sha256(data: bytes) -> str:
 
 
 def test_the_pins_are_for_this_schema_version():
-    assert SCHEMA_VERSION == 12, "a new schemaVersion pins its own export digests"
+    assert SCHEMA_VERSION == 13, "a new schemaVersion pins its own export digests"
 
 
 @pytest.mark.parametrize("sid", PINS)
@@ -222,7 +224,7 @@ CONFIGS = {
 SIMULATE_PINS = {
     "rejected": (
         3,
-        {"report.json": "beae15e10b712b09e5d3cf6a73649d1ae9af65a8a73aa0089cb022bdca8ade6c"},
+        {"report.json": "8dc5bfbfb084d0ac16a7257bade36235ce6affccb202a10f859ce01c09276975"},
         "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
     ),
     "redesign": (
@@ -231,7 +233,7 @@ SIMULATE_PINS = {
             "out/curve.csv": FCURVE,
             "out/deficit.csv": "2cccb10607aee93fe4319e84e9f89e0fe59b1f87881a9b567040d1241768d091",
             "out/g.csv": "cd2162c0751386a93e5a9694561f72406a41483b0c9969ef1a31f8d08b62e3b4",
-            "out/report.json": "3a4d6688ee575ec2bc41748144a16f10a4e7b17726b2b31a6d95c53cf87d220e",
+            "out/report.json": "861bef9ee68a38b25f07978c4befaed8e0c125b8dbb778084786f2162ba67b16",
         },
         "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
     ),
@@ -239,7 +241,7 @@ SIMULATE_PINS = {
 SIMULATE_WITHOUT_AVX512 = {
     "rejected": (
         3,
-        {"report.json": "e5587a895e2aabe1ef63fd2685a163a03b67a0596b4fd6393e506d4997596bb9"},
+        {"report.json": "5b43d5b3db49908833ce32a1178fdb8c2952260358637925dbb8129800fc132e"},
         "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
     ),
     "redesign": (
@@ -248,7 +250,7 @@ SIMULATE_WITHOUT_AVX512 = {
             "out/curve.csv": FCURVE,
             "out/deficit.csv": "613b3e897f85cc7cf2aea0cf1aeecca5b6937313cfba5641dfc2783f8d0f47ea",
             "out/g.csv": "b883652d3bb12852c34b500da602d41245a68c0bd68884f010d6494d5ed3dc2e",
-            "out/report.json": "526181aa41ccbe486057f57036c8dca3b0f32e871f5051824cc82e93e3802613",
+            "out/report.json": "a0cd7b2e19110d74f8ad900ef9ef8d1f2f4ce9bde1e30a5da58c4a75030b5ec0",
         },
         "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
     ),

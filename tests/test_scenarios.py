@@ -127,7 +127,7 @@ def test_exact_expectation_failure_is_graded_false():
 
 def test_a_constant_g_fails_before_calibration(monkeypatch):
     # the variance of g does not depend on the shift, so it is checked
-    # before the calibration lane is sampled
+    # before the shift is calibrated
     def never(*args, **kwargs):
         raise AssertionError("calibrate_shift ran although g is constant")
 
@@ -255,7 +255,7 @@ def test_export_report_json(tmp_path, scenario_cache):
     path = tmp_path / "report.json"
     export_result(res, "report-json", str(path))
     doc = json.loads(path.read_text())
-    assert doc["schemaVersion"] == 12
+    assert doc["schemaVersion"] == 13
     assert doc["scenario"]["id"] == "example1-gaussian"
     assert doc["simulation"]["sampleCount"] == 200_000
     # no deficit store since schemaVersion 5, no robust subsample since 6,

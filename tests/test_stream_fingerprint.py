@@ -79,15 +79,14 @@ FINGERPRINTS = {
         ),
     },
 }
-# versions 10, 11 and 12 changed the calibrated shift alone: the main
-# lane keeps version 9's bits
-FINGERPRINTS[10] = FINGERPRINTS[11] = FINGERPRINTS[9]
-FINGERPRINTS[12] = FINGERPRINTS[11]
+# versions 10 to 13 changed the calibrated shift alone: the main lane
+# keeps version 9's bits
+FINGERPRINTS[10] = FINGERPRINTS[11] = FINGERPRINTS[12] = FINGERPRINTS[13] = FINGERPRINTS[9]
 
 # The pins that differ where numpy runs without its AVX-512 kernels
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
 WITHOUT_AVX512 = {
-    12: {
+    13: {
         "example2-mild": (
             "bb5f13a4c6ceeb30bbcbaf403ac1102cbaa3ad96f28ccf5ce207f92cb8d31b77",
             "922d9ccef52b0f3d6052aa3ae99e5b948e4032d56cdfe118c8c4a906c480516b",
