@@ -439,8 +439,9 @@ def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.nd
     """Regenerate the exact g stream of simulate(), block by block, each in
     a new array that the caller may keep (see `_block`)."""
     plan, n = _plan(model), config.sample_count
-    for idx in range(-(-n // _BLOCK)):
-        yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
+    for task in _tasks(n):
+        for idx in task:
+            yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
 
 
 @dataclass
@@ -643,8 +644,13 @@ def _root(mean: Callable[[float], tuple[float, float]], p: float, c: float, step
     for _ in range(200):
         value, rate = mean(c)
         nxt = c + (value - p) / rate if rate > 0.0 else math.nan
-        lo, hi = (c, hi) if value > p else (lo, c)
-        if not (abs(nxt - c) <= tol or lo < nxt < hi):
+        if abs(nxt - c) <= tol:
+            return nxt
+        if value > p:
+            lo = c
+        else:
+            hi = c
+        if not lo < nxt < hi:
             if math.isinf(lo) or math.isinf(hi):
                 nxt = c + math.copysign(step, value - p)
                 step *= 2.0
@@ -667,16 +673,16 @@ def calibrate_shift(
     Given the rest r = g - a * X of one term X (shift forced to zero), g
     fails with probability P(a * X < -(r + c)) (Asmussen and Kroese, Adv.
     Appl. Probab. 38(2), 2006). X is the term with a Pareto part, else the
-    merged Normal, else the term whose 1e-15 quantiles lie furthest apart.
-    The mean over r is a trapezoid sum over the grid of r's density (see
-    `_density`, `_sums`), exponentially convergent for smooth densities
-    (Trefethen and Weideman, SIAM Review 56(3), 2014). Its root on step h,
-    from 1/16 of the least interquartile range of a term, is accepted once
-    the sum on step h / 2 and twice the span is within 1e-3 * sqrt(p *
-    (1 - p) / n) of p, a small fraction of the n-sample run's standard
-    error; else h is halved. c is rounded to 32 significant bits: a
-    last-bit difference between numpy's SIMD kernels then moves it only
-    next to a rounding edge.
+    term whose 1e-15 quantiles lie furthest apart, which leaves the grid
+    of r the least span. The mean over r is a trapezoid sum over the grid
+    of r's density (see `_density`, `_sums`), exponentially convergent for
+    smooth densities (Trefethen and Weideman, SIAM Review 56(3), 2014).
+    Its root on step h, from 1/16 of the least interquartile range of a
+    term, is accepted once the sum on step h / 2 and twice the span is
+    within 1e-3 * sqrt(p * (1 - p) / n) of p, a small fraction of the
+    n-sample run's standard error; else h is halved. c is rounded to 32
+    significant bits: a last-bit difference between numpy's SIMD kernels
+    then moves it only next to a rounding edge.
 
     Refuses targets outside (0, 1) or below 10 expected failures, and
     names the terms of a model with two Pareto parts, a grid past _NODES
@@ -703,8 +709,8 @@ def calibrate_shift(
         tails, quartiles = ([_span(a, d, q) for a, d in terms] for q in (1e-15, 0.25))
     if not (math.isfinite(plan.mean) and np.isfinite([tails, quartiles]).all()):
         raise ValueError(f"g overflows: a coefficient or parameter of the terms {names} is too large for a float")
-    # X: the term with a Pareto part, else the merged Normal, else the widest
-    rank = [(bool(_paretos(d)), isinstance(d, Normal), hi - lo) for (_, d), (lo, hi) in zip(terms, tails)]
+    # X: the term with a Pareto part, else the widest, which leaves r the least span
+    rank = [(bool(_paretos(d)), hi - lo) for (_, d), (lo, hi) in zip(terms, tails)]
     i = rank.index(max(rank))
     a, d = terms[i]
     rest = [(*terms[j], *tails[j]) for j in range(len(terms)) if j != i]

@@ -465,6 +465,14 @@ REFERENCE = SimulationConfig(sample_count=10**9, master_seed=11)
         (Lognormal(3.7, 0.6), Lognormal(0.7, 0.15), 0.5),
         (Lognormal(2.0, 1.0), Gumbel(3.0, 0.1), 0.5),
         (Normal(10.0, 0.5), Gumbel(3.0, 0.002), 0.5),
+        *(
+            (capacity, demand, p)
+            for capacity, demand in [
+                (Normal(10.0, 1.0), Lognormal(0.0, 1.0)),
+                (Normal(100.0, 3.0), Lognormal(math.log(20.0), 0.8)),
+            ]
+            for p in (0.5, 0.25, 0.01, 1e-3)
+        ),
     ],
     ids=[
         "narrow-gumbel",
@@ -472,20 +480,23 @@ REFERENCE = SimulationConfig(sample_count=10**9, master_seed=11)
         "two-lognormals-median",
         "lognormal-gumbel-median",
         "sharp-step-median",
+        *(f"{name}-{p:g}" for name in ("normal-lognormal", "narrow-normal-wide-lognormal") for p in (0.5, 0.25, 0.01, 1e-3)),
     ],
 )
-def test_calibrate_shift_resolves_a_narrow_demand(capacity, demand, target_pf):
-    # Given the narrow demand D, the wide capacity fails with probability
-    # cdf(D - c): scipy's quad over the quantiles of D, and brentq. These
-    # steps defeated the fixed quadrature grid that calibrated before the
-    # density of r was convolved on a grid of its own.
+def test_calibrate_shift_matches_quad_over_the_demand(capacity, demand, target_pf):
+    # Given the demand D, the capacity fails with probability cdf(D - c):
+    # scipy's quad over the quantiles of D, and brentq. Narrow demands
+    # defeated the fixed quadrature grid that calibrated before the
+    # density of r was convolved on a grid of its own. A Lognormal demand
+    # spans thousands of its quartile ranges between its 1e-15 quantiles,
+    # so it must be the term conditioned on, not one put on the grid.
     model = LimitStateModel(terms=(Term("capacity", 1.0, capacity), Term("demand", -1.0, demand)))
     ((_, cap),), ((_, dem),) = scipy_law(capacity), scipy_law(demand)
 
     def pf(c):
         return integrate.quad(lambda u: cap.cdf(dem.ppf(u) - c), 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
-    expected = brentq(lambda c: pf(c) - target_pf, -50.0, 50.0, xtol=1e-14, rtol=1e-15)
+    expected = brentq(lambda c: pf(c) - target_pf, -200.0, 200.0, xtol=1e-14, rtol=1e-15)
     assert abs(calibrate_shift(model, target_pf, REFERENCE) - expected) < 1e-7
 
 
@@ -606,10 +617,17 @@ def test_calibrate_refuses_two_pareto_terms():
 
 
 def test_calibrate_refuses_a_grid_past_its_node_cap():
-    # Lognormal(0, 3) spans 2e10 between its 1e-15 quantiles, on a step
-    # set by its quartiles
-    model = LimitStateModel(terms=(Term("x", 1.0, Normal(0.0, 1.0)), Term("w", 1.0, Lognormal(0.0, 3.0))))
-    with pytest.raises(ValueError, match=r"more than \d+ grid nodes \(terms 'x', 'w'\)"):
+    # Lognormal(0, 3) spans 2e10 between its 1e-15 quantiles: one of the two
+    # is conditioned on, and the other would need that span on a step set
+    # by the Normal's quartiles
+    model = LimitStateModel(
+        terms=(
+            Term("x", 1.0, Normal(0.0, 1.0)),
+            Term("w", 1.0, Lognormal(0.0, 3.0)),
+            Term("v", -1.0, Lognormal(0.0, 3.0)),
+        )
+    )
+    with pytest.raises(ValueError, match=r"more than \d+ grid nodes \(terms 'x', 'w', 'v'\)"):
         calibrate_shift(model, 0.1, SimulationConfig(100_000, 0))
 
 
