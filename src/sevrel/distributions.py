@@ -31,6 +31,10 @@ Each family fills an array the caller supplies with one batch of draws
 Normal as one batch, from the term's own generator, through one reused
 block of scratch. ``sample`` draws a batch into a new array. Samplers
 and the private ``_inverse_cdf`` make no full-length temporaries.
+
+``scipy.special`` (``ndtr``, ``ndtri``) is imported where the Normal and
+Lognormal quantiles and tails first need it, not with this module: a
+run whose sampling and metrics never call them does not load scipy.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "MomentReport",
@@ -143,12 +145,16 @@ class Normal(_Sampled):
 
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)
+        from scipy.special import ndtri
+
         ndtri(q, out=q)
         q *= self.stddev
         q += self.mean
         return q
 
     def _tails(self, x, upper):
+        from scipy.special import ndtr
+
         z = (x - self.mean) / self.stddev
         return ndtr(-z if upper else z), _phi(z) / self.stddev
 
@@ -178,12 +184,16 @@ class Lognormal(_Sampled):
 
     def _inverse_cdf(self, q: np.ndarray) -> np.ndarray:
         # overwrites q, which must lie in (0, 1)
+        from scipy.special import ndtri
+
         ndtri(q, out=q)
         q *= self.log_std
         q += self.log_mean
         return np.exp(q, out=q)
 
     def _tails(self, x, upper):
+        from scipy.special import ndtr
+
         # z = -inf for x <= 0, where the density is 0
         positive = x > 0.0
         z = np.log(x, where=positive, out=np.full(x.shape, -np.inf))
@@ -382,27 +392,6 @@ class Mixture(_Sampled):
             if k != heavy and sel.any():
                 u[pos[sel]] = d._inverse_cdf(minority[sel])
         return u
-
-
-class _Blank(ISeedSequence):
-    """A seed of zeros, for a bit generator whose state is set at once:
-    seeding it from a SeedSequence would hash an entropy pool for
-    nothing, and costs several times as much."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype)
-
-
-def _ahead(rng: np.random.Generator, n: int) -> np.random.Generator:
-    """A new generator whose stream starts n doubles past rng's.
-
-    Needs a bit generator whose ``advance`` counts 64-bit draws, one per
-    double, as PCG64 (``default_rng``) does.
-    """
-    bits = type(rng.bit_generator)(_Blank())
-    bits.state = rng.bit_generator.state
-    bits.advance(n)
-    return np.random.Generator(bits)
 
 
 Distribution = Normal | Lognormal | Gumbel | Pareto | Mixture

@@ -3,13 +3,13 @@
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
 Each lane of the stream is cut into blocks of _BLOCK values, the last
-one ragged, and each term of a block has its own substream slot: block
-i on a lane has the stream of SeedSequence(master_seed, spawn_key=(lane,
-i)), and slot j reads it from its (j * 2**64)-th draw on. The Normal
-terms are drawn as one Normal, their sum, with the coefficients and the
-shift folded into its mean and sd, from the slot of the first Normal
-term; every other term j draws from slot j. So the draws of a term that
-is not Normal do not depend on the other terms. The draw plan (see
+one ragged, and each term of a block has its own generator: slot j of
+block i on a lane is an SFC64 seeded by SeedSequence(master_seed,
+spawn_key=(lane, i, j)). The Normal terms are drawn as one Normal, their
+sum, with the coefficients and the shift folded into its mean and sd,
+from the slot of the first Normal term; every other term j draws from
+slot j. So the draws of a term that is not Normal depend on the seed,
+the lane, the block and j alone. The draw plan (see
 `_Plan`) is fixed once per call. The block length is a constant, so the
 sample depends on the master seed and the sample count alone, and the
 full blocks of a run are those of every longer run with the same seed.
@@ -57,7 +57,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import histogram
-from .distributions import Distribution, Mixture, MomentReport, Normal, Pareto, _ahead
+from .distributions import Distribution, Mixture, MomentReport, Normal, Pareto
 
 __all__ = [
     "Term",
@@ -284,18 +284,19 @@ def _plan(model: LimitStateModel) -> _Plan:
 
 
 def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
-    """One generator per slot of block `idx` of `lane`: slot j reads the
-    block's stream, SeedSequence(master_seed; lane, idx), from its
-    (j * 2**64)-th draw on. No slot, no seeding.
+    """One generator per slot of block `idx` of `lane`: slot j is an SFC64
+    seeded by SeedSequence(master_seed, spawn_key=(lane, idx, j)). No
+    slot, no seeding.
 
-    A term draws at most a few values per sample, so the substreams
-    never meet. A copy advanced by 2**64 costs under half as much as
-    seeding a slot on its own.
+    Each slot is seeded on its own, because slices of one PCG64 stream
+    2**64 draws apart are correlated and would make the terms of g
+    dependent. SFC64 draws doubles and normals faster than PCG64, which
+    pays for seeding every slot.
     """
-    if not slots:
-        return []
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(lane, idx)))
-    return [rng if j == 0 else _ahead(rng, j << 64) for j in slots]
+    return [
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j))))
+        for j in slots
+    ]
 
 
 def _draw_block(

@@ -21,7 +21,7 @@ from .engine import LimitStateModel, SimulationConfig, SimulationSummary
 from .histogram import Histogram
 from .metrics import LEVEL_INDICES, SeverityLevel, SeverityReport
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -85,9 +85,9 @@ def test_traced_simulate_counts_read_the_config():
 
 def test_gaussian_20m_gets_one_result_from_the_cli_run(tmp_path):
     # the study wraps cli.run and needs exactly one result from
-    # cli.main(["scenario", ...]); at 70 000 samples seed 0 passes the
-    # scenario's own checks, so the exit code is 0
-    wl = load("workloads").Gaussian20m(str(tmp_path), 70_000 / 20_000_000)
+    # cli.main(["scenario", ...]); the scenario's own checks, and so the
+    # exit code 0, are sized for its default 5M samples
+    wl = load("workloads").Gaussian20m(str(tmp_path), 0.25)
     wl.prepare()
     code, _text, results = handle = wl.study(0)
     assert code == 0 and len(results) == 1

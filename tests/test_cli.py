@@ -103,6 +103,22 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.stdout == "0.28309865493\n"
 
 
+@pytest.mark.parametrize("sid", ["example1-gaussian", "case-study"])
+def test_a_scenario_without_a_normal_quantile_leaves_scipy_unloaded(sid):
+    # scipy.special (ndtr, ndtri) is imported on first use, and neither
+    # the sampling of these models nor their metrics call it
+    src = str(Path(sevrel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from sevrel.cli import main\n"
+        f"main(['scenario', {sid!r}, '--n', '330000'])\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- classify -----------------------------------------------------------------
 
 
@@ -143,7 +159,7 @@ def test_simulate_happy_path(tmp_path, capsys):
     assert f"report: {tmp_path / 'report.json'}" in out
 
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["schemaVersion"] == 13
+    assert doc["schemaVersion"] == 14
     assert doc["simulation"]["sampleCount"] == 20000
     assert doc["assessment"] is None
     assert abs(doc["metrics"]["beta"] - 2.0) < 0.1

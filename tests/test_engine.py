@@ -565,20 +565,9 @@ CALIBRATED = {
 }
 
 
-def crude_cases():
-    for name in CALIBRATED:
-        for target_pf in (0.25, 1e-3):
-            marks = ()
-            if (name, target_pf) == ("sixteen-gumbels", 1e-3):
-                marks = pytest.mark.xfail(
-                    strict=True,
-                    reason="the terms' substreams, one PCG64 stream 2**64 draws apart, are correlated: "
-                    "the crude run fails ~10% too often, while independent draws hit the target",
-                )
-            yield pytest.param(name, target_pf, marks=marks, id=f"{name}-{target_pf:g}")
-
-
-@pytest.mark.parametrize("name, target_pf", crude_cases())
+@pytest.mark.parametrize(
+    "name, target_pf", [pytest.param(name, p, id=f"{name}-{p:g}") for name in CALIBRATED for p in (0.25, 1e-3)]
+)
 def test_a_crude_run_at_the_calibrated_shift_hits_the_target(monkeypatch, name, target_pf):
     # Every built-in and every calibrated test model: the shift is found
     # without drawing a block, and a crude run at it lies within 5
@@ -594,7 +583,8 @@ def test_a_crude_run_at_the_calibrated_shift_hits_the_target(monkeypatch, name, 
 
 def test_sixteen_gumbels_calibrated_at_1e_3_hits_the_target_on_independent_draws():
     # numpy's own Gumbel draws, the sixteen terms one after another on one
-    # generator: the shift the crude run above misses is right
+    # generator: the shift is right on draws that share nothing with the
+    # engine's stream
     shift = calibrate_shift(sixteen_gumbels(), 1e-3, SimulationConfig(1_000_000, 17))
     rng = np.random.default_rng(17)
     failures = 0
@@ -602,6 +592,20 @@ def test_sixteen_gumbels_calibrated_at_1e_3_hits_the_target_on_independent_draws
         x = rng.gumbel(size=(16, 250_000))
         failures += int(np.count_nonzero(x[0::2].sum(axis=0) - x[1::2].sum(axis=0) + shift < 0.0))
     assert abs(failures / 1e6 - 1e-3) < 5.0 * math.sqrt(1e-3 * (1.0 - 1e-3) / 1e6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 17])
+def test_the_terms_of_g_are_independent(seed):
+    # Sixteen Gumbel(0, 1) terms of one sign: the variance of their sum is
+    # 16 pi^2 / 6 only if the terms are uncorrelated. Slots sliced from one
+    # PCG64 stream 2**64 draws apart read +29 SE here at seed 1.
+    n = 4_000_000
+    model = LimitStateModel(terms=tuple(Term(f"x{i}", 1.0, Gumbel(0.0, 1.0)) for i in range(16)))
+    var_g = simulate(model, SimulationConfig(n, seed)).var_g
+    # the sum's cumulants: k2 = 16 pi^2 / 6, k4 = 16 * 12/5 (pi^2 / 6)^2
+    k2, k4 = 16.0 * math.pi**2 / 6.0, 16.0 * 2.4 * (math.pi**2 / 6.0) ** 2
+    se = math.sqrt((k4 + 2.0 * k2**2) / n)
+    assert abs(var_g - k2) < 4.0 * se, f"{(var_g - k2) / se:+.1f} SE"
 
 
 def test_calibrate_refuses_two_pareto_terms():

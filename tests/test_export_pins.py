@@ -5,24 +5,21 @@ default seed: the report JSON, the two histogram CSVs and stdout, with
 the export directory written as DIR. `deficit-curve.csv` depends on no
 run and has one pin. 330 000 samples are five 65 536-value blocks and a
 ragged sixth. A change that alters any of these bytes fails here until
-it bumps SCHEMA_VERSION and pins the new digests in the open. Version 13
-calibrates every model on a grid of the density of the rest of g, with
-no sample drawn. That changed the calibrated shifts of some library
-models, but no built-in's, so only the `schemaVersion` field of every
-report.
+it bumps SCHEMA_VERSION and pins the new digests in the open. Version 14
+seeds every term of a block on its own, so every stream changed and
+every digest but the run-free deficit curve's was pinned anew.
 
 numpy sends float64 log, exp and power to AVX-512 kernels where the CPU
-has them, and those differ from the other kernels in the last bit. Four
+has them, and those differ from the other kernels in the last bit. Seven
 of the pinned built-ins give the same bytes with numpy's AVX-512 kernels
 on and off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
-The others do not: scenarioA and scenarioB have exact calibrated shifts,
-the same on both paths, but their runs differ in the last
-digit (scenarioA's maxG, and so its g histogram; scenarioB's
-conditionalStd), and the reports of example2-mild, case-study and
-figure-grid-mild differ in the last digit of several fields. Their
-outputs are pinned once per dispatch path (WITHOUT_AVX512), and so are
-those of the two `sevrel simulate` configs. On a CPU with AVX-512, the
-last test checks every pin again in a process with those kernels off.
+The others do not: scenarioA's report differs in the last digit of its
+deficitSum and of the metrics drawn from it, and figure-grid-mild's in
+its conditionalStd and efStarCI. Their outputs are pinned once per
+dispatch path (WITHOUT_AVX512), and so are those of the `sevrel
+simulate` config whose bytes differ between the paths. On a CPU with
+AVX-512, the last test checks every pin again in a process with those
+kernels off.
 """
 
 import hashlib
@@ -42,106 +39,85 @@ FCURVE = "18e3ebbe3b8be7da54bdeab4301e9883fd6cd2e51b087cdf7b885b7a52ccf7fb"
 PINS = {
     "example1-gaussian": (
         0,
-        "00d5e1f5f865de1fcc339a126251466af21c932a6b338dce944b4023d5e430b8",
-        "b1d5f548bc1e288f31700c6053e6ca134107fdfb464ab269d68bfd816044e6d3",
-        "c6d77424d1313059deb4b0b99a34095ee5488f4d724e7eea41dfe1df37c9fab9",
-        "b0a2d3e9a5bc90e08de7b4cde241a64d266b65c8d6ac2d6922832d456a9c48e1",
+        "87ce183e8d6e104f7beff2b0151dff825fd8f88721facc433f192800308a5c08",
+        "7e6b3fb4aa44fc2b7acaea9f693a3ac4cf0ab425e16a92137d043aed63937fd8",
+        "ad994b6f07767cc34ceed9846bd7a801ab9a8a1d4283d260cab418ec17306260",
+        "9d7a8e439b6772f6a2d632531b5a24782a5c74c49d451ae485a4f8061ac5a1fe",
     ),
     "example3-extreme": (
         0,
-        "15851ef582b05b75ed31f194bdc5c92fdf2be4e41b8b8431ffab33aebedb99ba",
-        "85ff4a5dab7abc915dc5ab46cb1ca22381f8f5dd583ebcff33824b03d9d6ca04",
-        "7f813951c828e965b0b3f557c580b61eddf331ebb7879620aa397a11992b6bf1",
-        "c52f3cf0c10f17bba6905f987784b26bf4b423e44c1c2735b761cb8d93f11b04",
+        "11bf2a849e9aef59600ef27d44d8dc6385ddba49912981266ed014a07c2e74d9",
+        "85a27533335367e69585c7e665b514abebe7f0eee6c1f6e22fc6bbb2884a35b4",
+        "8e54aa12a6410b33896219810370740d7bcf62b52e4a93bc3d779fc58383fbf8",
+        "0e2c18202ae5a59cd574a0f77cb1fd66f95658afaafcaefba2a8d22a39f6981f",
     ),
     "scenarioA": (
         0,
-        "ca4aa205412f7208ce2c763cce6036330eaa8b722d4f7fe8f11acee9ecbd7964",
-        "618285b134e7772bb18db75ef74bfd27372d5d4cbaa58c00d1a364137114ef52",
-        "72ef64a4d7be7cb45f5a9449735b773cb44e976a4ebfe8294233b513eef63c19",
-        "0291e19b909973d1fd04a71b232fb13574eb070b08381312a9dc387d285a8158",
+        "bd439d262dbe7f2ae766856f260bbd5c7def5e823ad90fc71b5b281d2e6beafe",
+        "befaf8552f720cb7f59d886c59194ad9accddf3c75f1951bbd05f52c8276eab3",
+        "bb53a512b207b5995899ec7ae4393316f02051dccb0f32eee07630edfeb740da",
+        "5628aba6e4ad3aaaa92f11a7ffad1af68c48e4a52848952f1e1620ddb2fda9b0",
     ),
     "scenarioB": (
         0,
-        "8f667ea6a758aa505b7d1b64aefe59a6be3b4d8b0da3da2e557a2225952b64da",
-        "d28b51b1e37497ea5e1fcc5087a78fa5a0ea05081e7b09688fbb922064721ede",
-        "f99b09d95346c448761a20748794a1be8b67379d9d12e7510373dac6238dcb2c",
-        "bb88ee494c485774dac847bf6e4af7d3b113921e493711160eefa8c2500db5b1",
+        "d3fe233433bb30f9ffe47b0f126589832a46e49fec50473ed8a6b2829722776c",
+        "744a9b2bf1897e7d0bb947ab762abf4dd7cd1dd4158c8ec97b09b4509cb584a6",
+        "6ee39974d3250c6f8b92335ec97d63146d942e2a390cdd07a12d967bff4ce339",
+        "b18cc7ce968f05c3bec537884d8a0505e4b1f536d7649248502716e5a0db76a1",
     ),
     "example2-mild": (
         5,
-        "24829244e15dbd808948c49bec81be3248a52fed923d52aa601eec057207ffdc",
-        "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
-        "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
-        "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
+        "783c9fa4757b239bd267aa395918721346eb0c4975293b1ac454ac130179afed",
+        "895de9c69c374fa0c5e287682c69a099790323f4a72ac6fcec11e720518dceb5",
+        "21bfdeb8800dbffdfe5e7d51d5bff86bd1a19e76eadee24c71d086306d4ff9f4",
+        "effa842403095fd668617af81211dddf933bda16bacb32084bb3510158820e27",
     ),
     "case-study": (
         5,
-        "1abbc4940df67eb1e19689200ee9be2440983800b6108d81083c53e0fff9eb02",
-        "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
-        "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
-        "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
+        "fc5b4c4b95b934f6ff78f2fd1c91ae288ea9b1a8a09833cf2e3abbca21cd0a1c",
+        "beaf73377dc9501b1c34826a86ff7ef1e350df3c7cb36c9ffad32ad07fe449a4",
+        "3382b23c1527e5c743b14b2c7b9038c2ccbfe3531a2132d28f5d1c39ec2c36ec",
+        "eb00919210482bb8faf77c1a6fb220684e0044bf3a2cfe6165438f0835856b5a",
     ),
     "figure-grid-gaussian": (
-        5,
-        "a7c98a707092e0debe6ab7d001fdbc712b5c42a6b70074dff5f2339877adf8c4",
-        "0ae0b9bcf23c58bc5b167eaefdc145125b92a3879fb9a7f5236c03aadca6d226",
-        "d376e1245fe5ed2181c5f45b885cbac292f90f9a45f9727e727e6f6d8b54c932",
-        "5a7500f12484e0051a0b5475c4865815e0aef93753845052646280be98899837",
+        0,
+        "7dfbf0cedf826b5c4657c20a72eef60f83bd4079a570d1cb171a46dacda788bd",
+        "2227e876954eee6b6438dd7939d5de4c6f5ae20aeef5668c50043481f85ff925",
+        "2c404b8b0c18b511569fdfd6570d51f651a96f60f2401ff8935f092cf0853e3a",
+        "6583d219dd2800cce7e5e09cfb4263dacd8f342876fd6145693f3706f6f4b099",
     ),
     "figure-grid-mild": (
         0,
-        "9680e7e1f02e34accd302446a6e6e5cc3be91c2b7e307f665d53ff2bc45f05a3",
-        "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
-        "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
-        "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
+        "b4f983c1afb1df17375dc19c750a093b2244de2e28682940bd5ea3bcfe5685d9",
+        "73409a7ba835296f0520eed83d220515bd5404591680f4e98784b546968d57c8",
+        "909a85c2051ea9ed16982657f92a9e0f45e7916c2e55b5775cf99b225170c8bf",
+        "272b279784bd592d03dc7ea98db8cb814419fcf955f401020c40489a9aa1a097",
     ),
     "figure-grid-heavy": (
-        0,
-        "1bd87552b6ccb189cf6df2745ffa2a5e91ab5dbe6b92bba99305dd030ff95b2a",
-        "b7e113c5b506917a8e0eba05a0cc9a221fdde3796e76bb4a2628d5db88d91edd",
-        "ed7876063f3d80d089663cbfe660fe7c07b09bca1f5e61c8aac80eb70647dcc6",
-        "36fe2e4c0ba329c8684452dbac13a2befa4646b6f2dd30f10237a3d325ca6d9e",
+        5,
+        "4d19a0c26cd272de234bc5018cc35a266e3b6006b2ed9e4bb7fad2d3b3dfe221",
+        "26e352ad8625359421c7e27ba95331d91675c9e967f06143cbf9fff4c61f267b",
+        "23a70f3d00122d2472683d964bf26885385da5547f7b167d500e9d893b6b6b5a",
+        "8d7a0685455b0a7d979a60506456ae62e0331f787045014c8a0f364f6e2d16c1",
     ),
 }
 
 
 # The pins that differ where numpy runs without its AVX-512 kernels.
 WITHOUT_AVX512 = {
-    "example2-mild": (
-        5,
-        "f2b8fd53b1ec96a452b372ccda73c8a2932324552edd3adb0b2fb95ff1873d28",
-        "ff19a2d1e7a224373efaa1f610957ed583f6ec317ba94a4ee917dc8cd6298bb7",
-        "bd3d2fdb3e434aa20f2089cba241ce239ea3522569f131b914bd3ec5d370ba8e",
-        "8e55024bd4cc0a04e8d6448aec87295dcbb2a37a823e92c37ba48d62812d02ce",
-    ),
-    "case-study": (
-        5,
-        "88447c4e53cffff184242652d9858e8553a4a2c5d41faef451d64b4c14919dd3",
-        "1e11533d11c566beadfb96b6503fc66828934692b7a43376725ad752b91f5cac",
-        "c2e3c481f4a4bc3959f349abd03b49a76c944c9eaeea9b6ee3bd414143dfd842",
-        "ce33d8b3805835ee1d711228681ef1be4080975d63d03ad8155ca64287f21529",
+    "scenarioA": (
+        0,
+        "3c24995fe4ec4e8b600f23dc5acc6c58c66f32b2edd3edfdb4a0c10d50018874",
+        "befaf8552f720cb7f59d886c59194ad9accddf3c75f1951bbd05f52c8276eab3",
+        "bb53a512b207b5995899ec7ae4393316f02051dccb0f32eee07630edfeb740da",
+        "5628aba6e4ad3aaaa92f11a7ffad1af68c48e4a52848952f1e1620ddb2fda9b0",
     ),
     "figure-grid-mild": (
         0,
-        "71a12c806a996b68abca59ed2a2439b5cd82086ad3d6e9da31767b05afad2d26",
-        "90fa4c2965acaea7f952aa493fa837ad51c87f7d9681d0539a638240d8e28dd3",
-        "0abb2992c4237f496f40f30433ecbaf003550e6c02016d2f6a925cfbabdd7b07",
-        "21ed9ffe70516a42e192f354369db08e2e4d236774595eb2c2ebaa792b8aab95",
-    ),
-    "scenarioA": (
-        0,
-        "322537e55ca2b3fc3e3ba192f37bc7f395d4748c380b7c46ab7d5213f111f261",
-        "2791c24b52bf2ec5f0d31394932e76aecadd77ba9654c7b2b8c15afb58bf10b4",
-        "72ef64a4d7be7cb45f5a9449735b773cb44e976a4ebfe8294233b513eef63c19",
-        "0291e19b909973d1fd04a71b232fb13574eb070b08381312a9dc387d285a8158",
-    ),
-    "scenarioB": (
-        0,
-        "e0c98fe370f7e57660f05ff35895b903eef06998246c18164dd2c45dc96564ed",
-        "d28b51b1e37497ea5e1fcc5087a78fa5a0ea05081e7b09688fbb922064721ede",
-        "f99b09d95346c448761a20748794a1be8b67379d9d12e7510373dac6238dcb2c",
-        "bb88ee494c485774dac847bf6e4af7d3b113921e493711160eefa8c2500db5b1",
+        "1d2431c411c2b37d2e1c0ab5c398064ce631e3141f79a83703f84e1b57d3ddf5",
+        "73409a7ba835296f0520eed83d220515bd5404591680f4e98784b546968d57c8",
+        "909a85c2051ea9ed16982657f92a9e0f45e7916c2e55b5775cf99b225170c8bf",
+        "272b279784bd592d03dc7ea98db8cb814419fcf955f401020c40489a9aa1a097",
     ),
 }
 
@@ -156,7 +132,7 @@ def _sha256(data: bytes) -> str:
 
 
 def test_the_pins_are_for_this_schema_version():
-    assert SCHEMA_VERSION == 13, "a new schemaVersion pins its own export digests"
+    assert SCHEMA_VERSION == 14, "a new schemaVersion pins its own export digests"
 
 
 @pytest.mark.parametrize("sid", PINS)
@@ -224,35 +200,30 @@ CONFIGS = {
 SIMULATE_PINS = {
     "rejected": (
         3,
-        {"report.json": "8dc5bfbfb084d0ac16a7257bade36235ce6affccb202a10f859ce01c09276975"},
-        "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
+        {"report.json": "1b44da6eea252193b27ec53b5a62bb34529a93f78e160dfe3174fc89188d1c0b"},
+        "d1fc1161147fd81ddc4248a14961cac0d077e9ec34642510abc1e8f6a7f4e83f",
     ),
     "redesign": (
         4,
         {
             "out/curve.csv": FCURVE,
-            "out/deficit.csv": "2cccb10607aee93fe4319e84e9f89e0fe59b1f87881a9b567040d1241768d091",
-            "out/g.csv": "cd2162c0751386a93e5a9694561f72406a41483b0c9969ef1a31f8d08b62e3b4",
-            "out/report.json": "861bef9ee68a38b25f07978c4befaed8e0c125b8dbb778084786f2162ba67b16",
+            "out/deficit.csv": "10fb71e7b9b3f7282956f886a9b90a7cf62d465b77a14a5ca9779abb6707d737",
+            "out/g.csv": "d13208bb6600d7ebe055b4f608a19001356dfc90df685dbeafadb07602bf1ce0",
+            "out/report.json": "310524e4d76211e702d0a99ac8a4454d1038e2c5056dff1f2a966e8cb34e04d7",
         },
-        "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
+        "b9d51863e1186119d0b9f1f67331533cd2ee734155787f6c04a6706449807c6f",
     ),
 }
 SIMULATE_WITHOUT_AVX512 = {
-    "rejected": (
-        3,
-        {"report.json": "5b43d5b3db49908833ce32a1178fdb8c2952260358637925dbb8129800fc132e"},
-        "73dcf47679461a4ee75238ca33c68ce4f4489b2541c34e6031f53b5e60e52a80",
-    ),
     "redesign": (
         4,
         {
             "out/curve.csv": FCURVE,
-            "out/deficit.csv": "613b3e897f85cc7cf2aea0cf1aeecca5b6937313cfba5641dfc2783f8d0f47ea",
-            "out/g.csv": "b883652d3bb12852c34b500da602d41245a68c0bd68884f010d6494d5ed3dc2e",
-            "out/report.json": "a0cd7b2e19110d74f8ad900ef9ef8d1f2f4ce9bde1e30a5da58c4a75030b5ec0",
+            "out/deficit.csv": "0b4d604428de16b6eb36fde8abbae54adc60fdb89b9dff21e296e35f497d541a",
+            "out/g.csv": "d13208bb6600d7ebe055b4f608a19001356dfc90df685dbeafadb07602bf1ce0",
+            "out/report.json": "a6f4cc0a81be4ab77678a1e6e46652ad7210174f36a25b3b78e1d055a525d678",
         },
-        "1837cca8a246224c5f5fce8da43f23625386c569d9bc5ed4710db795a856c499",
+        "b9d51863e1186119d0b9f1f67331533cd2ee734155787f6c04a6706449807c6f",
     ),
 }
 

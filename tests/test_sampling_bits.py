@@ -8,10 +8,10 @@ before the other branches overwrite their positions. The references
 below are the direct forms those replace: one expression per quantile,
 one whole-batch draw, a searchsorted branch index with a mask and gather
 per component, g = mean + sd * z for the merged Normal and then
-``g += c * sample`` per other term, with slot j read from the stream of
-SeedSequence(seed, spawn_key=(lane, block)) advanced by j * 2**64 draws,
-and each block's statistics computed from its values. The
-reproducibility contract is about bits, so every comparison is exact.
+``g += c * sample`` per other term, with slot j an SFC64 seeded by
+SeedSequence(seed, spawn_key=(lane, block, j)), and each block's
+statistics computed from its values. The reproducibility contract is
+about bits, so every comparison is exact.
 Run lengths on both sides of a block edge check that block i reads its
 own key, whatever came before it.
 """
@@ -24,7 +24,7 @@ import pytest
 from scipy.special import ndtri
 
 from sevrel import histogram
-from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto, _ahead
+from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from sevrel.engine import (
     _BLOCK,
     _LANE_MAIN,
@@ -80,16 +80,19 @@ def reference_sample(d, rng, n):
     return out
 
 
+def slot(master_seed, lane, idx, j):
+    # the generator of term j in block idx of lane
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j))))
+
+
 def run_g(model, master_seed, n):
     # the g of a run of n values, block by block
     return np.concatenate(list(g_chunks(model, SimulationConfig(n, master_seed))))
 
 
 def reference_block_g(model, master_seed, lane, idx, size):
-    def slot(j):
-        bits = np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx)))
-        bits.advance(j * 2**64)
-        return np.random.Generator(bits)
+    def rng(j):
+        return slot(master_seed, lane, idx, j)
 
     # the Normal terms as one Normal with the shift folded in, from the
     # slot of the first of them; a constant when its sd is 0
@@ -98,10 +101,10 @@ def reference_block_g(model, master_seed, lane, idx, size):
     for _, t in normals:
         mean += t.coefficient * t.distribution.mean
     sd = math.hypot(*(t.coefficient * t.distribution.stddev for _, t in normals))
-    g = mean + sd * slot(normals[0][0]).standard_normal(size) if sd > 0 else np.full(size, mean)
+    g = mean + sd * rng(normals[0][0]).standard_normal(size) if sd > 0 else np.full(size, mean)
     for j, t in enumerate(model.terms):
         if not isinstance(t.distribution, Normal):
-            g += t.coefficient * reference_sample(t.distribution, slot(j), size)
+            g += t.coefficient * reference_sample(t.distribution, rng(j), size)
     return g
 
 
@@ -147,12 +150,12 @@ def test_sample_matches_reference_bits(dist, n):
 @pytest.mark.parametrize("n", EDGES)
 @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
 def test_blocked_draws_match_reference_bits(dist, n):
-    # g = X over a run of n values: block i is one batch of X drawn from the
-    # stream of SeedSequence(seed; 0, i), whatever the blocks before it drew
+    # g = X over a run of n values: block i is one batch of X drawn from
+    # slot 0 of block i, whatever the blocks before it drew
     seed = 1000 + n
     model = LimitStateModel(terms=(Term("x", 1.0, dist),))
     want = [
-        reference_sample(dist, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_LANE_MAIN, i))), size)
+        reference_sample(dist, slot(seed, _LANE_MAIN, i, 0), size)
         for i, size in enumerate(np.diff([*range(0, n, _BLOCK), n]))
     ]
     assert np.array_equal(run_g(model, seed, n), np.concatenate(want))
@@ -273,10 +276,10 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_every_block_of_a_builtin_reads_its_own_key(sid):
-    # Block i of a run is drawn from SeedSequence(seed; 0, i) alone: slot j
-    # is that generator advanced by j * 2**64 draws (_ahead), and each
-    # term is one batch of Distribution.sample, with the Normal terms
-    # merged into one Normal drawn from the slot of the first of them.
+    # Block i of a run is drawn from the keys (seed; 0, i, j) alone: term j
+    # is one batch of Distribution.sample from its own SFC64, with the
+    # Normal terms merged into one Normal drawn from the slot of the first
+    # of them.
     model, seed, n = builtin(sid).model, 5, 3 * _BLOCK + 7
     got = run_g(model, seed, n)
     normals = [j for j, t in enumerate(model.terms) if isinstance(t.distribution, Normal)]
@@ -286,8 +289,7 @@ def test_every_block_of_a_builtin_reads_its_own_key(sid):
     sd = math.hypot(*(model.terms[j].coefficient * model.terms[j].distribution.stddev for j in normals))
     for i, start in enumerate(range(0, n, _BLOCK)):
         size = min(_BLOCK, n - start)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_LANE_MAIN, i)))
-        slots = [rng] + [_ahead(rng, j << 64) for j in range(1, len(model.terms))]
+        slots = [slot(seed, _LANE_MAIN, i, j) for j in range(len(model.terms))]
         want = Normal(mean, sd).sample(slots[normals[0]], size) if sd > 0.0 else np.full(size, mean)
         for j, t in enumerate(model.terms):
             if j not in normals:

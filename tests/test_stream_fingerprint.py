@@ -6,9 +6,10 @@ sha256 of 1 000 values of g that the version draws on the main lane at
 seed 0: version 8 pinned a 1 000-value run; version 9 pins block 0 and
 block 1, each drawn with 1 000 values (the g of a 1 000-value run, and
 the last 1 000 values of a (_BLOCK + 1 000)-value run). Block 0 is
-version 8's pin; block 1 shows the stream keyed per block. A change to
-the stream fails here until SCHEMA_VERSION is bumped and the new
-version's digests are pinned beside the old ones.
+version 8's pin; block 1 shows the stream keyed per block. Version 14
+keys every term of a block on its own, so all of its pins are new. A
+change to the stream fails here until SCHEMA_VERSION is bumped and the
+new version's digests are pinned beside the old ones.
 The pins are numpy 2.4 bits on x86-64. numpy sends float64 log, exp
 and power to AVX-512 kernels where the CPU has them, and those differ
 from the other kernels in the last bit, so the streams of models with
@@ -82,7 +83,46 @@ FINGERPRINTS = {
 # versions 10 to 13 changed the calibrated shift alone: the main lane
 # keeps version 9's bits
 FINGERPRINTS[10] = FINGERPRINTS[11] = FINGERPRINTS[12] = FINGERPRINTS[13] = FINGERPRINTS[9]
-
+# version 14 seeds each term of a block on its own: term j of block i
+# draws from an SFC64 seeded by SeedSequence(0, spawn_key=(0, i, j))
+FINGERPRINTS[14] = {
+    "example1-gaussian": (
+        "e6243f9a79a7ace03f9febf31e9d6dfb64602d78bb0f1352098feef5b11fac82",
+        "73ffbb05c2b977e6e33dcf657d696d8f72f5fc5f5dec32f50c7995296c0fcfe4",
+    ),
+    "example2-mild": (
+        "5abfe21b9ae08b3c73ae3f2a554e68946ee2fd549c6e3f39def67eca3b4ca722",
+        "ced5f472ee6895e61ee39696da42b8f5cb8e02b19bc3faad4ecd854847986768",
+    ),
+    "example3-extreme": (
+        "5d3290a1e1d54b87e773f8f62ec3385b774482ca635df4d6b122d1e748583cfb",
+        "b016093a0d02b14d7679499f7581f0b53be004e7281a9056f3be2b471690cad4",
+    ),
+    "case-study": (
+        "c0f13646af152c8d174d7c91df881cfc033d9794969326921e6ad64696264595",
+        "e212bc239f9110fe880cf220ff1e8eeadd48668eafdcda3916dff89f936daeeb",
+    ),
+    "scenarioA": (
+        "9db495ee8ec2365e2380aa9b186e446bf0030f5242263140784e06bffaacb912",
+        "0eaa422ba8cd17c4017367ad709f26990b577c0d06c5b59a42dabdfc8ef0143f",
+    ),
+    "scenarioB": (
+        "48df54b0d0bce6e4fbb50a711ec76c1e6833e167551f29333ccf45b9e942cb08",
+        "878e3912d64ca779a0ad8fa64eb009f2f67b53cf1787e5f3bed46857f7431982",
+    ),
+    "figure-grid-gaussian": (
+        "d9acedf3f1538387ea7cfcb9c05cdbfd9520eb586288a51cc1e7cd52faa84ed0",
+        "71a2d5cd8e5054482ed2d6c3f4efd7f3c70f1a0e92c907eae0ff50970152dc9e",
+    ),
+    "figure-grid-mild": (
+        "fc3f161a2a12b93d371d3de6259cad59b980d6202209a98892b3800302da35ae",
+        "5cbee4c69279323c9cf3856b23d58072d600460269a5487b0f2bcefbead0f4df",
+    ),
+    "figure-grid-heavy": (
+        "9850894fae84b9fcc45b67f2db22d7829134b21385dd96a76f4f76d2a158a716",
+        "4243442e4a9ced3e414c8ed9ac731ec69cdfe66bd5bc97fe2f1d87f4e5d1f974",
+    ),
+}
 # The pins that differ where numpy runs without its AVX-512 kernels
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
 WITHOUT_AVX512 = {
@@ -110,6 +150,28 @@ WITHOUT_AVX512 = {
         "figure-grid-heavy": (
             "fd71b54d0eb3cfa1f24912a8b1e437e03008f7747a72a72fe3474cad41b75a81",
             "d7981c5f155a6d463c08ef36dc41568d658442ad252c8b1d65150db48737ed73",
+        ),
+    },
+    14: {
+        "example2-mild": (
+            "fbfde05d8083d36ae3631ef132fc774ba79f1814d75d0f51e21285394609959f",
+            "c4b5052b564596f9e04d4a5202d3b716c853721703778b30b0b6ae5cee6a510b",
+        ),
+        "case-study": (
+            "941a8975c879e5381caaafdbf40afebb017ad17683011ec7b24807f3c730023f",
+            "b7367eb2e0e255206597baeb83fc8ac5f2c97f0197572d1a1f27fef6a91da24f",
+        ),
+        "scenarioA": (
+            "7ffc879c021652622ea929f1d5bfb6c5c0fadf3db9003720fec8207bd7cc9933",
+            "d971934ccae2cfd289fc49f3e0a6f802ceb9c78e3a0c29d8d28d914f696cc18c",
+        ),
+        "scenarioB": (
+            "1653db5b1ea417284864fd36337ef780228e98b04b5e9d755389f8ca54d4e4f0",
+            "6efdc45c397d1878f7b189d8bccc0d5ef75e9c4b91e21a895c3b46cf55022b9e",
+        ),
+        "figure-grid-mild": (
+            "a85916e4c5e0f4891cce9d47c032f158855143a4d1864b5dde9eb05428da18ff",
+            "efb86a6c8473bbad44280da336aa4a2836e45f9b7863ae79e06becf5d8628234",
         ),
     },
 }
