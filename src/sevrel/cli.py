@@ -220,7 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("id", help="scenario id (see package docs for the list)")
     sc.add_argument("--export", metavar="DIR", help="write report and histogram files into DIR")
     sc.add_argument("--seed", type=int, help="override the scenario's default seed")
-    sc.add_argument("--n", type=int, help="override the scenario's sample count")
+    sc.add_argument(
+        "--n",
+        type=int,
+        help="override the scenario's sample count; the expectation bands stay sized for the default "
+        "count, so a correct run at a smaller N can exit 5 (see README, Built-in scenarios)",
+    )
     sc.set_defaults(handler=_cmd_scenario)
 
     return parser

@@ -2,49 +2,47 @@
 
 A limit state is a linear combination of independent input variables,
 g = sum(coefficient_i * X_i) + shift, with failure defined as g < 0.
-Each lane of the stream is cut into blocks of _BLOCK values, the last
-one ragged, and each term of a block has its own generator: slot j of
-block i on a lane is an SFC64 seeded by SeedSequence(master_seed,
-spawn_key=(lane, i, j)). The Normal terms are drawn as one Normal, their
-sum, with the coefficients and the shift folded into its mean and sd,
-from the slot of the first Normal term; every other term j draws from
-slot j. So the draws of a term that is not Normal depend on the seed,
-the lane, the block and j alone. The draw plan (see
-`_Plan`) is fixed once per call. The block length is a constant, so the
-sample depends on the master seed and the sample count alone, and the
-full blocks of a run are those of every longer run with the same seed.
+The stream is cut into blocks of _BLOCK values, the last one ragged,
+and each term of a block has its own generator: slot j of block i is an
+SFC64 seeded by SeedSequence(master_seed, spawn_key=(0, i, j)). The
+Normal terms are drawn as one Normal, their sum, with the coefficients
+and the shift folded into its mean and sd, from the slot of the first
+Normal term; every other term j draws from slot j. So the draws of a
+term that is not Normal depend on the seed, the block and j alone. The
+draw plan (see `_Plan`) is fixed once per call. The block length is a
+constant, so the sample depends on the master seed and the sample count
+alone, and the full blocks of a run are those of every longer run with
+the same seed.
 
 Each run keeps the mean, centred sum of squares (M2) and extrema of g,
 and the count, sum, M2 and extrema of the failure deficits. A block is
 drawn (the merged Normal straight into it or, without one, the first
 other term, scaled and shifted; then each other term through one block
 of scratch, scaled and added) and reduced while it is in cache (extrema
-and finiteness, failure deficits, bins, moments). Tasks of _TASK blocks
-run on a small thread pool, one thread per usable CPU, and return their
-block partials unfolded; the calling thread folds them one at a time,
-in block order, with the pairwise update. A pass holds one block of g
-and one of scratch per worker, allocated once on the calling thread and
-lent to each task in turn, so no worker thread allocates a block. So
-memory is a few blocks per thread, and the result is bit-identical for a
-fixed master seed and sample count whatever the task size or the number
-of threads. A block whose g is not finite (NaN, or an overflow to inf)
-stops the run with an error that names the first such block; a sample
-variance of g that overflows, although every g is finite, stops it after
-the last block.
+and finiteness, failure deficits, bins, moments). `simulate` runs tasks
+of _TASK blocks on a small thread pool, one thread per usable CPU; each
+task returns its block partials unfolded, and the calling thread folds
+them one at a time, in block order, with the pairwise update. It holds
+one block of g and one of scratch per worker, allocated once on the
+calling thread and lent to each task in turn, so no worker thread
+allocates a block. So memory is a few blocks per thread, and the result
+is bit-identical for a fixed master seed and sample count whatever the
+task size or the number of threads. A block whose g is not finite (NaN,
+or an overflow to inf) stops the run with an error that names the first
+such block; a sample variance of g that overflows, although every g is
+finite, stops it after the last block.
 
 On request, each block is also binned while it is held. Bin counts are
 exact integers, which the fold adds block by block (see `histogram`):
 the histograms of a run need no second pass over the stream.
 
-`simulate` and `g_chunks` draw every block through `_task`, which hands
-it to a per-block reduction; `simulate` runs its tasks through `_pass`,
-which lends them their buffers. `calibrate_shift` draws no sample: it
-works on a grid of the density of g less one term.
+`g_chunks` draws the same blocks on the calling thread, each into a new
+array. `calibrate_shift` draws no sample: it works on a grid of the
+density of g less one term.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -70,11 +68,8 @@ __all__ = [
     "calibrate_shift",
 ]
 
-# The leading spawn-key coordinate of every block of the stream.
-_LANE_MAIN = 0
-
-# Values per block of a lane. Block i draws the stream seeded by (lane, i),
-# so changing this changes the sample of every run longer than a block.
+# Values per block. Block i draws the streams keyed (0, i, j), so changing
+# this changes the sample of every run longer than a block.
 _BLOCK = 1 << 16
 
 # Blocks per task of the thread pool. The block partials fold one at a
@@ -207,7 +202,7 @@ def _tasks(sample_count: int) -> list[range]:
 
 
 def _size(idx: int, sample_count: int) -> int:
-    """The number of values in block `idx` of a lane's first `sample_count`."""
+    """The number of values in block `idx` of the first `sample_count`."""
     return min(_BLOCK, sample_count - idx * _BLOCK)
 
 
@@ -283,10 +278,10 @@ def _plan(model: LimitStateModel) -> _Plan:
     return _Plan(mean, sd, tuple(first + slots), tuple(others))
 
 
-def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
-    """One generator per slot of block `idx` of `lane`: slot j is an SFC64
-    seeded by SeedSequence(master_seed, spawn_key=(lane, idx, j)). No
-    slot, no seeding.
+def _term_rngs(master_seed: int, idx: int, slots: tuple[int, ...]) -> list[np.random.Generator]:
+    """One generator per slot of block `idx`: slot j is an SFC64 seeded by
+    SeedSequence(master_seed, spawn_key=(0, idx, j)). No slot, no seeding.
+    The leading 0 is part of the key of schemaVersion 14's stream.
 
     Each slot is seeded on its own, because slices of one PCG64 stream
     2**64 draws apart are correlated and would make the terms of g
@@ -294,16 +289,13 @@ def _term_rngs(master_seed: int, lane: int, idx: int, slots: tuple[int, ...]) ->
     pays for seeding every slot.
     """
     return [
-        np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j))))
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(0, idx, j))))
         for j in slots
     ]
 
 
-def _draw_block(
-    plan: _Plan, master_seed: int, lane: int, idx: int, g: np.ndarray, scratch: np.ndarray | None
-) -> np.ndarray:
-    """Draw block `idx` of `lane` into g, whose size is the block's, and
-    return g.
+def _draw_block(plan: _Plan, master_seed: int, idx: int, g: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """Draw block `idx` into g, whose size is the block's, and return g.
 
     The merged Normal is drawn straight into g (see `_Plan`); each other
     term draws from its own slot (see `_term_rngs`) into `scratch`, which
@@ -312,9 +304,9 @@ def _draw_block(
     straight into g, scaled there and shifted by the mean, with the bits
     that filling g with the mean and adding the term give. Each term
     draws the block as one batch (see `distributions`).
-    Overflow is left to _finite_extrema, under `_task`'s np.errstate.
+    Overflow is left to _finite_extrema, under the caller's np.errstate.
     """
-    rngs = _term_rngs(master_seed, lane, idx, plan.slots)
+    rngs = _term_rngs(master_seed, idx, plan.slots)
     others = list(zip(plan.others, rngs[1:] if plan.sd > 0.0 else rngs))
     if plan.sd > 0.0:
         rngs[0].standard_normal(out=g)
@@ -349,78 +341,9 @@ def _buffers(plan: _Plan, size: int) -> _Buffers:
     return np.empty(size), (np.empty(size) if len(plan.others) > (plan.sd == 0.0) else None)
 
 
-def _task(
-    plan: _Plan,
-    master_seed: int,
-    lane: int,
-    sample_count: int,
-    reduce: Callable[[np.ndarray, int], _T],
-    buffers: _Buffers,
-    task: range,
-) -> list[_T]:
-    """reduce(block, idx) for each block `idx` of `task`, in order, over
-    `lane`'s first `sample_count` values.
-
-    Every pass over a lane draws its blocks here, into `buffers` (see
-    `_buffers`), which must hold the task's first block. Each block of
-    the task overwrites the last, so `reduce` may overwrite the block but
-    keeps nothing of it. Only `_block` keeps its one block, drawn into
-    buffers made for it: a lent block is never kept.
-    """
-    g, scratch = buffers
-    # np.errstate is per thread; non-finite g is reported by _finite_extrema
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            reduce(_draw_block(plan, master_seed, lane, idx, g[: _size(idx, sample_count)], scratch), idx)
-            for idx in task
-        ]
-
-
-def _block(plan: _Plan, master_seed: int, lane: int, sample_count: int, idx: int) -> np.ndarray:
-    """Block `idx` of `lane`'s first `sample_count` values, drawn on the
-    calling thread into a new array that the caller may keep."""
-    buffers = _buffers(plan, _size(idx, sample_count))
-    return _task(plan, master_seed, lane, sample_count, lambda block, _: block, buffers, range(idx, idx + 1))[0]
-
-
-def _pass(
-    plan: _Plan,
-    master_seed: int,
-    lane: int,
-    sample_count: int,
-    reduce: Callable[[np.ndarray, int], _T],
-    tasks: list[range],
-) -> Iterator[_T]:
-    """reduce(block, idx) for each block of `tasks`, yielded in block
-    order, the tasks run as `_ordered` runs them.
-
-    One pair of `_buffers` per worker is allocated here, on the calling
-    thread, before any task starts, and lent to the tasks through a
-    queue: a task takes a pair when it starts and gives it back when it
-    ends, failed or not, so no later task, and no shutdown of the pool,
-    waits for it. No more tasks run at once than there are workers, so a
-    task never finds the queue empty; if one did, queue.Empty would stop
-    the pass rather than block it.
-    """
-    workers = _workers(tasks)
-    lent: queue.SimpleQueue[_Buffers] = queue.SimpleQueue()
-    for _ in range(workers):
-        lent.put(_buffers(plan, _size(tasks[0].start, sample_count)))
-
-    def work(task: range) -> list[_T]:
-        buffers = lent.get_nowait()
-        try:
-            return _task(plan, master_seed, lane, sample_count, reduce, buffers, task)
-        finally:
-            lent.put(buffers)
-
-    for parts in _ordered(work, tasks, workers):
-        yield from parts
-
-
 def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
-    """Min and max of g, block `idx` of its lane, or ValueError if g is not
-    finite. The error names the block and its stream positions.
+    """Min and max of g, block `idx` of the stream, or ValueError if g is
+    not finite. The error names the block and its stream positions.
 
     NaN propagates through min and max, so the extrema catch every
     non-finite value; unchecked, NaN would fail no `g < 0` test and
@@ -437,12 +360,16 @@ def _finite_extrema(g: np.ndarray, idx: int) -> tuple[float, float]:
 
 
 def g_chunks(model: LimitStateModel, config: SimulationConfig) -> Iterator[np.ndarray]:
-    """Regenerate the exact g stream of simulate(), block by block, each in
-    a new array that the caller may keep (see `_block`)."""
+    """Regenerate the exact g stream of simulate(), block by block, each
+    drawn on the calling thread into a new array that the caller may keep."""
     plan, n = _plan(model), config.sample_count
-    for task in _tasks(n):
-        for idx in task:
-            yield _block(plan, config.master_seed, _LANE_MAIN, n, idx)
+    for idx in range(-(-n // _BLOCK)):
+        g, scratch = _buffers(plan, _size(idx, n))
+        # non-finite g is the caller's to find; the generator yields outside
+        # the np.errstate, so the caller's own settings hold between blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            _draw_block(plan, config.master_seed, idx, g, scratch)
+        yield g
 
 
 @dataclass
@@ -520,7 +447,7 @@ def _gather(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _summarize_block(g: np.ndarray, idx: int, histograms: bool) -> _Partial:
-    """The partial statistics of g, block `idx` of its lane.
+    """The partial statistics of g, block `idx` of the stream.
 
     Works on g in place and leaves it overwritten with the squares of
     its centred values. Finite values near the float limit can overflow
@@ -556,15 +483,41 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     task size nor the number of threads. A sample variance of g that
     overflows raises ValueError after the last block.
 
+    One pair of `_buffers` per worker is allocated here, on the calling
+    thread, before any task starts, and lent to the tasks through a
+    queue: a task takes a pair when it starts and gives it back when it
+    ends, failed or not, so no later task, and no shutdown of the pool,
+    waits for it. Each block of a task overwrites the last. No more tasks
+    run at once than there are workers, so a task never finds the queue
+    empty; if one did, queue.Empty would stop the run rather than block it.
+
     With `histograms`, each block is binned while it is held, and the
     summary carries `g_histogram` and `deficit_histogram`. Binning reads
     each block once more, which costs far less than regenerating it.
     """
+    plan, seed, n = _plan(model), config.master_seed, config.sample_count
+    tasks = _tasks(n)
+    workers = _workers(tasks)
+    lent: queue.SimpleQueue[_Buffers] = queue.SimpleQueue()
+    for _ in range(workers):
+        lent.put(_buffers(plan, _size(0, n)))
+
+    def work(task: range) -> list[_Partial]:
+        g, scratch = buffers = lent.get_nowait()
+        try:
+            # np.errstate is per thread; non-finite g is reported by _finite_extrema
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [
+                    _summarize_block(_draw_block(plan, seed, idx, g[: _size(idx, n)], scratch), idx, histograms)
+                    for idx in task
+                ]
+        finally:
+            lent.put(buffers)
+
     acc = _Partial()
-    reduce = functools.partial(_summarize_block, histograms=histograms)
-    n = config.sample_count
-    for part in _pass(_plan(model), config.master_seed, _LANE_MAIN, n, reduce, _tasks(n)):
-        acc.fold(part)
+    for parts in _ordered(work, tasks, workers):
+        for part in parts:
+            acc.fold(part)
     if not math.isfinite(acc.m2):
         # every g is finite, or a block would have stopped the run
         raise ValueError(

@@ -29,11 +29,8 @@ from sevrel.engine import (
 )
 from sevrel.engine import (
     _BLOCK,
-    _LANE_MAIN,
-    _block,
     _draw_block,
     _finite_extrema,
-    _plan,
 )
 from sevrel.scenarios import SCENARIO_IDS, builtin, export_result, run
 
@@ -65,16 +62,16 @@ def blocks(config):
     return -(-config.sample_count // _BLOCK)
 
 
-def block_g(model, config, lane, idx):
-    # block idx of the lane's first sample_count values
-    return _block(_plan(model), config.master_seed, lane, config.sample_count, idx)
+def block_g(model, config, idx):
+    # block idx of the first sample_count values
+    return list(g_chunks(model, config))[idx]
 
 
 def poison(monkeypatch, bad):
     # Block idx gets the value bad[idx] at its 7th position, after it is
     # drawn: a non-finite g in the blocks chosen, whatever the sample.
-    def draw(plan, master_seed, lane, idx, g, scratch):
-        _draw_block(plan, master_seed, lane, idx, g, scratch)
+    def draw(plan, master_seed, idx, g, scratch):
+        _draw_block(plan, master_seed, idx, g, scratch)
         if idx in bad:
             g[7] = bad[idx]
         return g
@@ -195,7 +192,7 @@ def test_g_chunks_yields_fresh_arrays():
     for a, b in itertools.combinations(chunks, 2):
         assert not np.shares_memory(a, b)
     for idx, g in enumerate(chunks):
-        assert np.array_equal(g, block_g(m, cfg, _LANE_MAIN, idx))
+        assert np.array_equal(g, block_g(m, cfg, idx))
 
 
 def test_g_chunks_deterministic():
@@ -207,7 +204,7 @@ def test_g_chunks_deterministic():
 
 
 def test_the_sample_depends_on_the_seed_and_the_sample_count_alone():
-    # every lane is keyed per block; no caller picks the cut, and the full
+    # the stream is keyed per block; no caller picks the cut, and the full
     # blocks of a run are those of a longer one (a Mixture's ragged last
     # block is not a prefix of the full block: its value uniforms start
     # after its branch uniforms)
@@ -343,7 +340,7 @@ def pareto_model():
 def no_draw(monkeypatch):
     # calibrate_shift must not draw a block
     def draw(*args):
-        raise AssertionError(f"block {args[3]} was drawn")
+        raise AssertionError(f"block {args[2]} was drawn")
 
     monkeypatch.setattr(engine, "_draw_block", draw)
 
@@ -473,6 +470,18 @@ REFERENCE = SimulationConfig(sample_count=10**9, master_seed=11)
             ]
             for p in (0.5, 0.25, 0.01, 1e-3)
         ),
+        # Refused past _NODES grid nodes: the steep rise of a Lognormal's
+        # density from 0 makes the grid of r converge slowly. The
+        # references are -2.63332, 1.87360 and 2.71240. They pass once
+        # a lone Lognormal in r goes on a grid of its log.
+        *(
+            pytest.param(capacity, demand, p, marks=pytest.mark.xfail(strict=True, raises=ValueError))
+            for capacity, demand, p in [
+                (Lognormal(2.0, 0.9), Lognormal(0.0, 0.9), 0.25),
+                (Lognormal(0.0, 3.0), Normal(0.0, 1.0), 0.01),
+                (Lognormal(0.0, 3.0), Normal(0.0, 1.0), 1e-3),
+            ]
+        ),
     ],
     ids=[
         "narrow-gumbel",
@@ -481,6 +490,9 @@ REFERENCE = SimulationConfig(sample_count=10**9, master_seed=11)
         "lognormal-gumbel-median",
         "sharp-step-median",
         *(f"{name}-{p:g}" for name in ("normal-lognormal", "narrow-normal-wide-lognormal") for p in (0.5, 0.25, 0.01, 1e-3)),
+        "wide-two-lognormals-0.25",
+        "wide-lognormal-normal-0.01",
+        "wide-lognormal-normal-0.001",
     ],
 )
 def test_calibrate_shift_matches_quad_over_the_demand(capacity, demand, target_pf):
@@ -829,7 +841,7 @@ def test_a_zero_coefficient_other_term_draws_positive_zeros():
     # and scaled there; adding the mean, even 0.0, turns 0.0 * (a negative
     # draw) = -0.0 into 0.0, as mean + 0.0 * x gives.
     model = LimitStateModel(terms=(Term("load", 0.0, Gumbel(0.0, 1.0)),))
-    g = block_g(model, SimulationConfig(1_000, 7), _LANE_MAIN, 0)
+    g = block_g(model, SimulationConfig(1_000, 7), 0)
     assert not np.signbit(g).any()
 
 
@@ -845,7 +857,7 @@ def test_non_finite_g_names_the_first_chunk_that_has_it(monkeypatch, task):
 
 def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task):
     # finite blocks come first, in tasks of two; the error must still name
-    # the first non-finite block of the lane and its stream positions
+    # the first non-finite block of the stream and its stream positions
     task(2)
     poison(monkeypatch, {3: -math.inf, 5: math.nan})
     cfg = SimulationConfig(sample_count=16 * _BLOCK + 500, master_seed=4)
@@ -925,7 +937,7 @@ def test_chunks_started_ahead_of_the_fold_are_bounded(monkeypatch, task):
     ahead = []
 
     def draw(*args):
-        idx = args[3]
+        idx = args[2]
         if idx == 0:
             submitted.wait(timeout=10.0)
             beyond.wait(timeout=0.2)
@@ -959,8 +971,8 @@ def test_an_error_cancels_the_chunks_not_started(monkeypatch, task):
             super().shutdown(*args, **kwargs)
 
     def draw(*args):
-        drawn.append(args[3])
-        if args[3]:
+        drawn.append(args[2])
+        if args[2]:
             closing.wait(timeout=10.0)
         return _draw_block(*args)
 

@@ -9,7 +9,7 @@ below are the direct forms those replace: one expression per quantile,
 one whole-batch draw, a searchsorted branch index with a mask and gather
 per component, g = mean + sd * z for the merged Normal and then
 ``g += c * sample`` per other term, with slot j an SFC64 seeded by
-SeedSequence(seed, spawn_key=(lane, block, j)), and each block's
+SeedSequence(seed, spawn_key=(0, block, j)), and each block's
 statistics computed from its values. The reproducibility contract is
 about bits, so every comparison is exact.
 Run lengths on both sides of a block edge check that block i reads its
@@ -27,7 +27,6 @@ from sevrel import histogram
 from sevrel.distributions import Gumbel, Lognormal, Mixture, Normal, Pareto
 from sevrel.engine import (
     _BLOCK,
-    _LANE_MAIN,
     LimitStateModel,
     SimulationConfig,
     Term,
@@ -80,9 +79,9 @@ def reference_sample(d, rng, n):
     return out
 
 
-def slot(master_seed, lane, idx, j):
-    # the generator of term j in block idx of lane
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(lane, idx, j))))
+def slot(master_seed, idx, j):
+    # the generator of term j in block idx
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(master_seed, spawn_key=(0, idx, j))))
 
 
 def run_g(model, master_seed, n):
@@ -90,9 +89,9 @@ def run_g(model, master_seed, n):
     return np.concatenate(list(g_chunks(model, SimulationConfig(n, master_seed))))
 
 
-def reference_block_g(model, master_seed, lane, idx, size):
+def reference_block_g(model, master_seed, idx, size):
     def rng(j):
-        return slot(master_seed, lane, idx, j)
+        return slot(master_seed, idx, j)
 
     # the Normal terms as one Normal with the shift folded in, from the
     # slot of the first of them; a constant when its sd is 0
@@ -155,7 +154,7 @@ def test_blocked_draws_match_reference_bits(dist, n):
     seed = 1000 + n
     model = LimitStateModel(terms=(Term("x", 1.0, dist),))
     want = [
-        reference_sample(dist, slot(seed, _LANE_MAIN, i, 0), size)
+        reference_sample(dist, slot(seed, i, 0), size)
         for i, size in enumerate(np.diff([*range(0, n, _BLOCK), n]))
     ]
     assert np.array_equal(run_g(model, seed, n), np.concatenate(want))
@@ -254,7 +253,7 @@ def assert_same_partial(got, want):
 @pytest.mark.parametrize("sid", [*SCENARIO_IDS, *MODELS])
 def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
     model = block_model(sid)
-    blocks = [reference_block_g(model, 7, _LANE_MAIN, i, min(_BLOCK, n - start)) for i, start in enumerate(range(0, n, _BLOCK))]
+    blocks = [reference_block_g(model, 7, i, min(_BLOCK, n - start)) for i, start in enumerate(range(0, n, _BLOCK))]
     assert np.array_equal(run_g(model, 7, n), np.concatenate(blocks))
 
     # each block reduces to its own statistics, and the run's are their fold
@@ -289,7 +288,7 @@ def test_every_block_of_a_builtin_reads_its_own_key(sid):
     sd = math.hypot(*(model.terms[j].coefficient * model.terms[j].distribution.stddev for j in normals))
     for i, start in enumerate(range(0, n, _BLOCK)):
         size = min(_BLOCK, n - start)
-        slots = [slot(seed, _LANE_MAIN, i, j) for j in range(len(model.terms))]
+        slots = [slot(seed, i, j) for j in range(len(model.terms))]
         want = Normal(mean, sd).sample(slots[normals[0]], size) if sd > 0.0 else np.full(size, mean)
         for j, t in enumerate(model.terms):
             if j not in normals:

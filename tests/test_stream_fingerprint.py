@@ -2,10 +2,10 @@
 
 The reproducibility contract says that a fixed (seed, sample count)
 gives the same bits until `schemaVersion` changes. Each pin is the
-sha256 of 1 000 values of g that the version draws on the main lane at
-seed 0: version 8 pinned a 1 000-value run; version 9 pins block 0 and
-block 1, each drawn with 1 000 values (the g of a 1 000-value run, and
-the last 1 000 values of a (_BLOCK + 1 000)-value run). Block 0 is
+sha256 of 1 000 values of g that the version draws at seed 0: version 8
+pinned a 1 000-value run; version 9 pins block 0 and block 1, each
+drawn with 1 000 values (the g of a 1 000-value run, and the last 1 000
+values of a (_BLOCK + 1 000)-value run). Block 0 is
 version 8's pin; block 1 shows the stream keyed per block. Version 14
 keys every term of a block on its own, so all of its pins are new. A
 change to the stream fails here until SCHEMA_VERSION is bumped and the
@@ -25,7 +25,7 @@ import hashlib
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-from sevrel.engine import _BLOCK, _LANE_MAIN, _block, _plan
+from sevrel.engine import _BLOCK, SimulationConfig, g_chunks
 from sevrel.report import SCHEMA_VERSION
 from sevrel.scenarios import SCENARIO_IDS, builtin
 
@@ -80,8 +80,8 @@ FINGERPRINTS = {
         ),
     },
 }
-# versions 10 to 13 changed the calibrated shift alone: the main lane
-# keeps version 9's bits
+# versions 10 to 13 changed the calibrated shift alone: the stream keeps
+# version 9's bits
 FINGERPRINTS[10] = FINGERPRINTS[11] = FINGERPRINTS[12] = FINGERPRINTS[13] = FINGERPRINTS[9]
 # version 14 seeds each term of a block on its own: term j of block i
 # draws from an SFC64 seeded by SeedSequence(0, spawn_key=(0, i, j))
@@ -195,8 +195,9 @@ def test_every_builtin_is_pinned():
 
 @pytest.mark.parametrize("sid", SCENARIO_IDS)
 def test_stream_matches_its_schema_version(sid):
-    plan = _plan(builtin(sid).model)
-    blocks = [_block(plan, 0, _LANE_MAIN, idx * _BLOCK + 1_000, idx) for idx in (0, 1)]
+    model = builtin(sid).model
+    # the last block of a run of idx * _BLOCK + 1 000 values
+    blocks = [list(g_chunks(model, SimulationConfig(idx * _BLOCK + 1_000, 0)))[idx] for idx in (0, 1)]
     digests = tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in blocks)
     assert digests == _pinned(sid), (
         f"the g stream of {sid} is not the one pinned for schemaVersion {SCHEMA_VERSION}: "
