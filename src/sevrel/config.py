@@ -22,7 +22,8 @@ The file has four sections. "model" and "simulation" are required,
     }
 
 Unknown keys anywhere are an error, reported with their path, so a
-typoed optional key cannot silently fall back to a default. So is a
+typoed optional key cannot silently fall back to a default. So is a key
+given twice in one object, whose earlier value would be dropped. So is a
 non-finite number (NaN, Infinity, or a literal such as 1e400 or a
 400-digit integer that overflows a float). The distribution kinds and
 their keys are those of `distributions.KINDS`, which the report's
@@ -246,8 +247,17 @@ def _check_distinct(output: OutputPaths, path: str, config_file: str | None = No
 
 def parse_config(text: str, source: str = "config") -> tuple[Scenario, OutputPaths]:
     """The study a config's text describes, titled `source`, and its outputs."""
+    def unique(pairs: list) -> dict:
+        # json.loads would keep the last of two equal keys without a word
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{source}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -20,17 +20,17 @@ drawn (the merged Normal straight into it or, without one, the first
 other term, scaled and shifted; then each other term through one block
 of scratch, scaled and added) and reduced while it is in cache (extrema
 and finiteness, failure deficits, bins, moments). `simulate` runs tasks
-of _TASK blocks on a small thread pool, one thread per usable CPU; each
-task returns its block partials unfolded, and the calling thread folds
-them one at a time, in block order, with the pairwise update. It holds
-one block of g and one of scratch per worker, allocated once on the
-calling thread and lent to each task in turn, so no worker thread
-allocates a block. So memory is a few blocks per thread, and the result
-is bit-identical for a fixed master seed and sample count whatever the
-task size or the number of threads. A block whose g is not finite (NaN,
-or an overflow to inf) stops the run with an error that names the first
-such block; a sample variance of g that overflows, although every g is
-finite, stops it after the last block.
+of _TASK blocks on a small thread pool, one thread per usable CPU. A
+task is its first block; it returns its block partials unfolded, and the
+calling thread folds them one at a time, in block order, with the
+pairwise update. It holds one block of g and one of scratch per worker,
+allocated once on the calling thread and lent to each task in turn, so
+no worker thread allocates a block. So memory is a few blocks per
+thread, and the result is bit-identical for a fixed master seed and
+sample count whatever the task size or the number of threads. A block
+whose g is not finite (NaN, or an overflow to inf) stops the run with an
+error that names the first such block; a sample variance of g that
+overflows, although every g is finite, stops it after the last block.
 
 On request, each block is also binned while it is held. Bin counts are
 exact integers, which the fold adds block by block (see `histogram`):
@@ -174,7 +174,6 @@ class SimulationSummary:
     deficit_m2: float  # centred sum of squares of all failure deficits
     deficit_min: float | None
     deficit_max: float | None
-    config: SimulationConfig
     # binned during the run when simulate() was asked for histograms;
     # deficit_histogram stays None without failures
     g_histogram: histogram.Histogram | None = None
@@ -195,10 +194,9 @@ class SimulationSummary:
         return math.sqrt(self.deficit_m2 / (k - 1)) if k >= 2 else None
 
 
-def _tasks(sample_count: int) -> list[range]:
-    """The block indices of each task over the first `sample_count` values."""
-    blocks = -(-sample_count // _BLOCK)
-    return [range(i, min(i + _TASK, blocks)) for i in range(0, blocks, _TASK)]
+def _tasks(sample_count: int) -> range:
+    """The first block of each task over `sample_count` values; `stop` is the block count."""
+    return range(0, -(-sample_count // _BLOCK), _TASK)
 
 
 def _size(idx: int, sample_count: int) -> int:
@@ -206,13 +204,13 @@ def _size(idx: int, sample_count: int) -> int:
     return min(_BLOCK, sample_count - idx * _BLOCK)
 
 
-def _workers(tasks: list[range]) -> int:
+def _workers(tasks: range) -> int:
     """Threads for `tasks`: one per usable CPU, at most one per task."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, len(tasks))
 
 
-def _ordered(work: Callable[[range], _T], tasks: list[range], workers: int) -> Iterator[_T]:
+def _ordered(work: Callable[[int], _T], tasks: range, workers: int) -> Iterator[_T]:
     """work(task) for each of `tasks`, yielded in order.
 
     The tasks run on `workers` threads, so no more than `workers` run at
@@ -414,7 +412,7 @@ class _Partial:
         self.g_bins = histogram.merge(self.g_bins, p.g_bins)
         self.deficit_bins = histogram.merge(self.deficit_bins, p.deficit_bins)
 
-    def summary(self, config: SimulationConfig) -> SimulationSummary:
+    def summary(self) -> SimulationSummary:
         has_fail = self.failure_count > 0
         return SimulationSummary(
             n=self.n,
@@ -427,7 +425,6 @@ class _Partial:
             deficit_m2=self.deficit_m2,
             deficit_min=self.deficit_min if has_fail else None,
             deficit_max=-self.min_g if has_fail else None,  # the deepest failure
-            config=config,
             g_histogram=self.g_bins.histogram() if self.g_bins else None,
             deficit_histogram=self.deficit_bins.histogram() if self.deficit_bins else None,
         )
@@ -466,7 +463,7 @@ def _summarize_block(g: np.ndarray, idx: int, histograms: bool) -> _Partial:
         part.deficit_sum = float(deficits.sum())
         part.deficit_min = float(deficits.min())
         if histograms:
-            part.deficit_bins = histogram.log_linear(deficits)
+            part.deficit_bins = histogram.log_linear(deficits, part.deficit_min, -min_g)
         deficits -= part.deficit_sum / k
         part.deficit_m2 = float(np.square(deficits, out=deficits).sum())
     part.mean = float(g.mean())
@@ -502,14 +499,14 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
     for _ in range(workers):
         lent.put(_buffers(plan, _size(0, n)))
 
-    def work(task: range) -> list[_Partial]:
+    def work(first: int) -> list[_Partial]:
         g, scratch = buffers = lent.get_nowait()
         try:
             # np.errstate is per thread; non-finite g is reported by _finite_extrema
             with np.errstate(over="ignore", invalid="ignore"):
                 return [
                     _summarize_block(_draw_block(plan, seed, idx, g[: _size(idx, n)], scratch), idx, histograms)
-                    for idx in task
+                    for idx in range(first, min(first + tasks.step, tasks.stop))
                 ]
         finally:
             lent.put(buffers)
@@ -524,7 +521,7 @@ def simulate(model: LimitStateModel, config: SimulationConfig, histograms: bool 
             f"the sample variance of g overflows over {acc.n} finite samples; "
             "a coefficient or parameter is too large"
         )
-    return acc.summary(config)
+    return acc.summary()
 
 
 def _paretos(d: Distribution) -> list[tuple[float, Pareto]]:

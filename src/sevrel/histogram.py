@@ -192,9 +192,9 @@ def linear(values: np.ndarray, lo: float, hi: float) -> Bins:
     return Bins.of(_Linear, values, lo, hi)
 
 
-def log_linear(values: np.ndarray) -> Bins:
-    """Log-linear bins of a non-empty array of positive finite values."""
-    return Bins.of(_LogLinear, values, float(values.min()), float(values.max()))
+def log_linear(values: np.ndarray, lo: float, hi: float) -> Bins:
+    """Log-linear bins of positive finite values whose extrema are lo and hi."""
+    return Bins.of(_LogLinear, values, lo, hi)
 
 
 def merge(a: Bins | None, b: Bins | None) -> Bins | None:

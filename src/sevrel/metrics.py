@@ -215,11 +215,11 @@ class SeverityReport:
 _Z_975 = -gaussian.norm_quantile(0.025)
 
 
-def _ef_star_ci(k: int, deficit_sum: float, deficit_m2: float, sigma: float) -> tuple[float, float] | None:
-    if k < 2:
+def _ef_star_ci(summary: SimulationSummary, sigma: float) -> tuple[float, float] | None:
+    s, k = summary.conditional_std, summary.failure_count
+    if s is None:
         return None
-    m = deficit_sum / k
-    half = _Z_975 * math.sqrt(deficit_m2 / (k - 1)) / math.sqrt(k)
+    m, half = summary.deficit_sum / k, _Z_975 * s / math.sqrt(k)
     return ((m - half) / sigma, (m + half) / sigma)
 
 
@@ -231,17 +231,17 @@ def build_report(
     """Assemble the full severity report for one run.
 
     The normalized-deficit confidence interval is the 95% normal (CLT)
-    interval for the mean of all k failure deficits, m +/- z * s / sqrt(k),
-    over the exact sigma_g, with m and s from the streamed sum and M2; there
-    is none with fewer than two failures. `bootstrap_resamples` is unused: the
-    interval used to be a percentile bootstrap of that many resamples, and
-    the benchmark under perfbench/ still reads the parameter's default.
+    interval m +/- z * s / sqrt(k) for the mean m of all k failure deficits,
+    s their conditional_std, over the exact sigma_g; there is none with
+    fewer than two failures. `bootstrap_resamples` is unused: the interval
+    used to be a percentile bootstrap of that many resamples, and the
+    benchmark under perfbench/ still reads the parameter's default.
 
     A run in which every sample fails only bounds p_f from below, by
     1 - 1/N, so beta is None; the deficit metrics are still computed.
     """
     n, k = summary.n, summary.failure_count
-    pf = k / n
+    pf = summary.pf
     beta_moment = None
     if n > 1 and summary.var_g > 0.0:
         beta_moment = summary.mean_g / math.sqrt(summary.var_g)
@@ -269,7 +269,7 @@ def build_report(
                 notes.append("normalized deficit is at or beyond the Gaussian endpoint")
             else:
                 beta_s = si
-            ci = _ef_star_ci(k, summary.deficit_sum, summary.deficit_m2, math.sqrt(moments.variance))
+            ci = _ef_star_ci(summary, math.sqrt(moments.variance))
     return SeverityReport(
         n=n,
         failure_count=k,

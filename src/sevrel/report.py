@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 
 from . import gaussian
 from .distributions import KINDS
-from .engine import LimitStateModel, SimulationConfig, SimulationSummary
+from .engine import LimitStateModel, SimulationSummary
 from .histogram import Histogram
 from .metrics import LEVEL_INDICES, SeverityLevel, SeverityReport
 
@@ -27,6 +28,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "distribution_document",
     "model_document",
+    "metrics_document",
     "simulation_document",
     "render_json",
     "write_text",
@@ -78,13 +80,6 @@ def model_document(model: LimitStateModel) -> dict:
     }
 
 
-def _config_document(config: SimulationConfig) -> dict:
-    return {
-        "sampleCount": config.sample_count,
-        "masterSeed": config.master_seed,
-    }
-
-
 def _summary_document(summary: SimulationSummary) -> dict:
     return {
         "n": summary.n,
@@ -100,7 +95,8 @@ def _summary_document(summary: SimulationSummary) -> dict:
     }
 
 
-def _metrics_document(report: SeverityReport) -> dict:
+def metrics_document(report: SeverityReport) -> dict:
+    """The report's "metrics" block, which scenario expectations grade."""
     return {
         "pf": _num(report.pf),
         "pfStandardError": _num(report.pf_se),
@@ -125,14 +121,14 @@ def simulation_document(result) -> dict:
     doc = {
         "schemaVersion": SCHEMA_VERSION,
         "model": model_document(result.model),
-        "simulation": _config_document(result.config),
+        "simulation": {"sampleCount": result.config.sample_count, "masterSeed": result.config.master_seed},
         "analyticMoments": {
             "mean": _num(moments.mean),
             "variance": _num(moments.variance),
             "varianceFinite": moments.variance_finite,
         },
         "summary": _summary_document(result.summary),
-        "metrics": _metrics_document(result.report),
+        "metrics": metrics_document(result.report),
         "assessment": None,
         "notes": list(result.report.notes),
     }
@@ -157,16 +153,20 @@ def render_json(doc: dict) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write atomically: full content to a sibling temp file, then rename.
-
-    If the write or the rename fails, the temp file is removed and the
-    target is left as it was.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write atomically: full content to a temp file beside the target,
+    then rename. The temp file takes the first free name .<name>.<i>.tmp,
+    so it never replaces another file (an output, the config), and gets
+    the permissions `open` gives a new file. If the write or the rename
+    fails, the temp file is removed and the target is left as it was."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
+    for i in itertools.count():
+        tmp = os.path.join(directory, f".{name}.{i}.tmp")
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -71,6 +71,7 @@ __all__ = [
 class Expectation:
     """One graded check: a metric, its expected value, and a tolerance.
 
+    metric is a key of the report's "metrics" block or a derived check.
     tolerance=None means exact equality (labels, flags, booleans).
     provenance says where the expected value comes from: "reference"
     (reported result), "analytic" (closed form of this very model),
@@ -151,40 +152,30 @@ class ScenarioResult:
         return collect_histograms(self.summary)[1]
 
 
-def _expectation_value(name: str, report: SeverityReport, moments: MomentReport):
-    if name == "pf":
-        return report.pf
-    if name == "beta":
-        return report.beta
-    if name == "efStar":
-        return report.ef_star
-    if name == "betaS":
-        return report.beta_s
+def _expectation_value(name: str, metrics: dict, moments: MomentReport):
+    """The value an expectation grades: a key of the report's "metrics"
+    block, or one of four checks derived from that block and the moments."""
+    if name in metrics:
+        return metrics[name]
+    beta, beta_s = metrics["beta"], metrics["betaS"]
     if name == "betaSDefined":
-        return report.beta_s is not None
+        return beta_s is not None
     if name == "betaSAboveBeta":
-        if report.beta_s is None or report.beta is None:
-            return False
-        return report.beta_s > report.beta
+        return beta_s is not None and beta is not None and beta_s > beta
     if name == "betaSNearBeta":
-        if report.beta_s is None or report.beta is None:
-            return None
-        return abs(report.beta_s - report.beta)
-    if name == "level":
-        return report.level.label if report.level is not None else None
-    if name == "extremeFlag":
-        return report.extreme_flag.value if report.extreme_flag is not None else "none"
+        return None if beta_s is None or beta is None else abs(beta_s - beta)
     if name == "analyticVarianceFinite":
         return moments.variance_finite
     raise ValueError(f"unknown expectation metric {name!r}")
 
 
-def _grade(exp: Expectation, report: SeverityReport, moments: MomentReport) -> ExpectationCheck:
-    value = _expectation_value(exp.metric, report, moments)
+def _grade(exp: Expectation, metrics: dict, moments: MomentReport) -> ExpectationCheck:
+    value = _expectation_value(exp.metric, metrics, moments)
     if exp.tolerance is None:
         passed = value == exp.expected
     else:
-        passed = value is not None and abs(value - exp.expected) <= exp.tolerance
+        # None, or a non-finite number that the report writes as a string, fails
+        passed = isinstance(value, float) and abs(value - exp.expected) <= exp.tolerance
     return ExpectationCheck(exp.metric, exp.expected, value, exp.tolerance, passed, exp.provenance)
 
 
@@ -227,7 +218,8 @@ def run(
     decision = None
     if scenario.beta_target is not None and report.failure_count:
         decision = assess(report, scenario.beta_target, scenario.max_acceptable_level)
-    checks = tuple(_grade(e, report, moments) for e in scenario.expectations)
+    metrics = rep.metrics_document(report)
+    checks = tuple(_grade(e, metrics, moments) for e in scenario.expectations)
     return ScenarioResult(
         scenario=scenario,
         model=model,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -535,6 +536,63 @@ def test_simulate_refuses_the_default_report_path_when_it_is_the_config(tmp_path
         "error: report.json.output.reportJson: 'report.json' is the same file as the config file\n"
     )
     assert Path(cfg).read_text() == text
+
+
+def test_simulate_refuses_a_key_given_twice_before_sampling(tmp_path, capsys, monkeypatch):
+    # json.loads kept the last betaTarget, 1.0, and accepted a design at
+    # beta = 2 that the first, 3.5, rejects
+    monkeypatch.setattr(sevrel.cli, "run", lambda *args, **kwargs: pytest.fail("the study ran"))
+    cfg = make_config(tmp_path, assessment={"betaTarget": 3.5})
+    Path(cfg).write_text(Path(cfg).read_text().replace('"betaTarget": 3.5', '"betaTarget": 3.5, "betaTarget": 1.0'))
+    assert main(["simulate", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: duplicate key 'betaTarget'\n"
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+def test_simulate_keeps_a_config_named_like_its_report_temp_file(tmp_path, monkeypatch):
+    # the report's temp file used to be run.json.tmp: the config, which
+    # the rename then deleted
+    monkeypatch.chdir(tmp_path)
+    cfg = make_config(tmp_path, name="run.json.tmp", output={"reportJson": "run.json"})
+    text = Path(cfg).read_text()
+    assert main(["simulate", "run.json.tmp"]) == 0
+    assert Path(cfg).read_text() == text
+    assert json.loads((tmp_path / "run.json").read_text())["schemaVersion"] == rep.SCHEMA_VERSION
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "run.json.tmp"]
+
+
+def test_simulate_keeps_an_output_named_like_another_outputs_temp_file(tmp_path, capsys, monkeypatch):
+    # the histogram's temp file used to be out.csv.tmp: the report, which
+    # the histogram then replaced and the rename deleted
+    monkeypatch.chdir(tmp_path)
+    cfg = make_config(tmp_path, output={"reportJson": "out.csv.tmp", "histogramCsv": "out.csv"})
+    assert main(["simulate", cfg]) == 0
+    assert "report: out.csv.tmp" in capsys.readouterr().out
+    assert json.loads((tmp_path / "out.csv.tmp").read_text())["schemaVersion"] == rep.SCHEMA_VERSION
+    assert (tmp_path / "out.csv").read_text().startswith("bin_left,bin_right,count\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis.json", "out.csv", "out.csv.tmp"]
+
+
+def test_write_text_never_replaces_a_file_at_its_temp_name(tmp_path):
+    taken = tmp_path / ".report.json.0.tmp"
+    taken.write_text("mine\n")
+    rep.write_text(str(tmp_path / "report.json"), "new\n")
+    assert taken.read_text() == "mine\n"
+    assert (tmp_path / "report.json").read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".report.json.0.tmp", "report.json"]
+
+
+def test_an_output_has_the_permissions_of_a_new_file(tmp_path):
+    # the umask applies, as it does to a file that open() creates
+    umask = os.umask(0o027)
+    try:
+        rep.write_text(str(tmp_path / "report.json"), "new\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("report.json", "plain.txt")}
+    assert modes == {0o640}
 
 
 @pytest.mark.parametrize(

@@ -366,6 +366,21 @@ def test_an_output_path_that_is_the_config_file_is_refused(tmp_path, monkeypatch
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"betaTarget": 3.0', '"betaTarget": 3.5, "betaTarget": 2.0', "betaTarget"),
+        ('"model": {', '"output": {}, "model": {', "output"),
+    ],
+    ids=["assessment", "root"],
+)
+def test_a_key_given_twice_is_refused(old, new, key):
+    # json.loads keeps the last value: the assessment ran at a betaTarget of 2.0
+    text = json.dumps(base_config()).replace(old, new)
+    with pytest.raises(ConfigError, match=re.escape(f"analysis.json: duplicate key {key!r}")):
+        parse_config(text, source="analysis.json")
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "analysis.json"
     path.write_text(json.dumps(base_config()))

@@ -868,6 +868,17 @@ def test_non_finite_g_after_finite_chunks_names_its_chunk(monkeypatch, task):
 # --- threads and tasks ----------------------------------------------------
 
 
+def test_task_set_up_does_not_grow_with_the_sample_count():
+    # A task is its first block, so 10**12 samples, 15 258 790 blocks in
+    # 953 675 tasks, set up in one range object; a list of one range per
+    # task took 109.9 MiB.
+    tasks = []
+    assert traced_peak(lambda: tasks.append(engine._tasks(10**12))) < 1024
+    (tasks,) = tasks
+    assert len(tasks) == 953_675
+    assert (tasks.step, tasks.stop) == (16, 15_258_790)
+
+
 def scenario_outputs(sid, tmp_path, label):
     # six blocks, the last one ragged
     res = run(builtin(sid), sample_count=330_000, histograms=True)

@@ -70,6 +70,10 @@ def linear_of(values):
     return histogram.linear(values, float(values.min()), float(values.max()))
 
 
+def log_linear_of(values):
+    return histogram.log_linear(values, float(values.min()), float(values.max()))
+
+
 def assert_same(a: histogram.Histogram, b: histogram.Histogram):
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.counts, b.counts)
@@ -126,7 +130,7 @@ def test_all_equal_values_make_one_padded_bin():
     h = linear_of(np.full(7, 2.0)).histogram()
     assert np.array_equal(h.edges, [1.5, 2.5])
     assert np.array_equal(h.counts, [7])
-    d = histogram.log_linear(np.full(3, 0.25)).histogram()
+    d = log_linear_of(np.full(3, 0.25)).histogram()
     assert np.array_equal(d.edges, [0.125, 0.375])
     assert np.array_equal(d.counts, [3])
 
@@ -172,7 +176,7 @@ def test_one_failure_run():
 def test_deficits_spanning_more_than_60_octaves():
     rng = np.random.default_rng(3)
     d = np.concatenate((2.0 ** np.arange(-30, 36), np.exp(rng.uniform(-20.0, 24.0, 5_000))))
-    h = histogram.log_linear(d).histogram()
+    h = log_linear_of(d).histogram()
     assert h.counts.size <= HISTOGRAM_BINS
     assert h.counts.sum() == d.size
     assert h.edges[0] == d.min() and h.edges[-1] == d.max()
@@ -186,7 +190,7 @@ def test_adjacent_doubles_and_a_top_value_on_an_edge():
     # two neighbouring doubles: the larger one sits on the only inner
     # edge, so its zero-width bin joins the first
     x = np.array([1.0, np.nextafter(1.0, 2.0)])
-    h = histogram.log_linear(x).histogram()
+    h = log_linear_of(x).histogram()
     assert np.array_equal(h.edges, x)
     assert np.array_equal(h.counts, [2])
     g = np.array([0.0, 0.5, 1.0])  # 1.0 is a multiple of every coarse width
@@ -217,8 +221,8 @@ def test_random_split_merged_in_order_equals_one_shot(seed):
     assert_same(backwards.histogram(), whole.histogram())
 
     d_cuts = cuts[cuts < d.size]
-    d_whole = histogram.log_linear(d)
-    d_merged, _ = merged_pieces(histogram.log_linear, d, d_cuts)
+    d_whole = log_linear_of(d)
+    d_merged, _ = merged_pieces(log_linear_of, d, d_cuts)
     assert_same(d_merged.histogram(), d_whole.histogram())
     assert np.array_equal(d_whole.histogram().counts, reference_deficit_counts(d))
 

@@ -40,7 +40,7 @@ def run(model, n=200_000, seed=0):
     return simulate(model, SimulationConfig(sample_count=n, master_seed=seed))
 
 
-def _summary(sub, failure_count, deficit_sum, cfg):
+def _summary(sub, failure_count, deficit_sum):
     """A summary whose failure_count deficits all equal their mean."""
     from sevrel.engine import SimulationSummary
 
@@ -55,7 +55,6 @@ def _summary(sub, failure_count, deficit_sum, cfg):
         deficit_m2=0.0,
         deficit_min=0.1 if failure_count else None,
         deficit_max=1.0 if failure_count else None,
-        config=cfg,
     )
 
 
@@ -77,11 +76,9 @@ def test_reliability_index_domain():
 
 
 def test_expected_failure_deficit():
-    s = _summary(np.array([1.0, 2.0, 3.0]), failure_count=4, deficit_sum=10.0,
-                 cfg=SimulationConfig(sample_count=3, master_seed=0))
+    s = _summary(np.array([1.0, 2.0, 3.0]), failure_count=4, deficit_sum=10.0)
     assert expected_failure_deficit(s) == 2.5
-    s0 = _summary(np.array([1.0, 2.0, 3.0]), failure_count=0, deficit_sum=0.0,
-                  cfg=SimulationConfig(sample_count=3, master_seed=0))
+    s0 = _summary(np.array([1.0, 2.0, 3.0]), failure_count=0, deficit_sum=0.0)
     with pytest.raises(NoFailuresObserved):
         expected_failure_deficit(s0)
 
@@ -159,8 +156,7 @@ def test_level_labels_and_advice():
 
 def test_normalized_deficit_flags_infinite_analytic_variance():
     rng = np.random.default_rng(3)
-    s = _summary(rng.normal(size=1_000), 10, 5.0,
-                 SimulationConfig(sample_count=1_000, master_seed=0))
+    s = _summary(rng.normal(size=1_000), 10, 5.0)
     assert normalized_deficit(s, MomentReport(0.0, math.inf)) is ExtremeFlag.VARIANCE_INFINITE_OR_UNSTABLE
     # sigma_g is the analytic one; the sample variance plays no part
     assert normalized_deficit(s, MomentReport(0.0, 4.0)) == 0.5 / 2.0
@@ -215,8 +211,8 @@ def _normal_ci(deficits, sigma):
     return ((m - z * s / math.sqrt(k)) / sigma, (m + z * s / math.sqrt(k)) / sigma)
 
 
-def _deficits(model, summary):
-    g = np.concatenate(list(g_chunks(model, summary.config)))
+def _deficits(model, config):
+    g = np.concatenate(list(g_chunks(model, config)))
     return -g[g < 0.0]
 
 
@@ -238,7 +234,7 @@ def dense_gaussian():
     # Normal(2, 1) margin at n = 1M: ~22.8k failures
     model = LimitStateModel(terms=(Term("m", 1.0, Normal(2.0, 1.0)),))
     summary = run(model, n=1_000_000)
-    return summary, model_moments(model), _deficits(model, summary)
+    return summary, model_moments(model), _deficits(model, SimulationConfig(1_000_000, 0))
 
 
 def test_ef_star_ci_is_the_normal_interval(dense_gaussian):
@@ -264,7 +260,7 @@ def test_ef_star_ci_covers_every_failure():
     summary = simulate(model, cfg)
     moments = model_moments(model)
     rep = build_report(summary, moments)
-    deficits = _deficits(model, summary)
+    deficits = _deficits(model, cfg)
     k = deficits.size
     assert summary.failure_count == k > 1_000_000
     lo, hi = rep.ef_star_ci
@@ -337,8 +333,7 @@ def test_report_every_sample_fails():
 
     # shallow deficits: beta_S and the level are defined without beta
     sub = np.random.default_rng(4).normal(size=1_000)
-    cfg = SimulationConfig(sample_count=1_000, master_seed=0)
-    rep = build_report(_summary(sub, 1_000, 500.0, cfg), MomentReport(0.0, 1.0))
+    rep = build_report(_summary(sub, 1_000, 500.0), MomentReport(0.0, 1.0))
     ef_star = 0.5
     assert rep.beta is None and rep.ef_star == ef_star
     assert rep.beta_s == severity_index(ef_star)

@@ -234,7 +234,7 @@ def reference_block_partial(g):
         part.deficit_sum = float(deficits.sum())
         part.deficit_m2 = float(np.square(deficits - float(deficits.sum()) / k).sum())
         part.deficit_min = float(deficits.min())
-        part.deficit_bins = histogram.log_linear(deficits)
+        part.deficit_bins = histogram.log_linear(deficits, float(deficits.min()), float(deficits.max()))
     return part
 
 
@@ -264,7 +264,7 @@ def test_chunk_g_and_chunk_summary_match_reference_bits(sid, n):
         assert_same_partial(_summarize_block(block.copy(), i, histograms=True), ref)
         want.fold(ref)
     cfg = SimulationConfig(n, 7)
-    got, want = simulate(model, cfg, histograms=True), want.summary(cfg)
+    got, want = simulate(model, cfg, histograms=True), want.summary()
     for name, value in vars(want).items():
         mine = getattr(got, name)
         if name.endswith("histogram") and value is not None:

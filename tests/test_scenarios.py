@@ -13,6 +13,7 @@ from sevrel.distributions import Mixture, Normal, Pareto
 from sevrel.engine import LimitStateModel, Term
 from sevrel.histogram import HISTOGRAM_BINS
 from sevrel.metrics import DEFAULT_MAX_LEVEL, classify
+from sevrel.report import render_json, simulation_document
 from sevrel.scenarios import (
     SCENARIO_IDS,
     Expectation,
@@ -138,6 +139,14 @@ def test_a_constant_g_fails_before_calibration(monkeypatch):
         run(study)
 
 
+def test_a_metric_the_report_writes_as_a_string_fails_its_band():
+    # E_f* = 1e150 / 1e-160 overflows; the report writes it as "inf"
+    model = LimitStateModel(terms=(Term("x", 1e-160, Normal(0.0, 1.0)),), shift=-1e150)
+    study = replace(tiny_scenario(n=1_000, expectations=[Expectation("efStar", 1.0, 0.1, "analytic")]), model=model)
+    (check,) = run(study).checks
+    assert check.computed == "inf" and check.passed is False
+
+
 def test_unknown_metric_is_an_error():
     exp = [Expectation("nonsense", 1.0, 0.1, "reference")]
     with pytest.raises(ValueError, match="nonsense"):
@@ -174,6 +183,26 @@ def test_full_run_normalises_by_the_exact_sigma(sid, scenario_cache):
         assert lo < rep.ef_star < hi
     else:
         assert rep.ef_star is None and rep.extreme_flag.value == "variance-infinite-or-unstable"
+
+
+@pytest.mark.parametrize("sid", EXPECTED_IDS)
+def test_every_check_grades_what_its_report_says(sid, scenario_cache):
+    # a check named for a metric grades that metric's value in the
+    # report; the four derived checks grade what the report's values give
+    res = scenario_cache(sid)
+    doc = json.loads(render_json(simulation_document(res)))
+    metrics = doc["metrics"]
+    beta, beta_s = metrics["beta"], metrics["betaS"]
+    derived = {
+        "betaSDefined": beta_s is not None,
+        "betaSAboveBeta": beta_s is not None and beta is not None and beta_s > beta,
+        "betaSNearBeta": abs(beta_s - beta) if beta_s is not None and beta is not None else None,
+        "analyticVarianceFinite": doc["analyticMoments"]["varianceFinite"],
+    }
+    assert res.checks
+    for check in res.checks:
+        want = metrics[check.metric] if check.metric in metrics else derived[check.metric]
+        assert check.computed == want and type(check.computed) is type(want), check.metric
 
 
 def test_example2_reference_values_fail_as_documented(scenario_cache):
